@@ -2,10 +2,10 @@
 
 Everything here operates on small dense symmetric matrices (feature-space
 scatter and Mahalanobis matrices, a few hundred rows at most). The
-eigensolver is a cyclic Jacobi iteration: simple, dependency-free and very
-accurate at this scale. On top of it sit the PSD cone projection, symmetric
-(inverse) square roots, and the generalized symmetric eigenproblem via
-whitening.
+eigensolver is LAPACK via ``numpy.linalg.eigh``, with a deterministic
+ordering and sign convention added on top. On top of it sit the PSD cone
+projection, symmetric (inverse) square roots, and the generalized symmetric
+eigenproblem via whitening.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from .exceptions import (
     ValidationError,
 )
 
-_JACOBI_MAX_SWEEPS = 100
-_JACOBI_TOL = 1e-12          # relative off-diagonal Frobenius norm
 _SYMMETRY_TOL = 1e-9         # relative elementwise asymmetry allowed
 _RANK_RTOL = 1e-10           # pseudo-inverse cutoff relative to lambda_max
 
@@ -55,74 +53,26 @@ def _check_symmetric(a) -> np.ndarray:
 
 
 def _orient_columns(v: np.ndarray) -> np.ndarray:
-    for i in range(v.shape[1]):
-        j = int(np.argmax(np.abs(v[:, i])))
-        if v[j, i] < 0:
-            v[:, i] = -v[:, i]
-    return v
-
-
-def _offdiag_norm(b: np.ndarray) -> float:
-    off = b - np.diag(np.diag(b))
-    return float(np.linalg.norm(off))
+    if v.size == 0:
+        return v
+    peak = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    return np.where(peak < 0, -v, v)
 
 
 def sym_eig(a) -> SymEigResult:
-    """Full spectral decomposition of a symmetric matrix via cyclic Jacobi.
+    """Full spectral decomposition of a symmetric matrix (LAPACK ``eigh``).
 
-    Sweeps stop once the off-diagonal Frobenius norm drops below
-    1e-12 times the Frobenius norm of the input; raises
-    :class:`NumericalError` if 100 sweeps do not suffice.
+    Raises :class:`NumericalError` if the LAPACK routine fails to converge.
     """
     b = _check_symmetric(a)
-    n = b.shape[0]
-    v = np.eye(n)
-    norm = np.linalg.norm(b)
-    if n > 1 and norm > 0.0:
-        converged = False
-        for _ in range(_JACOBI_MAX_SWEEPS):
-            off = _offdiag_norm(b)
-            if off <= _JACOBI_TOL * norm:
-                converged = True
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = b[p, q]
-                    if apq == 0.0:
-                        continue
-                    diff = b[q, q] - b[p, p]
-                    theta = diff / (2.0 * apq)
-                    if abs(theta) > 1e12:
-                        t = 1.0 / (2.0 * theta)
-                    else:
-                        t = np.sign(theta) if theta != 0 else 1.0
-                        t = t / (abs(theta) + np.sqrt(1.0 + theta * theta))
-                    c = 1.0 / np.sqrt(1.0 + t * t)
-                    s = t * c
-                    # rotate rows/columns p and q of b, columns of v
-                    bp, bq = b[:, p].copy(), b[:, q].copy()
-                    b[:, p] = c * bp - s * bq
-                    b[:, q] = s * bp + c * bq
-                    bp, bq = b[p, :].copy(), b[q, :].copy()
-                    b[p, :] = c * bp - s * bq
-                    b[q, :] = s * bp + c * bq
-                    b[p, q] = b[q, p] = 0.0
-                    vp, vq = v[:, p].copy(), v[:, q].copy()
-                    v[:, p] = c * vp - s * vq
-                    v[:, q] = s * vp + c * vq
-        else:
-            converged = False
-        if not converged:
-            off = _offdiag_norm(b)
-            if off > _JACOBI_TOL * norm:
-                raise NumericalError(
-                    f"Jacobi eigensolver did not converge for a {n}x{n} matrix"
-                )
-    vals = np.diag(b).copy()
+    try:
+        vals, vecs = np.linalg.eigh(b)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"eigensolver failed for a {b.shape[0]}x{b.shape[0]} matrix: {exc}"
+        ) from exc
     order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    vecs = _orient_columns(v[:, order].copy())
-    return SymEigResult(vals, vecs)
+    return SymEigResult(vals[order], _orient_columns(vecs[:, order]))
 
 
 def psd_project(a) -> np.ndarray:

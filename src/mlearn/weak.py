@@ -56,6 +56,11 @@ def _spd_inverse(m: np.ndarray) -> np.ndarray:
     return 0.5 * (inv + inv.T)
 
 
+def _weighted_gram(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_i w_i x_i x_i^T as a single matrix product."""
+    return (x * w[:, None]).T @ x
+
+
 # -- MMC ---------------------------------------------------------------------
 
 def mmc_diag_objective(w: np.ndarray, pos2: np.ndarray, neg2: np.ndarray):
@@ -71,6 +76,15 @@ def mmc_diag_objective(w: np.ndarray, pos2: np.ndarray, neg2: np.ndarray):
     safe = dis > 0.0
     grad = pos2.sum(axis=0) - (neg2[safe] / (2.0 * dis[safe, None])).sum(axis=0) / total
     return f, grad
+
+
+def mmc_objective(m: np.ndarray, neg: np.ndarray):
+    """Full-variant objective, the sum of dissimilar-pair distances under m,
+    and its gradient; neg holds dissimilar pair differences row-wise."""
+    dist = np.sqrt(np.maximum(np.sum((neg @ m) * neg, axis=1), 0.0))
+    safe = dist > 0.0
+    grad = _weighted_gram(neg[safe], 0.5 / dist[safe])
+    return float(np.sum(dist)), grad
 
 
 class MMC(MahalanobisEstimator, PairClassifierMixin):
@@ -125,19 +139,11 @@ class MMC(MahalanobisEstimator, PairClassifierMixin):
             s = budget(m)
             return m / s if s > 1.0 else m
 
-        def objective(m):
-            dist = np.sqrt(np.maximum(np.sum((neg @ m) * neg, axis=1), 0.0))
-            f = float(np.sum(dist))
-            safe = dist > 0.0
-            grad = np.zeros((d, d))
-            for v, dv in zip(neg[safe], dist[safe]):
-                grad += np.outer(v, v) / (2.0 * dv)
-            return f, grad
-
         total_pos = budget(np.eye(d))
         m0 = np.eye(d) / total_pos if total_pos > 0 else np.eye(d)
         m, report = backtracking_solve(
-            objective, m0, max_iter=self.max_iter, tol=self.tol,
+            lambda m_: mmc_objective(m_, neg), m0,
+            max_iter=self.max_iter, tol=self.tol,
             maximize=True, project=project,
         )
         return MahalanobisModel(psd_sqrt(m), algorithm="mmc", fit_report=report)
@@ -182,9 +188,9 @@ class ITML(MahalanobisEstimator, PairClassifierMixin):
 
     def fit(self, pairs, y):
         deltas = []
-        a = None
         for a, _lam, _it, delta in self._cycles(pairs, y):
-            deltas.append(delta)
+            if delta is not None:
+                deltas.append(delta)
         converged = bool(deltas) and deltas[-1] <= self.tol
         trace = tuple(deltas) if deltas else (0.0,)
         report = FitReport(converged, len(trace), trace[-1], trace)
@@ -194,7 +200,8 @@ class ITML(MahalanobisEstimator, PairClassifierMixin):
         return self
 
     def _cycles(self, pairs, y):
-        """Yield (M, multipliers, cycle, multiplier-change) per full cycle."""
+        """Yield (M, multipliers, cycle, multiplier-change): first the prior
+        as cycle 0 with change None, then one entry per full cycle."""
         pos, neg = _split_pairs(pairs, y)
         d = pos.shape[1]
         u, l = itml_bounds(np.asarray(pairs, dtype=float), self.percentiles)
@@ -209,6 +216,9 @@ class ITML(MahalanobisEstimator, PairClassifierMixin):
         n_pos = len(pos)
         lam = np.zeros(len(vecs))
         bhat = np.concatenate([np.full(n_pos, u), np.full(len(neg), l)])
+        self.adjusted_bounds_ = bhat.copy()
+        self.n_pos_constraints_ = n_pos
+        yield a, lam, 0, None
         for it in range(1, self.max_iter + 1):
             lam_old = lam.copy()
             for i, v in enumerate(vecs):
@@ -229,7 +239,6 @@ class ITML(MahalanobisEstimator, PairClassifierMixin):
             a = 0.5 * (a + a.T)
             delta = float(np.max(np.abs(lam - lam_old)))
             self.adjusted_bounds_ = bhat.copy()
-            self.n_pos_constraints_ = n_pos
             yield a, lam, it, delta
             if delta <= self.tol:
                 break
@@ -251,13 +260,11 @@ def lsml_objective(m: np.ndarray, diffs_close: np.ndarray, diffs_far: np.ndarray
     d_far = np.sqrt(np.maximum(np.sum((diffs_far @ m) * diffs_far, axis=1), 0.0))
     viol = np.maximum(d_close - d_far, 0.0)
     f = smooth + float(np.sum(viol * viol))
-    grad = reg * (m0inv - minv)
-    for q in np.flatnonzero(viol > 0.0):
-        v = viol[q]
-        if d_close[q] > 0.0:
-            grad += v / d_close[q] * np.outer(diffs_close[q], diffs_close[q])
-        if d_far[q] > 0.0:
-            grad -= v / d_far[q] * np.outer(diffs_far[q], diffs_far[q])
+    close = (viol > 0.0) & (d_close > 0.0)
+    far = (viol > 0.0) & (d_far > 0.0)
+    grad = (reg * (m0inv - minv)
+            + _weighted_gram(diffs_close[close], viol[close] / d_close[close])
+            - _weighted_gram(diffs_far[far], viol[far] / d_far[far]))
     return f, 0.5 * (grad + grad.T)
 
 

@@ -1,9 +1,10 @@
 """Shared helpers for the test suite.
 
 Oracles deliberately avoid the package's own linear algebra: reference
-eigendecompositions and inverses use numpy.linalg directly, so the Jacobi
-solver and everything built on it is checked against an independent
-implementation.
+eigendecompositions and inverses use numpy.linalg directly, so the
+ordering, sign convention and error mapping that ``mlearn.linalg`` adds on
+top of LAPACK ``eigh``, and everything built on it, are checked against
+plain numpy calls.
 """
 
 import numpy as np

@@ -4,6 +4,7 @@ import pytest
 from mlearn.exceptions import (
     ConditioningError,
     DimensionError,
+    NumericalError,
     RankError,
     SymmetryError,
 )
@@ -54,6 +55,14 @@ class TestSymEig:
         ref = np.sort(np.linalg.eigvalsh(a))[::-1]
         assert np.allclose(r.eigenvalues, ref, atol=1e-10)
 
+    def test_known_spectrum(self, rng):
+        # A = Q diag(lam) Q^T with prescribed, partly repeated and negative lam
+        lam = np.array([3.0, -2.0, 0.5, 3.0, 0.0, -2.0, 1e-3, 7.0])
+        q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        a = (q * lam) @ q.T
+        r = sym_eig(0.5 * (a + a.T))
+        assert np.allclose(r.eigenvalues, np.sort(lam)[::-1], atol=1e-10)
+
     def test_trace_and_determinant_identities(self, rng):
         a = random_symmetric(rng, 6)
         r = sym_eig(a)
@@ -75,6 +84,19 @@ class TestSymEig:
         assert sym_eig([[4.0]]).eigenvalues[0] == 4.0
         r = sym_eig(np.zeros((3, 3)))
         assert np.all(r.eigenvalues == 0.0)
+
+    def test_0x0_matrix(self):
+        r = sym_eig(np.zeros((0, 0)))
+        assert r.eigenvalues.shape == (0,)
+        assert r.eigenvectors.shape == (0, 0)
+
+    def test_lapack_failure_is_numerical_error(self, monkeypatch):
+        def failing_eigh(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        with pytest.raises(NumericalError, match="did not converge"):
+            sym_eig(np.eye(2))
 
 
 class TestPsdProject:

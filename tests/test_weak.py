@@ -6,7 +6,12 @@ import pytest
 
 from mlearn import ITML, LSML, MMC, calibrate_threshold, from_components
 from mlearn.exceptions import NumericalError, ValidationError
-from mlearn.weak import itml_bounds, lsml_objective, mmc_diag_objective
+from mlearn.weak import (
+    itml_bounds,
+    lsml_objective,
+    mmc_diag_objective,
+    mmc_objective,
+)
 
 from conftest import finite_diff_grad, max_rel_err
 
@@ -82,6 +87,29 @@ class TestMMC:
         _, g = mmc_diag_objective(w, pos2, neg2)
         fd = finite_diff_grad(lambda w_: mmc_diag_objective(w_, pos2, neg2)[0], w)
         assert max_rel_err(g, fd) <= 1e-5
+
+    def test_full_gradient_finite_differences(self):
+        r = np.random.default_rng(9)
+        neg = r.standard_normal((6, 4))
+        neg[2] = 0.0  # a coincident pair contributes no gradient
+        a = r.standard_normal((4, 4))
+        m = a @ a.T + 0.5 * np.eye(4)
+        _, g = mmc_objective(m, neg)
+        fd = finite_diff_grad(lambda m_: mmc_objective(m_, neg)[0], m)
+        assert max_rel_err(g, fd) <= 1e-5
+
+    def test_full_gradient_matches_outer_product_loop(self):
+        r = np.random.default_rng(10)
+        neg = r.standard_normal((7, 3))
+        neg[4] = 0.0
+        m = np.diag([1.0, 2.0, 0.5])
+        dist = np.sqrt(np.sum((neg @ m) * neg, axis=1))
+        ref = np.zeros((3, 3))
+        for v, dv in zip(neg[dist > 0], dist[dist > 0]):
+            ref += np.outer(v, v) / (2.0 * dv)
+        f, g = mmc_objective(m, neg)
+        assert abs(f - np.sum(dist)) <= 1e-12 * np.sum(dist)
+        assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_missing_label_class_rejected(self):
         pairs, y = labeled_pairs()
@@ -174,6 +202,12 @@ class TestITML:
         est = fit_quiet(ITML(prior="covariance-inverse"), pairs, y)
         assert est.model_.min_mahalanobis_eigenvalue() >= -1e-9
 
+    def test_zero_cycles_returns_prior(self):
+        pairs, y = labeled_pairs(seed=7)
+        est = ITML(max_iter=0).fit(pairs, y)
+        assert not est.fit_report_.converged
+        assert np.allclose(est.get_mahalanobis_matrix(), np.eye(3), atol=1e-12)
+
 
 class TestLSML:
     def test_zero_violation_fixed_point(self):
@@ -193,6 +227,31 @@ class TestLSML:
             lambda m_: lsml_objective(0.5 * (m_ + m_.T), empty, empty,
                                       m0inv, 0.0, 1.0)[0], m)
         assert max_rel_err(g, 0.5 * (fd + fd.T)) <= 1e-4
+
+    def test_hinge_gradient_finite_differences(self):
+        # mixed active set: some quadruplets violate the ordering by a clear
+        # margin, the rest are clearly satisfied, so the set is locally fixed
+        r = np.random.default_rng(11)
+        close = r.standard_normal((8, 3)) * np.repeat([2.0, 0.2], 4)[:, None]
+        far = r.standard_normal((8, 3))
+        a = r.standard_normal((3, 3))
+        m = a @ a.T + 0.5 * np.eye(3)
+        m0inv = np.diag([1.0, 2.0, 0.5])
+        dc = np.sqrt(np.sum((close @ m) * close, axis=1))
+        df = np.sqrt(np.sum((far @ m) * far, axis=1))
+        assert 0 < np.sum(dc > df) < len(dc)
+        assert np.min(np.abs(dc - df)) > 1e-3
+        _, g = lsml_objective(m, close, far, m0inv, 0.0, 0.3)
+        fd = finite_diff_grad(
+            lambda m_: lsml_objective(0.5 * (m_ + m_.T), close, far,
+                                      m0inv, 0.0, 0.3)[0], m)
+        assert max_rel_err(g, 0.5 * (fd + fd.T)) <= 1e-4
+        # reference: the per-quadruplet loop over the active set
+        _, g0 = lsml_objective(m, close[:0], far[:0], m0inv, 0.0, 0.3)
+        for vc, vf, a_, b_ in zip(close, far, dc, df):
+            if a_ > b_:
+                g0 = g0 + (a_ - b_) * (np.outer(vc, vc) / a_ - np.outer(vf, vf) / b_)
+        assert np.max(np.abs(g - g0)) <= 1e-12 * np.max(np.abs(g0))
 
     def test_single_violated_quadruplet_corrected(self):
         # start with a gross ordering violation (gap 3 - 1 = 2); the squared
