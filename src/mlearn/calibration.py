@@ -4,6 +4,13 @@ Candidate thresholds are the midpoints between consecutive distinct sorted
 distances plus two sentinels (min-1 and max+1). Every achievable confusion
 matrix of the rule "distance <= threshold -> similar" is realized by one of
 these candidates, so the search is exact. Ties go to the smallest threshold.
+
+The search sorts the distances once and reads each candidate's confusion
+matrix off cumulative counts (``searchsorted`` over the sorted positive
+distances and over all sorted distances), so it costs O(n log n) instead of
+one rescoring per candidate. Accuracy and F1 are then computed from those
+integer counts with the same float operations as :mod:`scoring`, so the
+scores are the ones a per-candidate rescoring would give, bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ValidationError
-from .scoring import accuracy_score, f1_score
 from .tuples import validate_tuples
 
 
@@ -39,18 +45,22 @@ def calibrate_threshold(model, pairs, y, metric: str = "accuracy") -> Calibratio
     if len(pairs) == 0:
         raise ValidationError("cannot calibrate on an empty pair set")
     y = np.asarray(y)
-    if metric == "accuracy":
-        scorer = accuracy_score
-    elif metric == "f1":
-        if not np.any(y == 1):
-            raise ValidationError("f1 calibration needs at least one +1 label")
-        scorer = f1_score
-    else:
+    if metric not in ("accuracy", "f1"):
         raise ValidationError(f"unsupported calibration metric {metric!r}")
+    is_pos = y == 1
+    if metric == "f1" and not np.any(is_pos):
+        raise ValidationError("f1 calibration needs at least one +1 label")
     distances = model.score_pairs(pairs)
-    best_thr, best_score = None, -1.0
-    for thr in candidate_thresholds(distances):
-        s = scorer(y, np.where(distances <= thr, 1, -1))
-        if s > best_score:
-            best_thr, best_score = float(thr), s
-    return CalibrationResult(best_thr, best_score, metric)
+    candidates = candidate_thresholds(distances)
+    # counts of pairs predicted similar (distance <= threshold), per candidate
+    tp = np.searchsorted(np.sort(distances[is_pos]), candidates, side="right")
+    fp = np.searchsorted(np.sort(distances), candidates, side="right") - tp
+    n_pos = int(np.count_nonzero(is_pos))
+    if metric == "accuracy":
+        tn = (len(y) - n_pos) - fp
+        scores = (tp + tn) / len(y)
+    else:
+        fn = n_pos - tp
+        scores = 2.0 * tp / (2 * tp + fp + fn)
+    best = int(np.argmax(scores))
+    return CalibrationResult(float(candidates[best]), float(scores[best]), metric)

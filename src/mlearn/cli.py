@@ -225,33 +225,31 @@ def build_estimator(args):
     return est
 
 
-def _fit_estimator(est, algo, args):
-    """Dispatch on supervision kind; returns the fitted estimator."""
+def _fit_inputs(algo, args) -> tuple:
+    """Dispatch on supervision kind; returns the arguments for ``fit``."""
     if algo in ("nca", "lmnn", "lfda", "mlkr"):
         if args.label_col is None:
             raise ValidationError(f"--label-col is required for {algo}")
         x, y, _ = load_features(args.data, label_col=args.label_col)
-        est.fit(x, y)
-    elif algo == "rca":
+        return x, y
+    if algo == "rca":
         if args.chunk_col is None:
             raise ValidationError("--chunk-col is required for rca")
         x, _, chunks = load_features(args.data, chunk_col=args.chunk_col)
-        est.fit(x, chunks)
-    elif algo in PAIR_ALGOS:
+        return x, chunks
+    if algo in PAIR_ALGOS:
         if args.pairs is None:
             raise ValidationError(f"--pairs is required for {algo}")
         x, _, _ = load_features(args.data, label_col=args.label_col)
         pairs, y = load_tuples(args.pairs, x, 2)
         if y is None:
             raise ValidationError("pairs file must include a label column")
-        est.fit(pairs, y)
-    elif algo == "lsml":
-        if args.quads is None:
-            raise ValidationError("--quads is required for lsml")
-        x, _, _ = load_features(args.data, label_col=args.label_col)
-        quads, _ = load_tuples(args.quads, x, 4)
-        est.fit(quads)
-    return est
+        return pairs, y
+    if args.quads is None:  # lsml
+        raise ValidationError("--quads is required for lsml")
+    x, _, _ = load_features(args.data, label_col=args.label_col)
+    quads, _ = load_tuples(args.quads, x, 4)
+    return (quads,)
 
 
 # -- commands ----------------------------------------------------------------
@@ -260,13 +258,12 @@ def cmd_fit(args) -> int:
     est = build_estimator(args)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        _fit_estimator(est, args.algo, args)
+        inputs = _fit_inputs(args.algo, args)
+        est.fit(*inputs)
         if args.calibrate is not None:
             if args.algo not in PAIR_ALGOS:
                 raise ValidationError("--calibrate only applies to pair learners")
-            x, _, _ = load_features(args.data, label_col=args.label_col)
-            pairs, y = load_tuples(args.pairs, x, 2)
-            est.calibrate_threshold(pairs, y, args.calibrate)
+            est.calibrate_threshold(*inputs, args.calibrate)
     if not est.model_.fit_report.converged:
         print("warning: solver stopped before reaching its tolerance",
               file=sys.stderr)

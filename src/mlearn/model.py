@@ -6,9 +6,15 @@ distance after mapping through ``L``; equivalently the quadratic form under
 M = L^T L. Distances are always reported non-squared; squared distances are
 an internal detail of the solvers.
 
-Distance computation deliberately goes through one shared per-pair helper so
-that ``score_pairs``, ``get_metric`` and every predict method agree
-bit-for-bit, which makes serialization round trips exactly reproducible.
+Every distance goes through one batched kernel, :func:`_distances`, so that
+``score_pairs``, ``get_metric`` (a batch of one) and every predict method
+agree bit for bit, which makes serialization round trips exactly
+reproducible. The kernel must give a row the same bits whatever batch it sits
+in. It uses ``np.einsum`` without ``optimize``, which contracts each output
+element over the feature axis in a fixed order that does not depend on the
+number of rows. A BLAS product such as ``(a - b) @ L.T`` does not: OpenBLAS
+picks its blocking and kernels from the matrix shape, so a row can round
+differently alone than inside a larger batch.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import numpy as np
 
 from .exceptions import DimensionError, ValidationError
 from .linalg import sym_eig
+from .tuples import validate_tuples
 
 
 @dataclass(frozen=True)
@@ -46,26 +53,10 @@ def _as_features(x, n_features: int | None = None) -> np.ndarray:
     return x
 
 
-def _as_tuples(t, arity: int, n_features: int | None = None) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if t.ndim != 3 or t.shape[1] != arity:
-        raise DimensionError(
-            f"expected an array of shape (n, {arity}, n_features), got {t.shape}"
-        )
-    if not np.all(np.isfinite(t)):
-        raise ValidationError("tuple array contains non-finite entries")
-    if n_features is not None and t.shape[2] != n_features:
-        raise DimensionError(
-            f"expected {n_features} feature columns, got {t.shape[2]}"
-        )
-    return t
-
-
-def _pair_distance(components: np.ndarray, x, y) -> float:
-    # single shared code path for all distance computations (bit-exact
-    # agreement between score_pairs, get_metric and the predict methods)
-    z = (np.asarray(x, dtype=float) - np.asarray(y, dtype=float)) @ components.T
-    return math.sqrt(float(z @ z))
+def _distances(components: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Non-squared learned distance between rows of ``a`` and ``b`` (n, d)."""
+    z = np.einsum("nd,cd->nc", a - b, components)
+    return np.sqrt(np.einsum("nc,nc->n", z, z))
 
 
 @dataclass
@@ -78,9 +69,10 @@ class MahalanobisModel:
     fit_report: FitReport = field(default_factory=FitReport)
 
     def __post_init__(self):
-        # force C layout: BLAS accumulates in layout-dependent order, and a
-        # JSON round trip always loads C-contiguous, so mixed layouts would
-        # break bit-exact save/load prediction equality
+        # force C layout: transform and the distance kernel accumulate in a
+        # layout-dependent order, and a JSON round trip always loads
+        # C-contiguous, so mixed layouts would break bit-exact save/load
+        # prediction equality
         l = np.ascontiguousarray(np.asarray(self.components, dtype=float))
         if l.ndim != 2 or l.size == 0:
             raise ValidationError("components must be a non-empty 2-D matrix")
@@ -114,9 +106,8 @@ class MahalanobisModel:
 
     def score_pairs(self, pairs) -> np.ndarray:
         """Non-squared learned distance for each pair in an (n, 2, d) array."""
-        pairs = _as_tuples(pairs, 2, self.n_features)
-        l = self.components
-        return np.array([_pair_distance(l, p[0], p[1]) for p in pairs])
+        pairs = validate_tuples(pairs, 2, self.n_features)
+        return _distances(self.components, pairs[:, 0], pairs[:, 1])
 
     def get_metric(self):
         """Detached distance function over two feature vectors.
@@ -135,7 +126,7 @@ class MahalanobisModel:
                     f"metric expects two vectors of length {d}, "
                     f"got shapes {x.shape} and {y.shape}"
                 )
-            return _pair_distance(l, x, y)
+            return float(_distances(l, x[None], y[None])[0])
 
         return metric
 
@@ -161,21 +152,17 @@ class MahalanobisModel:
 
     def predict_triplets(self, triplets) -> np.ndarray:
         """+1 where the anchor is strictly closer to the second point."""
-        triplets = _as_tuples(triplets, 3, self.n_features)
+        t = validate_tuples(triplets, 3, self.n_features)
         l = self.components
-        out = np.empty(len(triplets), dtype=int)
-        for i, (a, b, c) in enumerate(triplets):
-            out[i] = 1 if _pair_distance(l, a, b) < _pair_distance(l, a, c) else -1
-        return out
+        near = _distances(l, t[:, 0], t[:, 1])
+        return np.where(near < _distances(l, t[:, 0], t[:, 2]), 1, -1)
 
     def predict_quadruplets(self, quads) -> np.ndarray:
         """+1 where the first pair is strictly closer than the second pair."""
-        quads = _as_tuples(quads, 4, self.n_features)
+        q = validate_tuples(quads, 4, self.n_features)
         l = self.components
-        out = np.empty(len(quads), dtype=int)
-        for i, (a, b, c, d) in enumerate(quads):
-            out[i] = 1 if _pair_distance(l, a, b) < _pair_distance(l, c, d) else -1
-        return out
+        near = _distances(l, q[:, 0], q[:, 1])
+        return np.where(near < _distances(l, q[:, 2], q[:, 3]), 1, -1)
 
     # -- persistence --------------------------------------------------------
 

@@ -38,21 +38,24 @@ class SplitMix64:
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
 
-    def sample(self, pool: list, k: int, replace: bool = False) -> list:
-        """Draw k elements from pool.
+    def sample(self, pool, k: int, replace: bool = False) -> list:
+        """Draw k elements from a sequence.
 
         Without replacement this is a partial Fisher-Yates draw; if k exceeds
         the pool size the caller should have asked for replacement instead.
+        The shuffle is virtual: only the positions it has swapped are stored,
+        so a draw costs O(k) whatever the pool size, and the pool is never
+        copied or modified.
         """
         n = len(pool)
         if replace:
             return [pool[self.below(n)] for _ in range(k)]
         if k > n:
             raise ValueError(f"cannot draw {k} from {n} without replacement")
-        work = list(pool)
+        moved = {}  # position -> element swapped into it
         out = []
         for i in range(k):
             j = i + self.below(n - i)
-            work[i], work[j] = work[j], work[i]
-            out.append(work[i])
+            out.append(moved.get(j, pool[j]))
+            moved[j] = moved.get(i, pool[i])
         return out

@@ -1,8 +1,12 @@
 """Binary scorers over +/-1 labels: accuracy, F1 and ROC-AUC.
 
-ROC-AUC is computed by concordance counting over all positive-negative pairs
-(ties count half), which makes it exactly invariant under any strictly
-increasing transform of the decision values.
+ROC-AUC is the fraction of positive-negative pairs ranked correctly, ties
+counting half, which makes it exactly invariant under any strictly increasing
+transform of the decision values. It is computed as a rank sum (the
+Mann-Whitney U statistic) with mid-ranks for tied values, in O(n log n) time
+and O(n) memory. Twice a mid-rank is an integer, so the sum is carried in
+integers and equals twice the concordance count (concordant pairs plus half
+the tied ones) exactly.
 """
 
 from __future__ import annotations
@@ -42,14 +46,18 @@ def f1_score(y_true, y_pred) -> float:
 
 def roc_auc_score(y_true, decisions) -> float:
     y_true, decisions = _check_lengths(y_true, decisions)
-    pos = decisions[y_true == 1]
-    neg = decisions[y_true != 1]
-    if len(pos) == 0 or len(neg) == 0:
+    is_pos = y_true == 1
+    n_pos = int(np.count_nonzero(is_pos))
+    n_neg = len(y_true) - n_pos
+    if n_pos == 0 or n_neg == 0:
         raise ValidationError("roc_auc is undefined with a single class present")
-    diff = pos[:, None] - neg[None, :]
-    concordant = float(np.sum(diff > 0))
-    tied = float(np.sum(diff == 0))
-    return (concordant + 0.5 * tied) / (len(pos) * len(neg))
+    if not np.all(np.isfinite(decisions)):
+        raise ValidationError("roc_auc needs finite decision values")
+    _, inverse, counts = np.unique(decisions, return_inverse=True, return_counts=True)
+    # twice the mid-rank of each distinct value; ranks run from 1 upwards
+    twice_rank = 2 * np.cumsum(counts) - counts + 1
+    twice_u = int(np.sum(twice_rank[inverse[is_pos]])) - n_pos * (n_pos + 1)
+    return 0.5 * twice_u / (n_pos * n_neg)
 
 
 def score(metric_name: str, y_true, y_out) -> float:

@@ -49,22 +49,42 @@ def validate_tuples(tuples, expected_t: int, n_features: int | None = None,
     return tuples
 
 
-def _class_index(y) -> dict:
-    y = np.asarray(y)
-    return {label: np.flatnonzero(y == label).tolist() for label in np.unique(y)}
+class _ClassPools:
+    """Partner pools per class, built once per sampler call.
+
+    Pools hold sample indices in ascending order. The draws index into them,
+    so another order would change the tuples a seed produces.
+    """
+
+    def __init__(self, x, y, k: int, what: str):
+        if k < 1:
+            raise ValidationError("k must be >= 1")
+        if len(y) != len(x):
+            raise ValidationError("labels length must match number of samples")
+        labels, self.codes = np.unique(y, return_inverse=True)
+        self.members = [np.flatnonzero(self.codes == c) for c in range(len(labels))]
+        if len(labels) < 2:
+            raise ValidationError(f"{what} requires at least 2 distinct classes")
+        for label, members in zip(labels, self.members):
+            if len(members) < 2:
+                raise ValidationError(
+                    f"cannot build {what}: class {label!r} has a single member"
+                )
+        self.others = [np.flatnonzero(self.codes != c) for c in range(len(labels))]
+        self.rank = np.empty(len(y), dtype=int)  # position within own class
+        for members in self.members:
+            self.rank[members] = np.arange(len(members))
+
+    def same(self, i: int) -> np.ndarray:
+        """Members of sample i's class, without i itself."""
+        return np.delete(self.members[self.codes[i]], self.rank[i])
+
+    def other(self, i: int) -> np.ndarray:
+        """Samples of every class but sample i's."""
+        return self.others[self.codes[i]]
 
 
-def _check_classes(by_class: dict, what: str) -> None:
-    if len(by_class) < 2:
-        raise ValidationError(f"{what} requires at least 2 distinct classes")
-    for label, members in by_class.items():
-        if len(members) < 2:
-            raise ValidationError(
-                f"cannot build {what}: class {label!r} has a single member"
-            )
-
-
-def _draw_partners(rng: SplitMix64, pool: list, k: int) -> list:
+def _draw_partners(rng: SplitMix64, pool, k: int) -> list:
     # without replacement when the pool allows, with replacement otherwise
     return rng.sample(pool, k, replace=k > len(pool))
 
@@ -77,69 +97,39 @@ def pairs_from_labels(x, y, k: int, seed: int):
     sample index, similar pairs first within each sample.
     """
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y)
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    if len(y) != len(x):
-        raise ValidationError("labels length must match number of samples")
-    by_class = _class_index(y)
-    _check_classes(by_class, "pairs")
+    pools = _ClassPools(x, np.asarray(y), k, "pairs")
     rng = SplitMix64(seed)
-    blocks, labels = [], []
+    blocks = []
     for i in range(len(x)):
-        same = [j for j in by_class[y[i]] if j != i]
-        other = [j for j in range(len(x)) if y[j] != y[i]]
-        for j in _draw_partners(rng, same, k):
-            blocks.append((i, j))
-            labels.append(1)
-        for j in _draw_partners(rng, other, k):
-            blocks.append((i, j))
-            labels.append(-1)
-    pairs = np.stack([np.stack([x[i], x[j]]) for i, j in blocks])
-    return pairs, np.array(labels)
+        blocks.extend((i, j) for j in _draw_partners(rng, pools.same(i), k))
+        blocks.extend((i, j) for j in _draw_partners(rng, pools.other(i), k))
+    labels = np.tile(np.repeat([1, -1], k), len(x))
+    return x[np.array(blocks)], labels
 
 
 def triplets_from_labels(x, y, k: int, seed: int) -> np.ndarray:
     """k triplets (anchor, same-class positive, other-class negative) per sample."""
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y)
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    if len(y) != len(x):
-        raise ValidationError("labels length must match number of samples")
-    by_class = _class_index(y)
-    _check_classes(by_class, "triplets")
+    pools = _ClassPools(x, np.asarray(y), k, "triplets")
     rng = SplitMix64(seed)
     blocks = []
     for i in range(len(x)):
-        same = [j for j in by_class[y[i]] if j != i]
-        other = [j for j in range(len(x)) if y[j] != y[i]]
-        pos = _draw_partners(rng, same, k)
-        neg = _draw_partners(rng, other, k)
-        for j, l in zip(pos, neg):
-            blocks.append((i, j, l))
-    return np.stack([np.stack([x[a], x[b], x[c]]) for a, b, c in blocks])
+        pos = _draw_partners(rng, pools.same(i), k)
+        neg = _draw_partners(rng, pools.other(i), k)
+        blocks.extend((i, j, l) for j, l in zip(pos, neg))
+    return x[np.array(blocks)]
 
 
 def quadruplets_from_labels(x, y, k: int, seed: int) -> np.ndarray:
     """k quadruplets per sample: (sample, same-class partner, random point,
     partner of a different class than the random point)."""
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y)
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    if len(y) != len(x):
-        raise ValidationError("labels length must match number of samples")
-    by_class = _class_index(y)
-    _check_classes(by_class, "quadruplets")
+    pools = _ClassPools(x, np.asarray(y), k, "quadruplets")
     rng = SplitMix64(seed)
-    all_idx = list(range(len(x)))
     blocks = []
     for i in range(len(x)):
-        same = [j for j in by_class[y[i]] if j != i]
-        for j in _draw_partners(rng, same, k):
-            r = all_idx[rng.below(len(all_idx))]
-            far_pool = [s for s in all_idx if y[s] != y[r]]
-            s = far_pool[rng.below(len(far_pool))]
-            blocks.append((i, j, r, s))
-    return np.stack([np.stack([x[a], x[b], x[c], x[d]]) for a, b, c, d in blocks])
+        for j in _draw_partners(rng, pools.same(i), k):
+            r = rng.below(len(x))
+            far = pools.other(r)
+            blocks.append((i, j, r, far[rng.below(len(far))]))
+    return x[np.array(blocks)]

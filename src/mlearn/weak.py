@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .base import MahalanobisEstimator, PairClassifierMixin, QuadrupletClassifierMixin
-from .calibration import CalibrationResult, calibrate_threshold  # noqa: F401 (public API)
 from .exceptions import NumericalError, ValidationError
 from .linalg import psd_project, psd_sqrt, sym_eig
 from .model import FitReport, MahalanobisModel

@@ -227,6 +227,52 @@ class TestPredictQuadruplets:
             assert tp == qp
 
 
+class TestBatchStableDistances:
+    """Every distance comes from one kernel that is exact under batching."""
+
+    @pytest.fixture(params=[1, 2, 7], ids=lambda c: f"n_components={c}")
+    def model(self, request):
+        r = np.random.default_rng(request.param)
+        return from_components(r.standard_normal((request.param, 7)))
+
+    @pytest.fixture
+    def pairs(self):
+        return np.random.default_rng(99).standard_normal((5000, 2, 7))
+
+    def test_score_pairs_equals_metric_for_every_pair(self, model, pairs):
+        dist = model.score_pairs(pairs)
+        metric = model.get_metric()
+        assert all(dist[i] == metric(*pairs[i]) for i in range(len(pairs)))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 1000, 4097])
+    def test_prefix_batches_are_exact(self, model, pairs, m):
+        assert np.array_equal(model.score_pairs(pairs[:m]),
+                              model.score_pairs(pairs)[:m])
+
+    def test_tuple_predictions_equal_two_score_pairs_calls(self, model):
+        r = np.random.default_rng(5)
+        t = r.standard_normal((3000, 3, 7))
+        q = r.standard_normal((3000, 4, 7))
+        t[::3, 2] = t[::3, 1]  # exact ties, which must predict -1
+        q[::3, 2:] = q[::3, :2]
+        expected = np.where(model.score_pairs(t[:, [0, 1]])
+                            < model.score_pairs(t[:, [0, 2]]), 1, -1)
+        assert np.array_equal(model.predict_triplets(t), expected)
+        assert np.all(expected[::3] == -1)
+        expected = np.where(model.score_pairs(q[:, [0, 1]])
+                            < model.score_pairs(q[:, [2, 3]]), 1, -1)
+        assert np.array_equal(model.predict_quadruplets(q), expected)
+        assert np.all(expected[::3] == -1)
+
+    @pytest.mark.parametrize("method, arity", [("score_pairs", 2),
+                                               ("predict_triplets", 3),
+                                               ("predict_quadruplets", 4)])
+    def test_wrong_arity_is_a_validation_error(self, method, arity):
+        m = from_components(np.eye(2))
+        with pytest.raises(ValidationError, match="arity"):
+            getattr(m, method)(np.zeros((3, arity + 1, 2)))
+
+
 class TestPersistence:
     def test_round_trip_exact(self, rng, tmp_path):
         m = MahalanobisModel(rng.standard_normal((2, 3)), threshold=0.75,

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -122,6 +123,36 @@ class TestScorers:
     def test_roc_auc_single_class_rejected(self):
         with pytest.raises(ValidationError):
             roc_auc_score([1, 1], [0.1, 0.2])
+
+    def test_roc_auc_equals_pairwise_matrix_formula(self):
+        r = np.random.default_rng(17)
+        for _ in range(200):
+            n = int(r.integers(2, 300))
+            y = r.choice([-1, 1], n)
+            y[:2] = [1, -1]
+            dec = r.integers(-4, 5, n) * 0.3  # heavy ties
+            pos, neg = dec[y == 1], dec[y != 1]
+            diff = pos[:, None] - neg[None, :]
+            expected = (float(np.sum(diff > 0)) + 0.5 * float(np.sum(diff == 0))) \
+                / (len(pos) * len(neg))
+            assert roc_auc_score(y, dec) == expected
+
+    def test_roc_auc_non_finite_rejected(self):
+        with pytest.raises(ValidationError, match="finite"):
+            roc_auc_score([1, -1, 1], [0.1, np.nan, 0.3])
+
+    def test_roc_auc_peak_memory_is_linear(self):
+        r = np.random.default_rng(1)
+        n = 200_000
+        y = r.choice([-1, 1], n)
+        dec = np.round(r.standard_normal(n), 2)
+        tracemalloc.start()
+        try:
+            roc_auc_score(y, dec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20  # a P x N matrix would need about 10 GB
 
     def test_f1_zero_division(self):
         assert f1_score([-1, -1], [-1, -1]) == 0.0

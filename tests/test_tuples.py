@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -165,3 +167,60 @@ class TestSplitMix64:
         r = SplitMix64(1)
         out = r.sample(list(range(10)), 10, replace=False)
         assert sorted(out) == list(range(10))
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (5, 0), (5, 3), (10, 10), (300, 7),
+                                      (1000, 999)])
+    def test_sample_equals_list_copy_fisher_yates(self, n, k):
+        def reference(rng, pool, k):
+            work = list(pool)
+            out = []
+            for i in range(k):
+                j = i + rng.below(len(work) - i)
+                work[i], work[j] = work[j], work[i]
+                out.append(work[i])
+            return out
+
+        pool = np.arange(100, 100 + n)
+        for seed in range(20):
+            a, b = SplitMix64(seed), SplitMix64(seed)
+            assert a.sample(pool, k) == reference(b, pool, k)
+            assert a.next_uint64() == b.next_uint64()  # same state left
+        assert np.array_equal(pool, np.arange(100, 100 + n))  # pool untouched
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+# SHA-256 of the sampler outputs, recorded with the per-sample list-based
+# samplers that the per-class index pools replaced; a seed must keep giving
+# the same tuples on every version.
+_SAMPLER_DIGESTS = {
+    ("pairs", 1, 0): "08504df9e8497b82fa7dbe2edb134cb547f856ac8da4287289df9282e35496f6",
+    ("triplets", 1, 0): "a5aee4f953bb962f86cb02516fa736633bcf5424d500ebbc38b86c6ba14d542e",
+    ("quadruplets", 1, 0): "c92e07ebd52259e9b70d8c0f5f77784eb8775c1a784d5fe04736fb9fcd1d47c7",
+    ("pairs", 4, 12345): "e7f06b74fc71d31d816e74cab2392bb1daf0e9fe955ab9d1680134d967106fd7",
+    ("triplets", 4, 12345): "660f740196ce5a5f20d4f5f01c2cf8286ca7085fcd4e98ba03786b01601cfdd5",
+    ("quadruplets", 4, 12345): "9d536b4e128c566e44138c4bbb5efcb2d96e6b47d994f432812f70a89195aa0d",
+    ("pairs", 9, 2**63 + 5): "5866ee2773bd6b2171a8795ece1c9d733dcefe1b307288ad59744dea81481c7b",
+    ("triplets", 9, 2**63 + 5): "20db573caa01e00e80c8e462f049d9d6e12052592f9a98b8513b342ed7598c38",
+    ("quadruplets", 9, 2**63 + 5): "7a34c723083a94fb6b2e96f95eb9d1ee11796d35d24979b0b1f22eba68dae5fb",
+}
+
+
+@pytest.mark.parametrize("kind, k, seed", sorted(_SAMPLER_DIGESTS, key=str))
+def test_sampler_output_is_frozen(kind, k, seed):
+    n, d = 40, 3
+    x = np.arange(n * d, dtype=float).reshape(n, d) * 0.25 - 7.0
+    # classes 0-2 interleaved, class 3 has 6 members so k=9 draws with replacement
+    y = np.array([(i * 7) % 3 if i < 34 else 3 for i in range(n)])
+    sampler = {"pairs": pairs_from_labels, "triplets": triplets_from_labels,
+               "quadruplets": quadruplets_from_labels}[kind]
+    out = sampler(x, y, k, seed)
+    assert _digest(*(out if kind == "pairs" else (out,))) == \
+        _SAMPLER_DIGESTS[(kind, k, seed)]

@@ -1,10 +1,20 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from mlearn import ITML, LSML, MMC, calibrate_threshold, from_components
+from mlearn import (
+    ITML,
+    LSML,
+    MMC,
+    accuracy_score,
+    calibrate_threshold,
+    f1_score,
+    from_components,
+)
+from mlearn.calibration import candidate_thresholds
 from mlearn.exceptions import NumericalError, ValidationError
 from mlearn.weak import (
     itml_bounds,
@@ -357,6 +367,56 @@ class TestCalibrateThreshold:
         model, pairs = self._model_for([1.0, 2.0])
         with pytest.raises(ValidationError, match="f1"):
             calibrate_threshold(model, pairs, [-1, -1], "f1")
+
+    @pytest.mark.parametrize("metric", ["accuracy", "f1"])
+    def test_equals_rescoring_loop_with_ties(self, metric):
+        r = np.random.default_rng(21)
+        for trial in range(60):
+            n = int(r.integers(1, 80))
+            distances = r.integers(0, 6, n) * 0.25  # few distinct values
+            y = r.choice([-1, 1], n, p=[0.3, 0.7] if trial % 2 else [0.7, 0.3])
+            y[0] = 1
+            model, pairs = self._model_for(distances)
+            res = calibrate_threshold(model, pairs, y, metric)
+            assert (res.threshold, res.achieved_score) == \
+                _rescoring_oracle(metric, model.score_pairs(pairs), y)
+
+    def test_equals_rescoring_loop_on_a_learned_metric(self):
+        r = np.random.default_rng(8)
+        model = from_components(r.standard_normal((2, 3)))
+        pairs = np.round(r.standard_normal((300, 2, 3)), 1)
+        pairs[::4, 1] = pairs[::4, 0]  # zero distances tie
+        y = r.choice([-1, 1], 300)
+        distances = model.score_pairs(pairs)
+        for metric in ("accuracy", "f1"):
+            res = calibrate_threshold(model, pairs, y, metric)
+            assert (res.threshold, res.achieved_score) == \
+                _rescoring_oracle(metric, distances, y)
+
+    def test_peak_memory_is_linear(self):
+        r = np.random.default_rng(0)
+        n = 50_000
+        model, pairs = from_components(np.eye(1)), r.random((n, 2, 1))
+        y = r.choice([-1, 1], n)
+        tracemalloc.start()
+        try:
+            for metric in ("accuracy", "f1"):
+                calibrate_threshold(model, pairs, y, metric)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+
+def _rescoring_oracle(metric, distances, y):
+    """Rescore every candidate threshold; the first best one wins."""
+    scorer = accuracy_score if metric == "accuracy" else f1_score
+    best_thr, best_score = None, -1.0
+    for thr in candidate_thresholds(distances):
+        s = scorer(y, np.where(distances <= thr, 1, -1))
+        if s > best_score:
+            best_thr, best_score = float(thr), s
+    return best_thr, best_score
 
 
 def _dense_grid_best(metric, distances, y, grid):
