@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ValidationError
+from .model import _distances
 from .tuples import validate_tuples
 
 
@@ -41,7 +42,7 @@ def calibrate_threshold(model, pairs, y, metric: str = "accuracy") -> Calibratio
 
     Does not mutate the model; the caller stores the threshold where needed.
     """
-    pairs = validate_tuples(pairs, 2, labels=y)
+    pairs = validate_tuples(pairs, 2, model.n_features, labels=y)
     if len(pairs) == 0:
         raise ValidationError("cannot calibrate on an empty pair set")
     y = np.asarray(y)
@@ -50,7 +51,7 @@ def calibrate_threshold(model, pairs, y, metric: str = "accuracy") -> Calibratio
     is_pos = y == 1
     if metric == "f1" and not np.any(is_pos):
         raise ValidationError("f1 calibration needs at least one +1 label")
-    distances = model.score_pairs(pairs)
+    distances = _distances(model.components, pairs[:, 0], pairs[:, 1])
     candidates = candidate_thresholds(distances)
     # counts of pairs predicted similar (distance <= threshold), per candidate
     tp = np.searchsorted(np.sort(distances[is_pos]), candidates, side="right")

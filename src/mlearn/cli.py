@@ -281,7 +281,8 @@ def cmd_transform(args) -> int:
     return 0
 
 
-def _load_prediction_tuples(args, model):
+def _load_prediction_tuples(args, model) -> np.ndarray:
+    """The one tuple file given, checked once against the model's width."""
     x, _, _ = load_features(args.data, label_col=args.label_col)
     given = [(a, f) for a, f in ((2, args.pairs), (3, args.triplets),
                                  (4, args.quads)) if f is not None]
@@ -291,8 +292,7 @@ def _load_prediction_tuples(args, model):
         )
     arity, path = given[0]
     tuples, labels = load_tuples(path, x, arity)
-    validate_tuples(tuples, arity, model.n_features, labels=labels)
-    return arity, tuples, labels
+    return validate_tuples(tuples, arity, model.n_features, labels=labels)
 
 
 def cmd_score_pairs(args) -> int:
@@ -306,13 +306,7 @@ def cmd_score_pairs(args) -> int:
 
 def cmd_predict(args) -> int:
     model = MahalanobisModel.load(args.model)
-    arity, tuples, _ = _load_prediction_tuples(args, model)
-    if arity == 2:
-        labels = model.predict_pairs(tuples)
-    elif arity == 3:
-        labels = model.predict_triplets(tuples)
-    else:
-        labels = model.predict_quadruplets(tuples)
+    labels = model._predict(_load_prediction_tuples(args, model))
     _write_lines(args.out, [str(int(v)) for v in labels])
     return 0
 

@@ -139,12 +139,8 @@ class MahalanobisModel:
 
     def predict_pairs(self, pairs) -> np.ndarray:
         """+1 (similar) where distance <= threshold, else -1; ties are +1."""
-        if self.threshold is None:
-            raise ValidationError(
-                "pair threshold is not set; calibrate it or set it manually"
-            )
-        d = self.score_pairs(pairs)
-        return np.where(d <= self.threshold, 1, -1)
+        self._check_threshold()
+        return self._predict(validate_tuples(pairs, 2, self.n_features))
 
     def decision_function_pairs(self, pairs) -> np.ndarray:
         """Continuous similarity score: the negated distance per pair."""
@@ -152,17 +148,30 @@ class MahalanobisModel:
 
     def predict_triplets(self, triplets) -> np.ndarray:
         """+1 where the anchor is strictly closer to the second point."""
-        t = validate_tuples(triplets, 3, self.n_features)
-        l = self.components
-        near = _distances(l, t[:, 0], t[:, 1])
-        return np.where(near < _distances(l, t[:, 0], t[:, 2]), 1, -1)
+        return self._predict(validate_tuples(triplets, 3, self.n_features))
 
     def predict_quadruplets(self, quads) -> np.ndarray:
         """+1 where the first pair is strictly closer than the second pair."""
-        q = validate_tuples(quads, 4, self.n_features)
+        return self._predict(validate_tuples(quads, 4, self.n_features))
+
+    def _check_threshold(self) -> None:
+        if self.threshold is None:
+            raise ValidationError(
+                "pair threshold is not set; calibrate it or set it manually"
+            )
+
+    def _predict(self, t: np.ndarray) -> np.ndarray:
+        """+1/-1 per tuple of a block that validate_tuples already accepted."""
         l = self.components
-        near = _distances(l, q[:, 0], q[:, 1])
-        return np.where(near < _distances(l, q[:, 2], q[:, 3]), 1, -1)
+        if t.shape[1] == 2:
+            self._check_threshold()
+            return np.where(_distances(l, t[:, 0], t[:, 1]) <= self.threshold, 1, -1)
+        near = _distances(l, t[:, 0], t[:, 1])
+        if t.shape[1] == 3:
+            far = _distances(l, t[:, 0], t[:, 2])
+        else:
+            far = _distances(l, t[:, 2], t[:, 3])
+        return np.where(near < far, 1, -1)
 
     # -- persistence --------------------------------------------------------
 

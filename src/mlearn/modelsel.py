@@ -101,29 +101,85 @@ def kfold_split(n: int, k: int, seed: int, stratify_labels=None):
     return folds
 
 
+# query-train pairs per chunk (and difference rows per exact recheck); 2**16
+# was no faster on 1000 x 1000 queries and raised the peak resident set by 3 MB
+_KNN_CHUNK_ELEMENTS = 2 ** 14
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+
+
 def knn_predict(train_x, train_y, test_x, knn_k: int, model):
     """Majority-vote k-NN in the learned space.
 
     Distance ties resolve toward the lower training index; vote ties toward
-    the smallest label value.
+    the smallest label value. Queries run in chunks of at most
+    ``_KNN_CHUNK_ELEMENTS`` query-train pairs, so memory does not grow with
+    the number of queries; the neighbors and distances are the ones a
+    per-query ``np.linalg.norm`` and stable ``argsort`` give (see
+    :func:`_k_nearest`).
     """
     train_x = np.asarray(train_x, dtype=float)
     train_y = np.asarray(train_y)
     if len(train_x) == 0:
         raise ValidationError("k-NN needs a non-empty training set")
+    if knn_k < 1:
+        raise ValidationError(f"knn_k must be >= 1, got {knn_k}")
     if knn_k > len(train_x):
         raise ValidationError(
             f"knn_k={knn_k} exceeds the {len(train_x)} training samples"
         )
     z_train = model.transform(train_x)
     z_test = model.transform(np.asarray(test_x, dtype=float))
-    out = []
-    for z in z_test:
-        d = np.linalg.norm(z_train - z, axis=1)
-        nearest = np.argsort(d, kind="stable")[:knn_k]
-        votes, counts = np.unique(train_y[nearest], return_counts=True)
-        out.append(votes[np.argmax(counts == counts.max())])
-    return np.array(out)
+    labels, codes = np.unique(train_y, return_inverse=True)
+    onehot = codes[:, None] == np.arange(len(labels))
+    step = max(1, _KNN_CHUNK_ELEMENTS // len(z_train))
+    pred = np.empty(len(z_test), dtype=int)
+    for start in range(0, len(z_test), step):
+        near = _k_nearest(z_train, z_test[start:start + step], knn_k)
+        pred[start:start + step] = np.argmax(near.astype(float) @ onehot, axis=1)
+    # built from the label scalars, so a string result is only as wide as
+    # its longest predicted label
+    return np.array(list(labels[pred]))
+
+
+def _k_nearest(z_train, z_query, k: int) -> np.ndarray:
+    """Mask (queries, train) of each query's k nearest training points.
+
+    A Gram-matrix estimate of the squared distances, with a bound on its
+    rounding error, rules out the points that are certainly farther than the
+    k-th nearest. Only the rest get an exact distance, computed the way
+    ``np.linalg.norm(z_train - q, axis=1)`` does it (square root of the
+    summed squares along each row), so the values have the same bits. The k
+    nearest are then the points strictly closer than the k-th smallest
+    distance plus the lowest-index points at that distance: the prefix a
+    stable argsort gives.
+    """
+    center = z_train.mean(axis=0)
+    a = z_query - center
+    b = z_train - center
+    sa = np.einsum("qc,qc->q", a, a)[:, None]
+    sb = np.einsum("nc,nc->n", b, b)
+    approx = sa + sb - 2.0 * (a @ b.T)
+    # about twice the worst |approx - exact squared distance| from rounding
+    # in the centering, the products and both sums (the floor covers
+    # underflow); the room over also keeps every point whose distance only
+    # ties the k-th one after the square root
+    tol = (4 * z_train.shape[1] + 32) * (_EPS * (sa + sb) + _TINY)
+    upper = np.partition(approx + tol, k - 1, axis=1)[:, k - 1, None]
+    # negated so that a NaN estimate (overflow) keeps its point
+    qi, ti = np.nonzero(~(approx - tol > upper))
+    d = np.full(approx.shape, np.inf)
+    rows = max(1, _KNN_CHUNK_ELEMENTS // z_train.shape[1])
+    for s in range(0, len(qi), rows):
+        i, j = qi[s:s + rows], ti[s:s + rows]
+        diff = z_train[j] - z_query[i]
+        d[i, j] = np.sqrt(np.add.reduce(diff * diff, axis=1))
+    kth = np.partition(d, k - 1, axis=1)[:, k - 1, None]
+    near = d < kth
+    tie = d == kth
+    need = k - near.sum(axis=1, keepdims=True)
+    near |= tie & (np.cumsum(tie, axis=1) <= need)
+    return near
 
 
 def _fit_clone(estimator, *fit_args):

@@ -17,6 +17,7 @@ from .exceptions import ValidationError
 from .linalg import gen_sym_eig, psd_sqrt
 from .model import FitReport, MahalanobisModel, _as_features
 from .optimize import backtracking_solve
+from .rng import SplitMix64
 
 
 def _check_classification(x, y):
@@ -33,8 +34,11 @@ def _init_transform(init: str, n_components: int, n_features: int, seed: int):
     if init == "identity":
         return np.eye(n_features)[:n_components].copy()
     if init == "random":
-        rng = np.random.default_rng(seed)
-        return rng.standard_normal((n_components, n_features)) / np.sqrt(n_features)
+        # uniform in [-1, 1) from the top 53 bits of each SplitMix64 draw
+        rng = SplitMix64(seed)
+        bits = [rng.next_uint64() >> 11 for _ in range(n_components * n_features)]
+        u = np.array(bits, dtype=float) * 2.0 ** -52 - 1.0
+        return u.reshape(n_components, n_features) / np.sqrt(n_features)
     raise ValidationError(f"unknown init {init!r}; expected 'identity' or 'random'")
 
 
@@ -52,6 +56,12 @@ def pairwise_sq_dists(z: np.ndarray) -> np.ndarray:
     d2 = sq[:, None] + sq[None, :] - 2.0 * (z @ z.T)
     np.fill_diagonal(d2, 0.0)
     return np.maximum(d2, 0.0)
+
+
+def _off_diagonal(a: np.ndarray) -> np.ndarray:
+    """Each row of a square matrix without its diagonal entry: shape (m, m - 1)."""
+    m = len(a)
+    return a[~np.eye(m, dtype=bool)].reshape(m, m - 1)
 
 
 def weighted_outer_sum(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -108,7 +118,11 @@ class NCA(MahalanobisEstimator):
 # -- large margin nearest neighbors (LMNN) ----------------------------------
 
 def lmnn_targets(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
-    """k same-class Euclidean nearest neighbors per point, fixed before fitting."""
+    """k same-class Euclidean nearest neighbors per point, fixed before fitting.
+
+    Distance ties go to the lower sample index (a stable sort of each row of
+    the class block, without the point itself).
+    """
     d2 = pairwise_sq_dists(x)
     targets = np.empty((len(x), k), dtype=int)
     for c in np.unique(y):
@@ -118,10 +132,11 @@ def lmnn_targets(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
                 f"class {c!r} has {len(members)} members but k={k} target "
                 f"neighbors require at least {k + 1}"
             )
-        for i in members:
-            others = members[members != i]
-            order = others[np.argsort(d2[i, others], kind="stable")]
-            targets[i] = order[:k]
+        block = _off_diagonal(d2[np.ix_(members, members)])
+        pos = np.argsort(block, axis=1, kind="stable")[:, :k]
+        # a position at or past the dropped diagonal is one column further on
+        pos += pos >= np.arange(len(members))[:, None]
+        targets[members] = members[pos]
     return targets
 
 
@@ -131,25 +146,32 @@ def lmnn_objective(l: np.ndarray, x: np.ndarray, y: np.ndarray,
 
     The loss sums every hinge term, so it is a deterministic function of l;
     the gradient uses the impostor set active at l.
+
+    The terms are gathered one target slot at a time: slot s pairs every
+    point i with its target ``targets[i, s]`` and weighs the hinge against
+    all n points at once, so memory stays O(n^2) and no (n, k, n) block is
+    built. The pull and push weights are integer counts, so the gradient is
+    exactly the one a per-point loop gives; only the summation order of the
+    loss differs (last-bit changes).
     """
     z = x @ l.T
     d2 = pairwise_sq_dists(z)
     n = len(x)
+    rows = np.arange(n)
+    differ = y[:, None] != y[None, :]
     w_pull = np.zeros((n, n))
     w_push = np.zeros((n, n))
     pull = 0.0
     push = 0.0
-    for i in range(n):
-        diff = np.flatnonzero(y != y[i])
-        for j in targets[i]:
-            w_pull[i, j] += 1.0
-            pull += d2[i, j]
-            h = margin + d2[i, j] - d2[i, diff]
-            active = diff[h > 0.0]
-            push += float(np.sum(h[h > 0.0]))
-            w_push[i, j] += len(active)
-            for li in active:
-                w_push[i, li] -= 1.0
+    for t in targets.T:
+        dt = d2[rows, t]
+        w_pull[rows, t] += 1.0
+        pull += float(np.sum(dt))
+        h = margin + dt[:, None] - d2
+        active = differ & (h > 0.0)
+        push += float(np.sum(h, where=active))
+        w_push[rows, t] += active.sum(axis=1)
+        w_push -= active
     f = (1.0 - push_weight) * pull + push_weight * push
     g = (1.0 - push_weight) * weighted_outer_sum(x, w_pull) \
         + push_weight * weighted_outer_sum(x, w_push)
@@ -243,15 +265,13 @@ class MLKR(MahalanobisEstimator):
 
 # -- local Fisher discriminant analysis (LFDA) ------------------------------
 
-def _local_scaling(x, members, knn):
-    """sigma_i = distance to the knn-th same-class neighbor, capped at class size - 1."""
-    d = np.sqrt(pairwise_sq_dists(x[members]))
-    kn = min(knn, len(members) - 1)
-    sigma = np.empty(len(members))
-    for a in range(len(members)):
-        others = np.sort(np.delete(d[a], a), kind="stable")
-        sigma[a] = others[kn - 1]
-    return sigma
+def _local_scaling(d2: np.ndarray, knn: int) -> np.ndarray:
+    """sigma_i = distance to the knn-th same-class neighbor, capped at class size - 1.
+
+    ``d2`` holds the squared distances within one class.
+    """
+    kn = min(knn, len(d2) - 1)
+    return np.sqrt(np.sort(_off_diagonal(d2), axis=1, kind="stable")[:, kn - 1])
 
 
 class LFDA(MahalanobisEstimator):
@@ -277,9 +297,9 @@ class LFDA(MahalanobisEstimator):
                 raise ValidationError(
                     f"degenerate class: class {c!r} has a single member"
                 )
-            sigma = _local_scaling(x, members, int(self.knn))
-            sigma = np.maximum(sigma, np.finfo(float).tiny)
             d2 = pairwise_sq_dists(x[members])
+            sigma = np.maximum(_local_scaling(d2, int(self.knn)),
+                               np.finfo(float).tiny)
             with np.errstate(over="ignore", under="ignore"):
                 aff = np.exp(-d2 / np.outer(sigma, sigma))
             np.fill_diagonal(aff, 0.0)

@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 
+import mlearn.cli
+import mlearn.model
 from mlearn.cli import load_features, load_tuples, main
 from mlearn.exceptions import ValidationError
 from mlearn.model import MahalanobisModel
+from mlearn.tuples import validate_tuples
 
 
 def run_cli(capsys, *argv):
@@ -228,6 +231,30 @@ class TestScoreAndPredict:
                                "--quads", str(quads))
         assert code == 0
         assert set(int(v) for v in out.split()) <= {1, -1}
+
+    def test_predict_validates_tuples_once(self, fitted, capsys, monkeypatch):
+        data, pairs, _, model_path = fitted
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:3])
+            return validate_tuples(*args, **kwargs)
+
+        for module in (mlearn.cli, mlearn.model):
+            monkeypatch.setattr(module, "validate_tuples", counting)
+        code, _, _ = run_cli(capsys, "predict", "--model", str(model_path),
+                             "--data", str(data), "--label-col", "y",
+                             "--pairs", str(pairs))
+        assert code == 0 and calls == [(2, 2)]
+
+    def test_predict_width_mismatch_exits_2(self, fitted, capsys, tmp_path):
+        data, pairs, _, _ = fitted
+        model_path = tmp_path / "wide.json"
+        MahalanobisModel(np.eye(3), threshold=1.0).save(model_path)
+        code, _, err = run_cli(capsys, "predict", "--model", str(model_path),
+                               "--data", str(data), "--label-col", "y",
+                               "--pairs", str(pairs))
+        assert code == 2 and "width mismatch" in err
 
     def test_predict_requires_exactly_one_tuple_file(self, fitted, capsys):
         data, pairs, quads, model_path = fitted

@@ -203,6 +203,87 @@ class TestKnnPredict:
             knn_predict(np.empty((0, 2)), np.array([]), [[0.0, 0.0]], 1,
                         from_components(np.eye(2)))
 
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValidationError, match="knn_k"):
+            knn_predict(np.zeros((3, 2)), np.array([0, 1, 1]), [[0.0, 0.0]], 0,
+                        from_components(np.eye(2)))
+
+    @pytest.mark.parametrize("labels", ["int", "str"])
+    def test_matches_per_query_loop(self, labels):
+        for seed in range(40):
+            r = np.random.default_rng(seed)
+            n, d = int(r.integers(1, 30)), int(r.integers(1, 5))
+            # rounded coordinates: many exact distance ties and vote ties
+            train_x = np.round(r.standard_normal((n, d)))
+            test_x = np.round(r.standard_normal((int(r.integers(1, 40)), d)))
+            y = r.integers(0, 4, n) * 3 - 2
+            if labels == "str":
+                y = np.array(["a", "bb", "c", "dddd"])[(y + 2) // 3]
+            l = np.round(2.0 * r.standard_normal((int(r.integers(1, d + 1)), d))) / 2.0
+            model = from_components(l)
+            for k in sorted({1, 2, 3, 7, n} & set(range(1, n + 1))):
+                for queries in (test_x, test_x[:1]):
+                    got = knn_predict(train_x, y, queries, k, model)
+                    want = _knn_predict_oracle(train_x, y, queries, k, model)
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("scale, offset", [(1e-160, 0.0), (1e-3, 1e6),
+                                               (1e150, 0.0)])
+    def test_matches_per_query_loop_at_extreme_scales(self, scale, offset):
+        # the pruning bound must hold where squares underflow, where a large
+        # offset cancels and near overflow; three repeated points tie often
+        for seed in range(10):
+            r = np.random.default_rng(seed)
+            base = np.round(r.standard_normal((3, 3)))
+            train_x = np.vstack([base[r.integers(0, 3, 12)],
+                                 np.round(r.standard_normal((12, 3)), 1)])
+            test_x = np.vstack([base, np.round(r.standard_normal((6, 3)), 1)])
+            train_x, test_x = train_x * scale + offset, test_x * scale + offset
+            y = r.integers(0, 3, len(train_x))
+            model = from_components(r.standard_normal((3, 3)))
+            for k in (1, 3, 5):
+                assert np.array_equal(
+                    knn_predict(train_x, y, test_x, k, model),
+                    _knn_predict_oracle(train_x, y, test_x, k, model))
+
+    def test_matches_per_query_loop_across_chunks(self):
+        # several query chunks; k=300 also splits the exact recheck
+        r = np.random.default_rng(7)
+        train_x = np.round(3.0 * r.standard_normal((300, 20)), 1)
+        test_x = np.round(3.0 * r.standard_normal((200, 20)), 1)
+        y = r.integers(0, 3, 300)
+        model = from_components(r.standard_normal((20, 20)))
+        for k in (1, 4, 300):
+            assert np.array_equal(knn_predict(train_x, y, test_x, k, model),
+                                  _knn_predict_oracle(train_x, y, test_x, k, model))
+
+    def test_peak_memory_is_bounded_by_the_chunk(self):
+        r = np.random.default_rng(2)
+        train_x = r.standard_normal((2000, 20))
+        test_x = r.standard_normal((5000, 20))
+        y = r.integers(0, 3, 2000)
+        model = from_components(np.eye(20))
+        tracemalloc.start()
+        try:
+            knn_predict(train_x, y, test_x, 3, model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20  # the whole difference block would be 1.6 GB
+
+
+def _knn_predict_oracle(train_x, train_y, test_x, knn_k, model):
+    """The per-query loop that the chunked search replaced."""
+    z_train = model.transform(train_x)
+    out = []
+    for z in model.transform(test_x):
+        d = np.linalg.norm(z_train - z, axis=1)
+        nearest = np.argsort(d, kind="stable")[:knn_k]
+        votes, counts = np.unique(np.asarray(train_y)[nearest], return_counts=True)
+        out.append(votes[np.argmax(counts == counts.max())])
+    return np.array(out)
+
 
 class _IdentityPairEstimator(MMC):
     """Dummy pair learner that always returns the identity metric."""

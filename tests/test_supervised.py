@@ -1,14 +1,25 @@
+import hashlib
+import pathlib
+import re
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
+import mlearn
 from mlearn import LFDA, LMNN, MLKR, NCA, RCA
 from mlearn.exceptions import ValidationError
 from mlearn.linalg import gen_sym_eig
 from mlearn.supervised import (
+    _init_transform,
+    _local_scaling,
     lmnn_objective,
     lmnn_targets,
     mlkr_objective,
     nca_objective,
+    pairwise_sq_dists,
+    weighted_outer_sum,
 )
 
 from conftest import finite_diff_grad, max_rel_err, two_class_noise_data
@@ -117,6 +128,110 @@ class TestLMNN:
         with pytest.raises(ValidationError):
             LMNN(push_weight=1.5).fit(x, y)
 
+    def test_targets_match_per_point_loop(self):
+        for seed in range(20):
+            x, y = tie_heavy_data(seed)
+            for k in (1, 2, 3):
+                assert np.array_equal(lmnn_targets(x, y, k),
+                                      _lmnn_targets_oracle(x, y, k))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_objective_matches_per_point_loop(self, k):
+        for seed in range(12):
+            x, y = tie_heavy_data(seed)
+            targets = lmnn_targets(x, y, k)
+            r = np.random.default_rng(100 + seed)
+            m = x.shape[1] - 1 if seed % 2 else x.shape[1]
+            l = r.standard_normal((m, x.shape[1]))
+            if seed % 3 == 0:
+                # half-integer maps keep distances exact, so hinges sit at 0
+                l = np.round(2.0 * l) / 2.0
+            for margin in (1.0, 0.5):
+                f, g = lmnn_objective(l, x, y, targets, 0.3, margin)
+                f_ref, g_ref = _lmnn_objective_oracle(l, x, y, targets, 0.3,
+                                                      margin)
+                assert np.array_equal(g, g_ref)
+                assert abs(f - f_ref) <= 1e-14 * abs(f_ref)
+
+    def test_fit_components_are_frozen(self):
+        # SHA-256 of the fitted map, recorded with the per-point impostor
+        # loop; a BLAS build that rounds x @ l.T differently would need a new
+        # digest, the oracle tests above are the portable check
+        r = np.random.default_rng(20240601)
+        centers = np.array([[0.0, 0.0, 0.0, 0.0], [3.0, 0.0, 1.0, 0.0],
+                            [0.0, 3.0, 0.0, 1.0]])
+        x = np.vstack([c + r.standard_normal((15, 4)) for c in centers])
+        y = np.repeat([0, 1, 2], 15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            l = LMNN(k=3, max_iter=20).fit(x, y).components_
+        h = hashlib.sha256(f"{l.dtype.str}{l.shape}".encode())
+        h.update(np.ascontiguousarray(l).tobytes())
+        assert h.hexdigest() == \
+            "d35d0f41865ef9d98c4b39fa9b59d798cd4e6f2600504c7fd8d2b11f56fd0f14"
+
+    def test_objective_memory_stays_quadratic(self):
+        n, k = 800, 10
+        r = np.random.default_rng(3)
+        y = np.arange(n) % 4
+        x = r.standard_normal((n, 5)) + y[:, None]
+        targets = lmnn_targets(x, y, k)
+        l = np.eye(5)
+        tracemalloc.start()
+        try:
+            lmnn_objective(l, x, y, targets, 0.5, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # eight n x n float arrays; an (n, k, n) block alone would be 51 MB
+        assert peak < 8 * n * n * 8
+
+
+def tie_heavy_data(seed, n=24, d=4):
+    """Small-integer points in three classes: many exact distance ties."""
+    r = np.random.default_rng(seed)
+    x = r.integers(-2, 3, size=(n, d)).astype(float)
+    y = np.arange(n) % 3
+    return x, y
+
+
+def _lmnn_targets_oracle(x, y, k):
+    """The per-point target search the class-block argsort replaced."""
+    d2 = pairwise_sq_dists(x)
+    targets = np.empty((len(x), k), dtype=int)
+    for c in np.unique(y):
+        members = np.flatnonzero(y == c)
+        for i in members:
+            others = members[members != i]
+            targets[i] = others[np.argsort(d2[i, others], kind="stable")][:k]
+    return targets
+
+
+def _lmnn_objective_oracle(l, x, y, targets, push_weight, margin):
+    """The per-point, per-target impostor loop the slot-wise form replaced."""
+    z = x @ l.T
+    d2 = pairwise_sq_dists(z)
+    n = len(x)
+    w_pull = np.zeros((n, n))
+    w_push = np.zeros((n, n))
+    pull = 0.0
+    push = 0.0
+    for i in range(n):
+        diff = np.flatnonzero(y != y[i])
+        for j in targets[i]:
+            w_pull[i, j] += 1.0
+            pull += d2[i, j]
+            h = margin + d2[i, j] - d2[i, diff]
+            active = diff[h > 0.0]
+            push += float(np.sum(h[h > 0.0]))
+            w_push[i, j] += len(active)
+            for li in active:
+                w_push[i, li] -= 1.0
+    f = (1.0 - push_weight) * pull + push_weight * push
+    g = (1.0 - push_weight) * weighted_outer_sum(x, w_pull) \
+        + push_weight * weighted_outer_sum(x, w_push)
+    return f, 2.0 * l @ g
+
 
 class TestMLKR:
     def test_loss_halves_on_linear_target(self):
@@ -210,6 +325,17 @@ class TestLFDA:
         x = np.random.default_rng(0).standard_normal((4, 2))
         with pytest.raises(ValidationError, match="single member"):
             LFDA().fit(x, [0, 0, 0, 1])
+
+    def test_local_scaling_matches_per_point_loop(self):
+        for seed in range(20):
+            x, _ = tie_heavy_data(seed, n=9)
+            d2 = pairwise_sq_dists(x)
+            d = np.sqrt(d2)
+            for knn in (1, 3, 7, 20):
+                kn = min(knn, len(x) - 1)
+                ref = [np.sort(np.delete(d[a], a), kind="stable")[kn - 1]
+                       for a in range(len(x))]
+                assert np.array_equal(_local_scaling(d2, knn), ref)
 
 
 def _lfda_scatters_oracle(x, y, knn):
@@ -320,3 +446,29 @@ class TestCommonEstimatorBehaviour:
         for est in (NCA(max_iter=10), LMNN(k=2, max_iter=10), LFDA()):
             est.fit(x, y)
             assert est.model_.min_mahalanobis_eigenvalue() >= -1e-9
+
+
+class TestRandomInit:
+    def test_seed_reproduces_and_varies(self):
+        x, y = clustered_data()
+        fit = lambda seed: NCA(init="random", max_iter=5, seed=seed).fit(x, y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            a, b, c = fit(3).components_, fit(3).components_, fit(4).components_
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
+
+    def test_draws_lie_in_scaled_unit_interval(self):
+        l = _init_transform("random", 3, 16, seed=0)
+        assert l.shape == (3, 16)
+        assert np.all(np.abs(l) <= 1.0 / 4.0) and len(np.unique(l)) == l.size
+        # the top 53 bits of SplitMix64(0)'s first draw, mapped to [-1, 1)
+        assert l[0, 0] == ((0xE220A8397B1DCDAF >> 11) * 2.0 ** -52 - 1.0) / 4.0
+
+    def test_package_never_uses_numpy_random(self):
+        # every random draw must go through SplitMix64 (see mlearn.rng)
+        pattern = re.compile(r"\b(np|numpy)\.random\b|from numpy import .*\brandom\b")
+        src = pathlib.Path(mlearn.__file__).parent
+        offenders = [p.name for p in sorted(src.glob("*.py"))
+                     if pattern.search(p.read_text(encoding="utf-8"))]
+        assert offenders == []

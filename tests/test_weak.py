@@ -14,8 +14,11 @@ from mlearn import (
     f1_score,
     from_components,
 )
+import mlearn.calibration
+import mlearn.model
 from mlearn.calibration import candidate_thresholds
-from mlearn.exceptions import NumericalError, ValidationError
+from mlearn.exceptions import DimensionError, NumericalError, ValidationError
+from mlearn.tuples import validate_tuples
 from mlearn.weak import (
     itml_bounds,
     lsml_objective,
@@ -362,6 +365,21 @@ class TestCalibrateThreshold:
         with pytest.raises(ValidationError):
             calibrate_threshold(from_components(np.eye(1)),
                                 np.empty((0, 2, 1)), [], "accuracy")
+
+    def test_validates_pairs_once_against_model_width(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:])
+            return validate_tuples(*args, **kwargs)
+
+        for module in (mlearn.calibration, mlearn.model):
+            monkeypatch.setattr(module, "validate_tuples", counting)
+        model, pairs = self._model_for([1.0, 2.0, 3.0])
+        calibrate_threshold(model, pairs, [1, -1, -1], "accuracy")
+        assert calls == [(2, 1)]
+        with pytest.raises(DimensionError, match="width mismatch"):
+            calibrate_threshold(from_components(np.eye(2)), pairs, [1, -1, -1])
 
     def test_f1_without_positives_rejected(self):
         model, pairs = self._model_for([1.0, 2.0])
