@@ -129,10 +129,15 @@ def load_tuples(path, base: np.ndarray, arity: int):
             )
     cols = [header.index(name) for name in wanted]
     label_idx = header.index("label") if arity == 2 and "label" in header else None
-    tuples = np.empty((len(rows), arity, base.shape[1]))
+    indices = []
     labels = [] if label_idx is not None else None
     for r, row in enumerate(rows):
-        for slot, c in enumerate(cols):
+        if len(row) != len(header):
+            raise ValidationError(
+                f"{path}: tuple row {r + 1} has {len(row)} cells, expected "
+                f"{len(header)}"
+            )
+        for c in cols:
             try:
                 idx = int(row[c])
             except ValueError:
@@ -144,7 +149,7 @@ def load_tuples(path, base: np.ndarray, arity: int):
                     f"{path}: index {idx} out of range at tuple row {r + 1} "
                     f"(base has {len(base)} rows)"
                 )
-            tuples[r, slot] = base[idx]
+            indices.append(idx)
         if labels is not None:
             try:
                 lab = int(row[label_idx])
@@ -156,6 +161,7 @@ def load_tuples(path, base: np.ndarray, arity: int):
                     "labels must be 1 or -1"
                 )
             labels.append(lab)
+    tuples = base[np.array(indices, dtype=int).reshape(len(rows), arity)]
     return tuples, (np.array(labels) if labels is not None else None)
 
 

@@ -2,12 +2,16 @@
 
 Steepest descent (or ascent) along the normalized gradient direction with a
 backtracking line search: trial steps halve until the Armijo condition with
-c = 1e-4 holds at the (optionally projected) trial point. The accepted step
-seeds the next iteration (doubled), so the solver adapts to badly scaled
-objectives; the first iteration starts from step 1.0. Only improving steps
-are ever accepted, which makes every objective trace monotone by
+c = 1e-4 holds at the (optionally projected) trial point. The step is
+doubled before each iteration's first trial, starting from 1.0, so the first
+trial step is 2.0 and each later iteration starts from twice the step last
+accepted; the solver thus adapts to badly scaled objectives. Only improving
+steps are ever accepted, which makes every objective trace monotone by
 construction. Iteration stops when the objective change falls below
 tol * (1 + |objective|) or the iteration cap is reached.
+
+Objectives are value-first: a trial point costs one objective value, and
+the gradient is computed only at the starting point and at accepted steps.
 """
 
 from __future__ import annotations
@@ -24,19 +28,23 @@ _MIN_STEP = 1e-20
 _MAX_STEP = 1e12
 
 
-def backtracking_solve(fun_grad, x0, max_iter: int, tol: float,
+def backtracking_solve(fun, x0, max_iter: int, tol: float,
                        maximize: bool = False, project=None):
     """Minimize (or maximize) fun over x, returning (x, FitReport).
 
-    fun_grad(x) -> (objective, gradient); project(x) -> feasible x, applied
-    to every trial point. The returned trace holds the true (un-negated)
-    objective, one entry per outer iteration including the starting value.
+    fun(x) -> (objective, grad), where grad() returns the gradient at x; it
+    is called once per entry of the returned trace (the starting point and
+    each accepted step), never at a rejected trial. project(x) -> feasible
+    x, applied to every trial point. The returned trace holds the true
+    (un-negated) objective, one entry per outer iteration including the
+    starting value.
     """
     sign = -1.0 if maximize else 1.0
     x = project(x0) if project is not None else np.asarray(x0, dtype=float)
-    f, g = fun_grad(x)
+    f, grad = fun(x)
     if not np.isfinite(f):
         raise NumericalError("objective is non-finite at the starting point")
+    g = grad()
     trace = [f]
     converged = False
     step = 1.0
@@ -52,7 +60,7 @@ def backtracking_solve(fun_grad, x0, max_iter: int, tol: float,
             trial = x + step * direction
             if project is not None:
                 trial = project(trial)
-            f_new, g_new = fun_grad(trial)
+            f_new, grad = fun(trial)
             improvement = (f - f_new) if not maximize else (f_new - f)
             if np.isfinite(f_new) and improvement >= _ARMIJO_C * step * gnorm:
                 accepted = True
@@ -67,7 +75,7 @@ def backtracking_solve(fun_grad, x0, max_iter: int, tol: float,
             converged = True
             break
         delta = abs(f - f_new)
-        x, f, g = trial, f_new, g_new
+        x, f, g = trial, f_new, grad()
         trace.append(f)
         if delta <= tol * (1.0 + abs(f)):
             converged = True

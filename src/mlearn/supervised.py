@@ -74,8 +74,8 @@ def weighted_outer_sum(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 # -- neighborhood softmax (NCA) ---------------------------------------------
 
-def nca_objective(l: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """Expected same-class softmax mass and its gradient with respect to l."""
+def _nca_value(l: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """Value-first form of nca_objective: (f, grad) with grad() -> gradient."""
     z = x @ l.T
     d2 = pairwise_sq_dists(z)
     logits = -d2
@@ -86,10 +86,17 @@ def nca_objective(l: np.ndarray, x: np.ndarray, y: np.ndarray):
     np.fill_diagonal(p, 0.0)
     same = (y[:, None] == y[None, :]) & ~np.eye(len(y), dtype=bool)
     p_i = np.sum(p * same, axis=1)
-    f = float(p_i.sum())
-    w = p * p_i[:, None] - p * same
-    grad = 2.0 * l @ weighted_outer_sum(x, w)
-    return f, grad
+
+    def grad():
+        w = p * p_i[:, None] - p * same
+        return 2.0 * l @ weighted_outer_sum(x, w)
+    return float(p_i.sum()), grad
+
+
+def nca_objective(l: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """Expected same-class softmax mass and its gradient with respect to l."""
+    f, grad = _nca_value(l, x, y)
+    return f, grad()
 
 
 class NCA(MahalanobisEstimator):
@@ -108,7 +115,7 @@ class NCA(MahalanobisEstimator):
         m = _resolve_components(self.n_components, x.shape[1])
         l0 = _init_transform(self.init, m, x.shape[1], self.seed)
         l, report = backtracking_solve(
-            lambda l_: nca_objective(l_, x, y), l0,
+            lambda l_: _nca_value(l_, x, y), l0,
             max_iter=self.max_iter, tol=self.tol, maximize=True,
         )
         self._set_model(MahalanobisModel(l, algorithm="nca", fit_report=report))
@@ -140,6 +147,42 @@ def lmnn_targets(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
     return targets
 
 
+def _lmnn_value(l: np.ndarray, x: np.ndarray, y: np.ndarray,
+                targets: np.ndarray, push_weight: float, margin: float):
+    """Value-first form of lmnn_objective: (f, grad) with grad() -> gradient.
+
+    The closure keeps one boolean impostor mask per target slot (k n^2
+    bytes) and rebuilds the pull and push weights from them.
+    """
+    z = x @ l.T
+    d2 = pairwise_sq_dists(z)
+    rows = np.arange(len(x))
+    differ = y[:, None] != y[None, :]
+    pull = 0.0
+    push = 0.0
+    masks = []
+    for t in targets.T:
+        dt = d2[rows, t]
+        pull += float(np.sum(dt))
+        h = margin + dt[:, None] - d2
+        active = differ & (h > 0.0)
+        push += float(np.sum(h, where=active))
+        masks.append(active)
+
+    def grad():
+        n = len(x)
+        w_pull = np.zeros((n, n))
+        w_push = np.zeros((n, n))
+        for t, active in zip(targets.T, masks):
+            w_pull[rows, t] += 1.0
+            w_push[rows, t] += active.sum(axis=1)
+            w_push -= active
+        g = (1.0 - push_weight) * weighted_outer_sum(x, w_pull) \
+            + push_weight * weighted_outer_sum(x, w_push)
+        return 2.0 * l @ g
+    return (1.0 - push_weight) * pull + push_weight * push, grad
+
+
 def lmnn_objective(l: np.ndarray, x: np.ndarray, y: np.ndarray,
                    targets: np.ndarray, push_weight: float, margin: float):
     """Pull + hinge-push loss and its (sub)gradient.
@@ -154,28 +197,8 @@ def lmnn_objective(l: np.ndarray, x: np.ndarray, y: np.ndarray,
     exactly the one a per-point loop gives; only the summation order of the
     loss differs (last-bit changes).
     """
-    z = x @ l.T
-    d2 = pairwise_sq_dists(z)
-    n = len(x)
-    rows = np.arange(n)
-    differ = y[:, None] != y[None, :]
-    w_pull = np.zeros((n, n))
-    w_push = np.zeros((n, n))
-    pull = 0.0
-    push = 0.0
-    for t in targets.T:
-        dt = d2[rows, t]
-        w_pull[rows, t] += 1.0
-        pull += float(np.sum(dt))
-        h = margin + dt[:, None] - d2
-        active = differ & (h > 0.0)
-        push += float(np.sum(h, where=active))
-        w_push[rows, t] += active.sum(axis=1)
-        w_push -= active
-    f = (1.0 - push_weight) * pull + push_weight * push
-    g = (1.0 - push_weight) * weighted_outer_sum(x, w_pull) \
-        + push_weight * weighted_outer_sum(x, w_push)
-    return f, 2.0 * l @ g
+    f, grad = _lmnn_value(l, x, y, targets, push_weight, margin)
+    return f, grad()
 
 
 class LMNN(MahalanobisEstimator):
@@ -200,8 +223,8 @@ class LMNN(MahalanobisEstimator):
         m = _resolve_components(self.n_components, x.shape[1])
         l0 = _init_transform(self.init, m, x.shape[1], self.seed)
         l, report = backtracking_solve(
-            lambda l_: lmnn_objective(l_, x, y, targets, self.push_weight,
-                                      self.margin),
+            lambda l_: _lmnn_value(l_, x, y, targets, self.push_weight,
+                                   self.margin),
             l0, max_iter=self.max_iter, tol=self.tol,
         )
         self._set_model(MahalanobisModel(l, algorithm="lmnn", fit_report=report))
@@ -210,8 +233,8 @@ class LMNN(MahalanobisEstimator):
 
 # -- kernel-regression loss (MLKR) ------------------------------------------
 
-def mlkr_objective(l: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """Leave-one-out Nadaraya-Watson squared error and its gradient."""
+def _mlkr_value(l: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """Value-first form of mlkr_objective: (f, grad) with grad() -> gradient."""
     z = x @ l.T
     d2 = pairwise_sq_dists(z)
     k = np.exp(-d2)
@@ -219,10 +242,17 @@ def mlkr_objective(l: np.ndarray, x: np.ndarray, y: np.ndarray):
     s = k.sum(axis=1) + 1e-300
     yhat = (k @ y) / s
     r = yhat - y
-    f = float(np.sum(r * r))
-    w = -2.0 * (r / s)[:, None] * (y[None, :] - yhat[:, None]) * k
-    grad = 2.0 * l @ weighted_outer_sum(x, w)
-    return f, grad
+
+    def grad():
+        w = -2.0 * (r / s)[:, None] * (y[None, :] - yhat[:, None]) * k
+        return 2.0 * l @ weighted_outer_sum(x, w)
+    return float(np.sum(r * r)), grad
+
+
+def mlkr_objective(l: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """Leave-one-out Nadaraya-Watson squared error and its gradient."""
+    f, grad = _mlkr_value(l, x, y)
+    return f, grad()
 
 
 class MLKR(MahalanobisEstimator):
@@ -256,7 +286,7 @@ class MLKR(MahalanobisEstimator):
                                              fit_report=report))
             return self
         l, report = backtracking_solve(
-            lambda l_: mlkr_objective(l_, x, y), l0,
+            lambda l_: _mlkr_value(l_, x, y), l0,
             max_iter=self.max_iter, tol=self.tol,
         )
         self._set_model(MahalanobisModel(l, algorithm="mlkr", fit_report=report))
@@ -274,6 +304,39 @@ def _local_scaling(d2: np.ndarray, knn: int) -> np.ndarray:
     return np.sqrt(np.sort(_off_diagonal(d2), axis=1, kind="stable")[:, kn - 1])
 
 
+def _lfda_scatters(x: np.ndarray, y: np.ndarray, knn: int):
+    """Local between- and within-class scatter matrices (s_between, s_within).
+
+    Both are 1/2 sum_ij w_ij (x_i - x_j)(x_i - x_j)^T. Pairs from different
+    classes weigh 1/n in the between-class scatter and 0 in the within-class
+    one, so the between-class scatter starts as the total scatter of the
+    centred data (every pair at 1/n) and each class block then corrects its
+    own pairs. Nothing n x n is formed: memory is O(nd + max n_c^2).
+    """
+    n, d = x.shape
+    xc = x - x.mean(axis=0)
+    s_between = xc.T @ xc
+    s_within = np.zeros((d, d))
+    for c in np.unique(y):
+        members = np.flatnonzero(y == c)
+        if len(members) < 2:
+            raise ValidationError(
+                f"degenerate class: class {c!r} has a single member"
+            )
+        xm = xc[members]
+        d2 = pairwise_sq_dists(xm)
+        sigma = np.maximum(_local_scaling(d2, knn), np.finfo(float).tiny)
+        with np.errstate(over="ignore", under="ignore"):
+            aff = np.exp(-d2 / np.outer(sigma, sigma))
+        np.fill_diagonal(aff, 0.0)
+        nc = len(members)
+        s_within += 0.5 * weighted_outer_sum(xm, aff / nc)
+        w = aff * (1.0 / n - 1.0 / nc) - 1.0 / n
+        np.fill_diagonal(w, 0.0)
+        s_between += 0.5 * weighted_outer_sum(xm, w)
+    return s_between, s_within
+
+
 class LFDA(MahalanobisEstimator):
     """Closed-form learner via the local Fisher generalized eigenproblem."""
 
@@ -286,29 +349,9 @@ class LFDA(MahalanobisEstimator):
         x, y = _check_classification(x, y)
         if self.embedding not in ("weighted", "plain"):
             raise ValidationError("embedding must be 'weighted' or 'plain'")
-        n, d = x.shape
+        d = x.shape[1]
         m = _resolve_components(self.n_components, d)
-        w_within = np.zeros((n, n))
-        w_between = np.full((n, n), 1.0 / n)
-        np.fill_diagonal(w_between, 0.0)
-        for c in np.unique(y):
-            members = np.flatnonzero(y == c)
-            if len(members) < 2:
-                raise ValidationError(
-                    f"degenerate class: class {c!r} has a single member"
-                )
-            d2 = pairwise_sq_dists(x[members])
-            sigma = np.maximum(_local_scaling(d2, int(self.knn)),
-                               np.finfo(float).tiny)
-            with np.errstate(over="ignore", under="ignore"):
-                aff = np.exp(-d2 / np.outer(sigma, sigma))
-            np.fill_diagonal(aff, 0.0)
-            nc = len(members)
-            ix = np.ix_(members, members)
-            w_within[ix] = aff / nc
-            w_between[ix] = aff * (1.0 / n - 1.0 / nc)
-        s_within = 0.5 * weighted_outer_sum(x, 0.5 * (w_within + w_within.T))
-        s_between = 0.5 * weighted_outer_sum(x, 0.5 * (w_between + w_between.T))
+        s_between, s_within = _lfda_scatters(x, y, int(self.knn))
         eps = 1e-9 * np.trace(s_within) / d
         res = gen_sym_eig(s_between, s_within + eps * np.eye(d), m)
         l = res.eigenvectors.T

@@ -62,28 +62,45 @@ def _weighted_gram(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 # -- MMC ---------------------------------------------------------------------
 
-def mmc_diag_objective(w: np.ndarray, pos2: np.ndarray, neg2: np.ndarray):
-    """Diagonal-variant objective g(w) and gradient; pos2/neg2 hold squared
-    pair differences row-wise."""
+def _mmc_diag_value(w: np.ndarray, pos2: np.ndarray, neg2: np.ndarray):
+    """Value-first form of mmc_diag_objective: (f, grad) with grad() ->
+    gradient."""
     sim = float(np.sum(pos2 @ w))
     dis = np.sqrt(np.maximum(neg2 @ w, 0.0))
     total = float(np.sum(dis))
     if total <= 0.0:
         # infeasible trial point (all weight clipped away); reject via +inf
-        return np.inf, np.zeros_like(w)
-    f = sim - np.log(total)
-    safe = dis > 0.0
-    grad = pos2.sum(axis=0) - (neg2[safe] / (2.0 * dis[safe, None])).sum(axis=0) / total
-    return f, grad
+        return np.inf, lambda: np.zeros_like(w)
+
+    def grad():
+        safe = dis > 0.0
+        return pos2.sum(axis=0) \
+            - (neg2[safe] / (2.0 * dis[safe, None])).sum(axis=0) / total
+    return sim - np.log(total), grad
+
+
+def mmc_diag_objective(w: np.ndarray, pos2: np.ndarray, neg2: np.ndarray):
+    """Diagonal-variant objective g(w) and gradient; pos2/neg2 hold squared
+    pair differences row-wise."""
+    f, grad = _mmc_diag_value(w, pos2, neg2)
+    return f, grad()
+
+
+def _mmc_value(m: np.ndarray, neg: np.ndarray):
+    """Value-first form of mmc_objective: (f, grad) with grad() -> gradient."""
+    dist = np.sqrt(np.maximum(np.sum((neg @ m) * neg, axis=1), 0.0))
+
+    def grad():
+        safe = dist > 0.0
+        return _weighted_gram(neg[safe], 0.5 / dist[safe])
+    return float(np.sum(dist)), grad
 
 
 def mmc_objective(m: np.ndarray, neg: np.ndarray):
     """Full-variant objective, the sum of dissimilar-pair distances under m,
     and its gradient; neg holds dissimilar pair differences row-wise."""
-    dist = np.sqrt(np.maximum(np.sum((neg @ m) * neg, axis=1), 0.0))
-    safe = dist > 0.0
-    grad = _weighted_gram(neg[safe], 0.5 / dist[safe])
-    return float(np.sum(dist)), grad
+    f, grad = _mmc_value(m, neg)
+    return f, grad()
 
 
 class MMC(MahalanobisEstimator, PairClassifierMixin):
@@ -120,7 +137,7 @@ class MMC(MahalanobisEstimator, PairClassifierMixin):
         pos2, neg2 = pos * pos, neg * neg
         w0 = np.ones(d)
         w, report = backtracking_solve(
-            lambda w_: mmc_diag_objective(w_, pos2, neg2), w0,
+            lambda w_: _mmc_diag_value(w_, pos2, neg2), w0,
             max_iter=self.max_iter, tol=self.tol,
             project=lambda w_: np.clip(w_, 0.0, None),
         )
@@ -141,7 +158,7 @@ class MMC(MahalanobisEstimator, PairClassifierMixin):
         total_pos = budget(np.eye(d))
         m0 = np.eye(d) / total_pos if total_pos > 0 else np.eye(d)
         m, report = backtracking_solve(
-            lambda m_: mmc_objective(m_, neg), m0,
+            lambda m_: _mmc_value(m_, neg), m0,
             max_iter=self.max_iter, tol=self.tol,
             maximize=True, project=project,
         )
@@ -245,26 +262,35 @@ class ITML(MahalanobisEstimator, PairClassifierMixin):
 
 # -- LSML --------------------------------------------------------------------
 
-def lsml_objective(m: np.ndarray, diffs_close: np.ndarray, diffs_far: np.ndarray,
-                   m0inv: np.ndarray, logdet_m0: float, reg: float):
-    """Squared-residual hinge over quadruplets plus LogDet anchoring to the
-    prior; gradient treats the hinge active set as fixed."""
+def _lsml_value(m: np.ndarray, diffs_close: np.ndarray, diffs_far: np.ndarray,
+                m0inv: np.ndarray, logdet_m0: float, reg: float):
+    """Value-first form of lsml_objective: (f, grad) with grad() -> gradient."""
     d = m.shape[0]
     r = sym_eig(m)
     vals = np.maximum(r.eigenvalues, _EIG_FLOOR)
     logdet_m = float(np.sum(np.log(vals)))
-    minv = (r.eigenvectors / vals) @ r.eigenvectors.T
     smooth = reg * (float(np.trace(m @ m0inv)) - (logdet_m - logdet_m0) - d)
     d_close = np.sqrt(np.maximum(np.sum((diffs_close @ m) * diffs_close, axis=1), 0.0))
     d_far = np.sqrt(np.maximum(np.sum((diffs_far @ m) * diffs_far, axis=1), 0.0))
     viol = np.maximum(d_close - d_far, 0.0)
-    f = smooth + float(np.sum(viol * viol))
-    close = (viol > 0.0) & (d_close > 0.0)
-    far = (viol > 0.0) & (d_far > 0.0)
-    grad = (reg * (m0inv - minv)
-            + _weighted_gram(diffs_close[close], viol[close] / d_close[close])
-            - _weighted_gram(diffs_far[far], viol[far] / d_far[far]))
-    return f, 0.5 * (grad + grad.T)
+
+    def grad():
+        minv = (r.eigenvectors / vals) @ r.eigenvectors.T
+        close = (viol > 0.0) & (d_close > 0.0)
+        far = (viol > 0.0) & (d_far > 0.0)
+        g = (reg * (m0inv - minv)
+             + _weighted_gram(diffs_close[close], viol[close] / d_close[close])
+             - _weighted_gram(diffs_far[far], viol[far] / d_far[far]))
+        return 0.5 * (g + g.T)
+    return smooth + float(np.sum(viol * viol)), grad
+
+
+def lsml_objective(m: np.ndarray, diffs_close: np.ndarray, diffs_far: np.ndarray,
+                   m0inv: np.ndarray, logdet_m0: float, reg: float):
+    """Squared-residual hinge over quadruplets plus LogDet anchoring to the
+    prior; gradient treats the hinge active set as fixed."""
+    f, grad = _lsml_value(m, diffs_close, diffs_far, m0inv, logdet_m0, reg)
+    return f, grad()
 
 
 class LSML(MahalanobisEstimator, QuadrupletClassifierMixin):
@@ -301,8 +327,8 @@ class LSML(MahalanobisEstimator, QuadrupletClassifierMixin):
             return 0.5 * (out + out.T)
 
         m, report = backtracking_solve(
-            lambda m_: lsml_objective(m_, diffs_close, diffs_far, m0inv,
-                                      logdet_m0, float(self.reg)),
+            lambda m_: _lsml_value(m_, diffs_close, diffs_far, m0inv,
+                                   logdet_m0, float(self.reg)),
             m0, max_iter=self.max_iter, tol=self.tol, project=project,
         )
         model = MahalanobisModel(psd_sqrt(m), algorithm="lsml", fit_report=report)

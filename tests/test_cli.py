@@ -118,6 +118,24 @@ class TestLoadTuples:
         with pytest.raises(ValidationError, match="label"):
             load_tuples(p, base, 2)
 
+    def test_short_row_names_row(self, tmp_path):
+        base = np.zeros((3, 2))
+        p = tmp_path / "p.csv"
+        p.write_text("i,j,label\n0,1,1\n2\n")
+        with pytest.raises(ValidationError,
+                           match="tuple row 2 has 1 cells, expected 3"):
+            load_tuples(p, base, 2)
+
+    def test_gathers_rows_in_file_order(self, tmp_path):
+        base = np.arange(12, dtype=float).reshape(4, 3)
+        p = tmp_path / "t.csv"
+        p.write_text("i,j,k\n3,0,2\n1,1,0\n")
+        tuples, labels = load_tuples(p, base, 3)
+        assert labels is None
+        assert np.array_equal(tuples, base[[[3, 0, 2], [1, 1, 0]]])
+        p.write_text("i,j,k\n")
+        assert load_tuples(p, base, 3)[0].shape == (0, 3, 3)
+
 
 class TestFitTransform:
     def test_nca_fit_then_transform_shapes(self, tmp_path, capsys):
@@ -311,6 +329,77 @@ class TestCv:
                                "roc_auc", "--max-iter", "30")
         assert code == 0
         assert out.splitlines()[0] == "fold test train"
+
+
+# command -> (tuple arity, argv without --data/--label-col/tuple file)
+_TUPLE_COMMANDS = {
+    "fit-mmc": (2, ["fit", "--algo", "mmc", "--out", "{out}"]),
+    "fit-lsml": (4, ["fit", "--algo", "lsml", "--out", "{out}"]),
+    "score-pairs": (2, ["score-pairs", "--model", "{model}"]),
+    "predict-pairs": (2, ["predict", "--model", "{model}"]),
+    "predict-quads": (4, ["predict", "--model", "{model}"]),
+    "cv-mmc": (2, ["cv", "--algo", "mmc"]),
+    "cv-lsml": (4, ["cv", "--algo", "lsml"]),
+}
+# arity -> bad row appended after two valid rows, so it is tuple row 3
+_BAD_ROWS = {
+    2: {"short row": "2", "non-integer": "0,x,1", "float index": "0,1.5,1",
+        "empty cell": "0,,1", "negative index": "-1,2,1",
+        "out of range": "0,999,1", "bad label": "0,1,7",
+        "long row": "0,1,1,5"},
+    4: {"short row": "0,1", "non-integer": "0,1,x,2",
+        "float index": "0,1,2,1.5", "empty cell": "0,,2,3",
+        "negative index": "0,1,2,-1", "out of range": "0,1,999,2",
+        "long row": "0,1,2,3,4"},
+}
+
+
+class TestMalformedTupleFiles:
+    """Every command that reads a tuple file exits 2 on a malformed one,
+    with a one-line error and no traceback."""
+
+    @pytest.fixture
+    def setup(self, tmp_path, capsys):
+        data, pairs, _ = write_dataset(tmp_path)
+        model = tmp_path / "m.json"
+        code, _, _ = run_cli(capsys, "fit", "--algo", "mmc", "--data",
+                             str(data), "--label-col", "y", "--pairs",
+                             str(pairs), "--out", str(model))
+        assert code == 0
+        return tmp_path, data, model
+
+    def _run(self, capsys, setup, command, text):
+        tmp_path, data, model = setup
+        arity, argv = _TUPLE_COMMANDS[command]
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        argv = [a.format(out=tmp_path / "out.json", model=model) for a in argv]
+        flag = "--pairs" if arity == 2 else "--quads"
+        code, _, err = run_cli(capsys, *argv, "--data", str(data),
+                               "--label-col", "y", flag, str(bad))
+        assert code == 2, err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("command,case", [
+        (command, case) for command, (arity, _) in _TUPLE_COMMANDS.items()
+        for case in _BAD_ROWS[arity]])
+    def test_bad_row_exits_2_naming_the_row(self, capsys, setup, command,
+                                            case):
+        arity = _TUPLE_COMMANDS[command][0]
+        row = _BAD_ROWS[arity][case]
+        good = "0,1,1\n0,12,-1\n" if arity == 2 else "0,1,0,12\n1,2,1,13\n"
+        header = "i,j,label\n" if arity == 2 else "i,j,k,l\n"
+        err = self._run(capsys, setup, command, header + good + row + "\n")
+        assert "tuple row 3" in err
+
+    @pytest.mark.parametrize("command", sorted(_TUPLE_COMMANDS))
+    def test_missing_column_exits_2(self, capsys, setup, command):
+        arity = _TUPLE_COMMANDS[command][0]
+        text = "i,label\n0,1\n" if arity == 2 else "i,j,k\n0,1,2\n"
+        err = self._run(capsys, setup, command, text)
+        assert "expected columns" in err
 
 
 class TestExitCodes:

@@ -13,6 +13,7 @@ from mlearn.exceptions import ValidationError
 from mlearn.linalg import gen_sym_eig
 from mlearn.supervised import (
     _init_transform,
+    _lfda_scatters,
     _local_scaling,
     lmnn_objective,
     lmnn_targets,
@@ -336,6 +337,41 @@ class TestLFDA:
                 ref = [np.sort(np.delete(d[a], a), kind="stable")[kn - 1]
                        for a in range(len(x))]
                 assert np.array_equal(_local_scaling(d2, knn), ref)
+
+    def test_blocked_scatters_match_dense_oracle(self):
+        cases = [clustered_data(seed=2, n_per=10, d=3),
+                 clustered_data(seed=3, n_per=5, d=4, sep=0.5)]
+        r = np.random.default_rng(4)
+        # uneven classes, one of them a pair, and an offset far from 0
+        y = np.array([0] * 14 + [1] * 2 + [2] * 7)
+        cases.append((r.standard_normal((len(y), 3)) + 50.0, y))
+        for x, y in cases:
+            for knn in (1, 3, 7):
+                sb, sw = _lfda_scatters(x, y, knn)
+                sb_ref, sw_ref = _lfda_scatters_oracle(x, y, knn)
+                for got, ref in ((sb, sb_ref), (sw, sw_ref)):
+                    assert np.max(np.abs(got - ref)) \
+                        <= 1e-12 * np.max(np.abs(ref))
+
+    def test_translation_invariance(self):
+        for seed in range(3):
+            x, y = clustered_data(seed=seed, n_per=12, d=3)
+            l = LFDA().fit(x, y).components_
+            l_far = LFDA().fit(x + 1e6, y).components_
+            assert np.max(np.abs(l_far - l)) <= 1e-9 * np.max(np.abs(l))
+
+    def test_fit_memory_stays_below_one_n_by_n_matrix(self):
+        n, d = 2000, 20
+        r = np.random.default_rng(0)
+        y = np.arange(n) % 3
+        x = r.standard_normal((n, d)) + 2.0 * np.eye(d)[y]
+        tracemalloc.start()
+        try:
+            LFDA().fit(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
 
 
 def _lfda_scatters_oracle(x, y, knn):
