@@ -20,8 +20,6 @@ from .exceptions import (
 from .model import FitReport, MahalanobisModel, from_components
 from .modelsel import (
     CvResult,
-    PairsTask,
-    QuadrupletsTask,
     SupervisedTask,
     cross_validate,
     grid_search,
@@ -46,7 +44,7 @@ __all__ = [
     "MetricLearnError", "NumericalError", "RankError", "SymmetryError",
     "ValidationError",
     "FitReport", "MahalanobisModel", "from_components",
-    "CvResult", "PairsTask", "QuadrupletsTask", "SupervisedTask",
+    "CvResult", "SupervisedTask",
     "cross_validate", "grid_search", "kfold_split", "knn_predict",
     "accuracy_score", "f1_score", "roc_auc_score", "score",
     "LFDA", "LMNN", "MLKR", "NCA", "RCA", "ITML", "LSML", "MMC",

@@ -15,7 +15,7 @@ import numpy as np
 
 from .calibration import calibrate_threshold
 from .exceptions import ValidationError
-from .model import MahalanobisModel
+from .model import MahalanobisModel, _valid_threshold
 
 
 class BaseEstimator:
@@ -93,9 +93,7 @@ class PairClassifierMixin:
 
     def set_threshold(self, threshold: float) -> None:
         model = self._check_fitted()
-        model.threshold = float(threshold)
-        model.__post_init__()
-        self.threshold_ = model.threshold
+        model.threshold = self.threshold_ = _valid_threshold(threshold)
 
 
 class QuadrupletClassifierMixin:

@@ -3,8 +3,11 @@
 Data comes in as headered CSV (comma separator, dot decimal point). Tuple
 files reference 0-based rows of the feature file via index columns
 (i,j[,label] for pairs, i,j,k for triplets, i,j,k,l for quadruplets).
-Models persist as JSON. Exit codes: 0 success, 2 validation or format
-error, 3 numerical failure.
+``fit`` and ``cv`` load what a learner fits on from its supervision kind:
+class labels from --label-col (nca, lmnn, mlkr, lfda), chunklet ids from
+--chunk-col (rca), labeled pairs from --pairs (mmc, itml) or quadruplets
+from --quads (lsml). Models persist as JSON. Exit codes: 0 success, 2
+validation or format error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -19,13 +22,7 @@ import numpy as np
 
 from .exceptions import MetricLearnError, NumericalError, ValidationError
 from .model import MahalanobisModel
-from .modelsel import (
-    PairsTask,
-    QuadrupletsTask,
-    SupervisedTask,
-    cross_validate,
-    grid_search,
-)
+from .modelsel import SUPERVISION, SupervisedTask, cross_validate, grid_search
 from .supervised import LFDA, LMNN, MLKR, NCA, RCA
 from .tuples import validate_tuples
 from .weak import ITML, LSML, MMC
@@ -34,7 +31,6 @@ ALGORITHMS = {
     "nca": NCA, "lmnn": LMNN, "mlkr": MLKR, "lfda": LFDA, "rca": RCA,
     "mmc": MMC, "itml": ITML, "lsml": LSML,
 }
-PAIR_ALGOS = ("mmc", "itml")
 
 
 # -- file I/O ----------------------------------------------------------------
@@ -231,31 +227,28 @@ def build_estimator(args):
     return est
 
 
-def _fit_inputs(algo, args) -> tuple:
-    """Dispatch on supervision kind; returns the arguments for ``fit``."""
-    if algo in ("nca", "lmnn", "lfda", "mlkr"):
-        if args.label_col is None:
-            raise ValidationError(f"--label-col is required for {algo}")
-        x, y, _ = load_features(args.data, label_col=args.label_col)
-        return x, y
-    if algo == "rca":
-        if args.chunk_col is None:
-            raise ValidationError("--chunk-col is required for rca")
-        x, _, chunks = load_features(args.data, chunk_col=args.chunk_col)
+def _fit_inputs(est, args) -> tuple:
+    """(x, y) for ``est.fit``, loaded as its supervision kind needs; y is
+    None for quadruplets."""
+    kind = est.supervision
+    flag, source = {
+        "labels": ("--label-col", args.label_col),
+        "chunks": ("--chunk-col", args.chunk_col),
+        "pairs": ("--pairs", args.pairs),
+        "quads": ("--quads", args.quads),
+    }[kind]
+    if source is None:
+        raise ValidationError(f"{flag} is required for {args.algo}")
+    if kind == "chunks":
+        x, _, chunks = load_features(args.data, chunk_col=source)
         return x, chunks
-    if algo in PAIR_ALGOS:
-        if args.pairs is None:
-            raise ValidationError(f"--pairs is required for {algo}")
-        x, _, _ = load_features(args.data, label_col=args.label_col)
-        pairs, y = load_tuples(args.pairs, x, 2)
-        if y is None:
-            raise ValidationError("pairs file must include a label column")
-        return pairs, y
-    if args.quads is None:  # lsml
-        raise ValidationError("--quads is required for lsml")
-    x, _, _ = load_features(args.data, label_col=args.label_col)
-    quads, _ = load_tuples(args.quads, x, 4)
-    return (quads,)
+    x, y, _ = load_features(args.data, label_col=args.label_col)
+    if kind == "labels":
+        return x, y
+    tuples, y = load_tuples(source, x, SUPERVISION[kind].arity)
+    if kind == "pairs" and y is None:
+        raise ValidationError("pairs file must include a label column")
+    return tuples, y
 
 
 # -- commands ----------------------------------------------------------------
@@ -264,12 +257,15 @@ def cmd_fit(args) -> int:
     est = build_estimator(args)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        inputs = _fit_inputs(args.algo, args)
-        est.fit(*inputs)
+        x, y = _fit_inputs(est, args)
+        if y is None:
+            est.fit(x)
+        else:
+            est.fit(x, y)
         if args.calibrate is not None:
-            if args.algo not in PAIR_ALGOS:
+            if est.supervision != "pairs":
                 raise ValidationError("--calibrate only applies to pair learners")
-            est.calibrate_threshold(*inputs, args.calibrate)
+            est.calibrate_threshold(x, y, args.calibrate)
     if not est.model_.fit_report.converged:
         print("warning: solver stopped before reaching its tolerance",
               file=sys.stderr)
@@ -332,37 +328,13 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def _build_cv_task(args):
-    est = build_estimator(args)
-    algo = args.algo
-    if algo in ("nca", "lmnn", "lfda", "mlkr"):
-        if args.label_col is None:
-            raise ValidationError(f"--label-col is required for {algo}")
-        x, y, _ = load_features(args.data, label_col=args.label_col)
-        return SupervisedTask(x, y, est, knn_k=args.knn_k)
-    if algo in PAIR_ALGOS:
-        if args.pairs is None:
-            raise ValidationError(f"--pairs is required for {algo}")
-        x, _, _ = load_features(args.data, label_col=args.label_col)
-        pairs, y = load_tuples(args.pairs, x, 2)
-        if y is None:
-            raise ValidationError("pairs file must include a label column")
-        return PairsTask(pairs, y, est)
-    if algo == "lsml":
-        if args.quads is None:
-            raise ValidationError("--quads is required for lsml")
-        x, _, _ = load_features(args.data, label_col=args.label_col)
-        quads, _ = load_tuples(args.quads, x, 4)
-        return QuadrupletsTask(quads, est)
-    raise ValidationError(f"cv does not support algorithm {algo!r}")
-
-
 def _params_str(params: dict) -> str:
     return ",".join(f"{k}={v}" for k, v in params.items())
 
 
 def cmd_cv(args) -> int:
-    task = _build_cv_task(args)
+    est = build_estimator(args)
+    task = SupervisedTask(*_fit_inputs(est, args), est, knn_k=args.knn_k)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         if args.grid is not None:
@@ -404,13 +376,8 @@ def _add_common_data_flags(p):
     p.add_argument("--label-col", default=None, help="label column name")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mlearn", description="Mahalanobis metric learning toolkit"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fit", help="train a metric and write a model JSON")
+def _add_learner_flags(p):
+    """The learner and what it fits on, shared by fit and cv."""
     p.add_argument("--algo", required=True, choices=sorted(ALGORITHMS))
     _add_common_data_flags(p)
     p.add_argument("--chunk-col", default=None)
@@ -422,6 +389,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--opt", action="append", default=[],
                    help="algorithm option key=value (repeatable)")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="mlearn", description="Mahalanobis metric learning toolkit"
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("fit", help="train a metric and write a model JSON")
+    _add_learner_flags(p)
     p.add_argument("--calibrate", choices=("accuracy", "f1"), default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
@@ -457,20 +434,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("cv", help="cross-validate, optionally over a grid")
-    p.add_argument("--algo", required=True, choices=sorted(ALGORITHMS))
-    _add_common_data_flags(p)
-    p.add_argument("--pairs", default=None)
-    p.add_argument("--quads", default=None)
+    _add_learner_flags(p)
     p.add_argument("--knn-k", type=int, default=3)
     p.add_argument("--folds", type=int, default=3)
     p.add_argument("--metric", choices=("accuracy", "f1", "roc_auc"),
                    default="accuracy")
     p.add_argument("--grid", default=None, help="JSON file {name: [values]}")
-    p.add_argument("--n-components", type=int, default=None)
-    p.add_argument("--max-iter", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--opt", action="append", default=[])
     p.set_defaults(func=cmd_cv)
 
     return parser

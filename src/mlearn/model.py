@@ -59,6 +59,17 @@ def _distances(components: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarr
     return np.sqrt(np.einsum("nc,nc->n", z, z))
 
 
+def _valid_threshold(threshold) -> float:
+    """A pair threshold as a float; it must be a finite number >= 0."""
+    try:
+        thr = float(threshold)
+    except (TypeError, ValueError):
+        thr = math.nan
+    if not math.isfinite(thr) or thr < 0:
+        raise ValidationError(f"threshold must be finite and >= 0, got {threshold!r}")
+    return thr
+
+
 @dataclass
 class MahalanobisModel:
     """Learned Mahalanobis metric: linear map, optional pair threshold."""
@@ -83,10 +94,7 @@ class MahalanobisModel:
                 f"n_components ({l.shape[0]}) cannot exceed n_features ({l.shape[1]})"
             )
         if self.threshold is not None:
-            thr = float(self.threshold)
-            if not math.isfinite(thr) or thr < 0:
-                raise ValidationError("threshold must be finite and >= 0")
-            self.threshold = thr
+            self.threshold = _valid_threshold(self.threshold)
         self.components = l
 
     @property

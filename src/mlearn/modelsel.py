@@ -1,11 +1,14 @@
 """Cross-validation, grid search and the metric-learner + k-NN pipeline.
 
-Three task shapes are supported: supervised (labeled points, scored through
-a downstream k-NN classifier in the learned space), pairs (labeled pairs,
-threshold auto-calibrated on each training fold unless scoring by ROC-AUC)
-and quadruplets (scored as the fraction of held-out quadruplets predicted in
-the right order). Weak tasks split by tuple index, so the same underlying
-point may appear on both sides of a fold boundary.
+A :class:`SupervisedTask` pairs a learner with the arguments of its ``fit``.
+The learner's ``supervision`` kind picks its row of :data:`SUPERVISION`: how
+the folds are split and how each fold is scored. Points with class labels
+(``labels``) or chunklet ids (``chunks``) split stratified on them and score
+through a downstream k-NN classifier in the learned space. Labeled pairs
+(``pairs``) are scored by threshold, auto-calibrated on each training fold,
+or by ROC-AUC; quadruplets (``quads``) by the fraction of held-out
+quadruplets predicted in the right order. Tuple kinds split by tuple index,
+so the same underlying point may appear on both sides of a fold boundary.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,24 +28,13 @@ from .tuples import validate_tuples
 
 @dataclass
 class SupervisedTask:
-    """Metric learner + k-NN classification over labeled points."""
+    """A metric learner and the arguments of its ``fit``: points or a tuple
+    block ``x``, and labels, chunklet ids or pair labels ``y`` (None for
+    quadruplets). ``knn_k`` applies to the k-NN scored kinds."""
     x: np.ndarray
-    y: np.ndarray
+    y: np.ndarray | None
     estimator: object
     knn_k: int = 3
-
-
-@dataclass
-class PairsTask:
-    pairs: np.ndarray
-    y: np.ndarray
-    estimator: object
-
-
-@dataclass
-class QuadrupletsTask:
-    quads: np.ndarray
-    estimator: object
 
 
 @dataclass
@@ -182,74 +175,78 @@ def _k_nearest(z_train, z_query, k: int) -> np.ndarray:
     return near
 
 
-def _fit_clone(estimator, *fit_args):
-    est = estimator.clone()
-    est.fit(*fit_args)
-    return est
+def _knn_scorer(task, est, train, metric_name):
+    x_train, y_train = task.x[train], task.y[train]
 
-
-def _supervised_fold_scores(task, train, test, metric_name, fold):
-    y_train, y_test = task.y[train], task.y[test]
-    if len(np.unique(y_train)) < 2:
-        raise ValidationError(f"fold {fold} is degenerate: one class in training data")
-    est = _fit_clone(task.estimator, task.x[train], y_train)
-    model = est.model_
-
-    def knn_score(xs, ys):
-        pred = knn_predict(task.x[train], y_train, xs, task.knn_k, model)
+    def score_on(rows):
+        pred = knn_predict(x_train, y_train, task.x[rows], task.knn_k, est.model_)
         if metric_name == "accuracy":
-            return float(np.mean(pred == ys))
-        return score(metric_name, ys, pred)
+            return float(np.mean(pred == task.y[rows]))
+        return score(metric_name, task.y[rows], pred)
+    return score_on
 
-    return knn_score(task.x[test], y_test), knn_score(task.x[train], y_train), model
 
-
-def _pairs_fold_scores(task, train, test, metric_name, fold):
-    y_train, y_test = task.y[train], task.y[test]
-    if len(np.unique(y_train)) < 2:
-        raise ValidationError(f"fold {fold} is degenerate: one pair label in training data")
-    est = _fit_clone(task.estimator, task.pairs[train], y_train)
-    model = est.model_
+def _pair_scorer(task, est, train, metric_name):
     if metric_name == "roc_auc":
-        test_s = score(metric_name, y_test, model.decision_function_pairs(task.pairs[test]))
-        train_s = score(metric_name, y_train, model.decision_function_pairs(task.pairs[train]))
+        predict = est.model_.decision_function_pairs
     else:
-        est.calibrate_threshold(task.pairs[train], y_train, metric_name)
-        test_s = score(metric_name, y_test, model.predict_pairs(task.pairs[test]))
-        train_s = score(metric_name, y_train, model.predict_pairs(task.pairs[train]))
-    return test_s, train_s, model
+        est.calibrate_threshold(task.x[train], task.y[train], metric_name)
+        predict = est.model_.predict_pairs
+    return lambda rows: score(metric_name, task.y[rows], predict(task.x[rows]))
 
 
-def _quads_fold_scores(task, train, test, metric_name, fold):
-    est = _fit_clone(task.estimator, task.quads[train])
-    model = est.model_
-    test_s = float(np.mean(model.predict_quadruplets(task.quads[test]) == 1))
-    train_s = float(np.mean(model.predict_quadruplets(task.quads[train]) == 1))
-    return test_s, train_s, model
+def _quad_scorer(task, est, train, metric_name):
+    return lambda rows: float(np.mean(est.model_.predict_quadruplets(task.x[rows]) == 1))
+
+
+class Supervision(NamedTuple):
+    """How cross-validation treats one kind of supervision."""
+    arity: int | None  # tuple arity; None for points, which split stratified on y
+    y_name: str | None  # what a training fold needs two distinct values of
+    scorer: Callable  # (task, fitted estimator, train rows, metric) -> rows -> score
+
+
+SUPERVISION = {
+    "labels": Supervision(None, "class", _knn_scorer),
+    "chunks": Supervision(None, "class", _knn_scorer),
+    "pairs": Supervision(2, "pair label", _pair_scorer),
+    "quads": Supervision(4, None, _quad_scorer),
+}
+
+
+def _supervision(task) -> Supervision:
+    kind = getattr(getattr(task, "estimator", None), "supervision", None)
+    if kind not in SUPERVISION:
+        raise ValidationError(
+            f"unknown supervision kind {kind!r} for task {type(task).__name__}"
+        )
+    return SUPERVISION[kind]
 
 
 def cross_validate(task, k: int, seed: int, metric_name: str = "accuracy") -> CvResult:
     """Per-fold fit and evaluation; no test-fold information reaches a fit."""
-    if isinstance(task, SupervisedTask):
-        n = len(task.x)
-        folds = kfold_split(n, k, seed, stratify_labels=task.y)
-        fold_fn = _supervised_fold_scores
-    elif isinstance(task, PairsTask):
-        validate_tuples(task.pairs, 2, labels=task.y)
-        folds = kfold_split(len(task.pairs), k, seed)
-        fold_fn = _pairs_fold_scores
-    elif isinstance(task, QuadrupletsTask):
-        validate_tuples(task.quads, 4)
-        folds = kfold_split(len(task.quads), k, seed)
-        fold_fn = _quads_fold_scores
+    kind = _supervision(task)
+    x, y = task.x, task.y
+    if kind.arity is None:
+        folds = kfold_split(len(x), k, seed, stratify_labels=y)
     else:
-        raise ValidationError(f"unknown task type {type(task).__name__}")
+        validate_tuples(x, kind.arity, labels=y)
+        folds = kfold_split(len(x), k, seed)
     test_scores, train_scores, models = [], [], []
     for fold, (train, test) in enumerate(folds):
-        test_s, train_s, model = fold_fn(task, train, test, metric_name, fold)
-        test_scores.append(test_s)
-        train_scores.append(train_s)
-        models.append(model)
+        est = task.estimator.clone()
+        if y is None:
+            est.fit(x[train])
+        else:
+            if len(np.unique(y[train])) < 2:
+                raise ValidationError(
+                    f"fold {fold} is degenerate: one {kind.y_name} in training data"
+                )
+            est.fit(x[train], y[train])
+        score_on = kind.scorer(task, est, train, metric_name)
+        test_scores.append(score_on(test))
+        train_scores.append(score_on(train))
+        models.append(est.model_)
     mean = sum(test_scores) / len(test_scores)
     std = float(np.sqrt(sum((s - mean) ** 2 for s in test_scores) / len(test_scores)))
     return CvResult(test_scores, train_scores, float(mean), std, folds, models)
@@ -260,8 +257,8 @@ def _apply_candidate(task, params: dict):
     task = replace(task, estimator=est)
     for name, value in params.items():
         if name == "knn_k":
-            if not isinstance(task, SupervisedTask):
-                raise ValidationError("knn_k only applies to supervised tasks")
+            if _supervision(task).scorer is not _knn_scorer:
+                raise ValidationError("knn_k only applies to k-NN scored tasks")
             task.knn_k = int(value)
         else:
             est.set_params(**{name: value})

@@ -102,6 +102,8 @@ def nca_objective(l: np.ndarray, x: np.ndarray, y: np.ndarray):
 class NCA(MahalanobisEstimator):
     """Gradient-ascent learner maximizing stochastic same-class neighbor mass."""
 
+    supervision = "labels"
+
     def __init__(self, n_components=None, init="identity", max_iter=100,
                  tol=1e-6, seed=0):
         self.n_components = n_components
@@ -204,6 +206,8 @@ def lmnn_objective(l: np.ndarray, x: np.ndarray, y: np.ndarray,
 class LMNN(MahalanobisEstimator):
     """Margin-based learner pulling target neighbors and pushing impostors."""
 
+    supervision = "labels"
+
     def __init__(self, k=3, push_weight=0.5, margin=1.0, n_components=None,
                  init="identity", max_iter=100, tol=1e-6, seed=0):
         self.k = k
@@ -257,6 +261,8 @@ def mlkr_objective(l: np.ndarray, x: np.ndarray, y: np.ndarray):
 
 class MLKR(MahalanobisEstimator):
     """Metric learner minimizing leave-one-out kernel-regression error."""
+
+    supervision = "labels"
 
     def __init__(self, n_components=None, init="identity", max_iter=100,
                  tol=1e-6, seed=0):
@@ -340,6 +346,8 @@ def _lfda_scatters(x: np.ndarray, y: np.ndarray, knn: int):
 class LFDA(MahalanobisEstimator):
     """Closed-form learner via the local Fisher generalized eigenproblem."""
 
+    supervision = "labels"
+
     def __init__(self, n_components=None, knn=7, embedding="weighted"):
         self.n_components = n_components
         self.knn = knn
@@ -372,6 +380,8 @@ class RCA(MahalanobisEstimator):
     vector uses -1 for unassigned points. Chunklets with fewer than 2 members
     carry no constraint and are ignored.
     """
+
+    supervision = "chunks"
 
     def __init__(self, reg=1e-8, n_components=None):
         self.reg = reg

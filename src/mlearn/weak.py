@@ -113,11 +113,12 @@ class MMC(MahalanobisEstimator, PairClassifierMixin):
     standard log-barrier formulation over nonnegative diagonal weights.
     """
 
-    def __init__(self, diagonal=False, max_iter=100, tol=1e-6, seed=0):
+    supervision = "pairs"
+
+    def __init__(self, diagonal=False, max_iter=100, tol=1e-6):
         self.diagonal = diagonal
         self.max_iter = max_iter
         self.tol = tol
-        self.seed = seed
 
     def fit(self, pairs, y):
         pos, neg = _split_pairs(pairs, y)
@@ -193,18 +194,19 @@ class ITML(MahalanobisEstimator, PairClassifierMixin):
     slack: larger values enforce the bounds more strictly.
     """
 
+    supervision = "pairs"
+
     def __init__(self, gamma=1.0, percentiles=(5, 95), prior="identity",
-                 max_iter=100, tol=1e-6, seed=0):
+                 max_iter=100, tol=1e-6):
         self.gamma = gamma
         self.percentiles = percentiles
         self.prior = prior
         self.max_iter = max_iter
         self.tol = tol
-        self.seed = seed
 
     def fit(self, pairs, y):
         deltas = []
-        for a, _lam, _it, delta in self._cycles(pairs, y):
+        for a, delta in self._cycles(pairs, y):
             if delta is not None:
                 deltas.append(delta)
         converged = bool(deltas) and deltas[-1] <= self.tol
@@ -216,8 +218,8 @@ class ITML(MahalanobisEstimator, PairClassifierMixin):
         return self
 
     def _cycles(self, pairs, y):
-        """Yield (M, multipliers, cycle, multiplier-change): first the prior
-        as cycle 0 with change None, then one entry per full cycle."""
+        """Yield (M, multiplier change): first the prior with change None,
+        then one entry per full cycle."""
         pos, neg = _split_pairs(pairs, y)
         d = pos.shape[1]
         u, l = itml_bounds(np.asarray(pairs, dtype=float), self.percentiles)
@@ -234,8 +236,8 @@ class ITML(MahalanobisEstimator, PairClassifierMixin):
         bhat = np.concatenate([np.full(n_pos, u), np.full(len(neg), l)])
         self.adjusted_bounds_ = bhat.copy()
         self.n_pos_constraints_ = n_pos
-        yield a, lam, 0, None
-        for it in range(1, self.max_iter + 1):
+        yield a, None
+        for _ in range(self.max_iter):
             lam_old = lam.copy()
             for i, v in enumerate(vecs):
                 wtw = float(v @ a @ v)
@@ -255,7 +257,7 @@ class ITML(MahalanobisEstimator, PairClassifierMixin):
             a = 0.5 * (a + a.T)
             delta = float(np.max(np.abs(lam - lam_old)))
             self.adjusted_bounds_ = bhat.copy()
-            yield a, lam, it, delta
+            yield a, delta
             if delta <= self.tol:
                 break
 
@@ -296,12 +298,13 @@ def lsml_objective(m: np.ndarray, diffs_close: np.ndarray, diffs_far: np.ndarray
 class LSML(MahalanobisEstimator, QuadrupletClassifierMixin):
     """Quadruplet learner minimizing squared residuals of ordering violations."""
 
-    def __init__(self, reg=1.0, prior="identity", max_iter=100, tol=1e-6, seed=0):
+    supervision = "quads"
+
+    def __init__(self, reg=1.0, prior="identity", max_iter=100, tol=1e-6):
         self.reg = reg
         self.prior = prior
         self.max_iter = max_iter
         self.tol = tol
-        self.seed = seed
 
     def fit(self, quads):
         quads = validate_tuples(quads, 4)

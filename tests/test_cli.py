@@ -5,9 +5,10 @@ import pytest
 
 import mlearn.cli
 import mlearn.model
-from mlearn.cli import load_features, load_tuples, main
+from mlearn.cli import ALGORITHMS, load_features, load_tuples, main
 from mlearn.exceptions import ValidationError
 from mlearn.model import MahalanobisModel
+from mlearn.modelsel import SUPERVISION
 from mlearn.tuples import validate_tuples
 
 
@@ -198,6 +199,15 @@ class TestFitTransform:
         assert err.strip().startswith("error:")
         assert "\n" not in err.strip()
 
+    @pytest.mark.parametrize("algo", ["itml", "lsml", "mmc"])
+    def test_seed_option_unknown_for_weak_learners(self, algo, tmp_path, capsys):
+        data, _, _ = write_dataset(tmp_path)
+        code, _, err = run_cli(capsys, "fit", "--algo", algo, "--data",
+                               str(data), "--label-col", "y", "--opt",
+                               "seed=1", "--out", str(tmp_path / "m.json"))
+        assert code == 2
+        assert err.startswith(f"error: unknown option 'seed' for algorithm {algo}")
+
     def test_calibrate_flag_rejected_for_supervised(self, tmp_path, capsys):
         data, pairs, _ = write_dataset(tmp_path)
         code, _, err = run_cli(capsys, "fit", "--algo", "nca", "--data",
@@ -321,6 +331,40 @@ class TestCv:
         assert len(lines) == 5  # 4 candidates + best row
         assert lines[-1].startswith("best ")
 
+    @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+    def test_every_algorithm_cross_validates(self, algo, tmp_path, capsys):
+        data, pairs, quads = write_dataset(tmp_path)
+        inputs = {"labels": ["--label-col", "y"], "chunks": ["--chunk-col", "y"],
+                  "pairs": ["--label-col", "y", "--pairs", str(pairs)],
+                  "quads": ["--label-col", "y", "--quads", str(quads)]}
+        code, out, err = run_cli(capsys, "cv", "--algo", algo, "--data",
+                                 str(data), *inputs[ALGORITHMS[algo].supervision],
+                                 "--max-iter", "10")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == "fold test train"
+        assert [line.split()[0] for line in lines[1:]] == ["0", "1", "2", "mean"]
+
+    def test_grid_cv_stdout_is_pinned(self, tmp_path, capsys):
+        data, _, _ = write_dataset(tmp_path, seed=1, sep=1.0)
+        grid = tmp_path / "grid.json"
+        grid.write_text('{"max_iter": [2, 6], "knn_k": [1, 5]}')
+        code, out, _ = run_cli(capsys, "cv", "--algo", "nca", "--data",
+                               str(data), "--label-col", "y", "--folds", "3",
+                               "--grid", str(grid), "--seed", "3")
+        assert code == 0
+        assert out == (
+            "candidate max_iter=2,knn_k=1 folds 0.875000,1.000000,0.875000 "
+            "mean 0.916667 std 0.058926\n"
+            "candidate max_iter=2,knn_k=5 folds 0.875000,1.000000,1.000000 "
+            "mean 0.958333 std 0.058926\n"
+            "candidate max_iter=6,knn_k=1 folds 0.875000,1.000000,0.875000 "
+            "mean 0.916667 std 0.058926\n"
+            "candidate max_iter=6,knn_k=5 folds 0.875000,1.000000,0.750000 "
+            "mean 0.875000 std 0.102062\n"
+            "best max_iter=2,knn_k=5 mean 0.958333\n"
+        )
+
     def test_pairs_cv_roc_auc(self, tmp_path, capsys):
         data, pairs, _ = write_dataset(tmp_path)
         code, out, _ = run_cli(capsys, "cv", "--algo", "itml", "--data",
@@ -329,6 +373,11 @@ class TestCv:
                                "roc_auc", "--max-iter", "30")
         assert code == 0
         assert out.splitlines()[0] == "fold test train"
+
+
+def test_every_algorithm_declares_a_supervision_kind():
+    for name, cls in ALGORITHMS.items():
+        assert vars(cls).get("supervision") in SUPERVISION, name
 
 
 # command -> (tuple arity, argv without --data/--label-col/tuple file)

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 import warnings
 
@@ -9,8 +10,9 @@ from mlearn import (
     LSML,
     MMC,
     NCA,
-    PairsTask,
-    QuadrupletsTask,
+    ITML,
+    LFDA,
+    RCA,
     SupervisedTask,
     accuracy_score,
     cross_validate,
@@ -19,6 +21,8 @@ from mlearn import (
     kfold_split,
     knn_predict,
     from_components,
+    pairs_from_labels,
+    quadruplets_from_labels,
     roc_auc_score,
     score,
 )
@@ -308,7 +312,7 @@ class TestCrossValidate:
         y = np.concatenate([np.ones(n // 2, int), -np.ones(n // 2, int)])
         d = np.where(y == 1, r.random(n) * 0.5, 1.0 + r.random(n))
         pairs = np.stack([np.zeros((n, 1)), d[:, None]], axis=1)
-        task = PairsTask(pairs, y, _IdentityPairEstimator())
+        task = SupervisedTask(pairs, y, _IdentityPairEstimator())
         res = cross_validate(task, 3, seed=0, metric_name="accuracy")
         for (train, test), model, train_got, test_got in zip(
                 res.folds, res.fold_models, res.train_scores, res.test_scores):
@@ -330,7 +334,7 @@ class TestCrossValidate:
         quads = r.standard_normal((9, 4, 2))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            res = cross_validate(QuadrupletsTask(quads, LSML(max_iter=10)),
+            res = cross_validate(SupervisedTask(quads, None, LSML(max_iter=10)),
                                  3, seed=0)
         assert len(res.test_scores) == 3
         assert all(len(t) == 3 for _, t in res.folds)
@@ -360,7 +364,7 @@ class TestCrossValidate:
 
     def test_roc_auc_pairs_task(self):
         pairs, y = _separable_pairs()
-        res = cross_validate(PairsTask(pairs, y, _IdentityPairEstimator()),
+        res = cross_validate(SupervisedTask(pairs, y, _IdentityPairEstimator()),
                              3, seed=0, metric_name="roc_auc")
         assert all(0.0 <= s <= 1.0 for s in res.test_scores)
 
@@ -396,11 +400,17 @@ class TestGridSearch:
 
     def test_tie_breaks_to_first_candidate(self):
         pairs, y = _separable_pairs()
-        task = PairsTask(pairs, y, _IdentityPairEstimator())
+        task = SupervisedTask(pairs, y, _IdentityPairEstimator())
         # both max_iter values are ignored by the dummy learner: exact tie
         best, table = grid_search(task, {"max_iter": [10, 20]}, 3, seed=0)
         assert all(row["mean"] == best["mean"] for row in table)
         assert best["params"] == {"max_iter": 10}
+
+    def test_knn_k_rejected_for_pairs(self):
+        pairs, y = _separable_pairs()
+        task = SupervisedTask(pairs, y, _IdentityPairEstimator())
+        with pytest.raises(ValidationError, match="knn_k"):
+            grid_search(task, {"knn_k": [1, 3]}, 3, seed=0)
 
     def test_identical_folds_across_candidates(self):
         x, y = supervised_data(seed=3)
@@ -423,3 +433,62 @@ class TestGridSearch:
         task = SupervisedTask(x, y, NCA(), knn_k=1)
         with pytest.raises(ValidationError, match="candidate"):
             grid_search(task, {"bogus_param": [1]}, 3, seed=0)
+
+
+def _three_class_data(seed=11):
+    r = np.random.default_rng(seed)
+    y = np.repeat([0, 1, 2], [10, 12, 14])
+    x = r.standard_normal((len(y), 3)) + 3.0 * np.eye(3)[y]
+    return x, y
+
+
+def _pinned_tasks():
+    """Name -> (task, metric) for one learner of each supervision kind."""
+    x, y = _three_class_data()
+    chunks = np.where(np.arange(len(y)) % 5 == 0, -1, 2 * y + np.arange(len(y)) % 2)
+    pairs, pair_y = pairs_from_labels(x, y, 2, seed=3)
+    quads = quadruplets_from_labels(x, y, 1, seed=3)
+    return {
+        "lfda-labels": (SupervisedTask(x, y, LFDA(knn=3), knn_k=5), "accuracy"),
+        "rca-chunks": (SupervisedTask(x, chunks, RCA()), "accuracy"),
+        "itml-pairs-accuracy": (SupervisedTask(pairs, pair_y, ITML(max_iter=20)),
+                                "accuracy"),
+        "itml-pairs-roc_auc": (SupervisedTask(pairs, pair_y, ITML(max_iter=20)),
+                               "roc_auc"),
+        "lsml-quads": (SupervisedTask(quads, None, LSML(max_iter=10)), "accuracy"),
+    }
+
+
+def _cv_digest(res):
+    h = hashlib.sha256()
+    h.update(np.asarray(res.test_scores, dtype=float).tobytes())
+    h.update(np.asarray(res.train_scores, dtype=float).tobytes())
+    for model in res.fold_models:
+        h.update(np.ascontiguousarray(model.components).tobytes())
+    return h.hexdigest()
+
+
+# SHA-256 of the fold test scores, train scores and fold components, recorded
+# before the fold loop was shared by all supervision kinds; like the fit
+# digests in test_optimize, a BLAS build that rounds differently needs new ones
+_PINNED_CV = {
+    "lfda-labels":
+        "12285e1fd4eb48af0d7ee7aa7e76b4c8915f08ca2459e37f569b15b9a575a710",
+    "rca-chunks":
+        "4fce89f39be0d884d38847429e55c69b3346fe0b1c94580657c49f2d9f3bbf3a",
+    "itml-pairs-accuracy":
+        "25bbbcf875622aabfe06279a9881b036994d0f128ff4e078f4f78313f4606d7e",
+    "itml-pairs-roc_auc":
+        "3b0d65bfdf8b2cd80b5eeae665d77c51dea92a931f5233cbabfa7201b73d0812",
+    "lsml-quads":
+        "be57240807efda443bc6e3d4429124051d03e3c9bcd6a001740386c83214edad",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_CV))
+def test_cross_validate_outputs_are_pinned(name):
+    task, metric = _pinned_tasks()[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = cross_validate(task, 3, seed=2, metric_name=metric)
+    assert _cv_digest(res) == _PINNED_CV[name]

@@ -176,7 +176,7 @@ class TestITML:
     def test_symmetric_and_psd_every_cycle(self):
         pairs, y = labeled_pairs(seed=3, n=6)
         est = ITML(max_iter=30)
-        for a, _lam, _it, _delta in est._cycles(pairs, y):
+        for a, _delta in est._cycles(pairs, y):
             assert np.max(np.abs(a - a.T)) <= 1e-10
             assert np.min(np.linalg.eigvalsh(a)) >= -1e-9
 
@@ -295,6 +295,27 @@ class TestLSML:
         quads = r.standard_normal((10, 4, 3))
         est = fit_quiet(LSML(max_iter=40), quads)
         assert est.model_.min_mahalanobis_eigenvalue() >= -1e-9
+
+
+class TestSetThreshold:
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, "abc", None])
+    def test_bad_value_rejected_and_state_kept(self, bad):
+        pairs, y = labeled_pairs(seed=1)
+        est = MMC(max_iter=10).fit(pairs, y)
+        est.set_threshold(1.5)
+        with pytest.raises(ValidationError, match="threshold"):
+            est.set_threshold(bad)
+        assert est.threshold_ == est.model_.threshold == 1.5
+
+    def test_good_value_changes_predictions(self):
+        pairs, y = labeled_pairs(seed=1)
+        est = MMC(max_iter=10).fit(pairs, y)
+        d = est.score_pairs(pairs)
+        est.set_threshold(0.0)
+        assert np.all(est.predict(pairs) == -1)
+        est.set_threshold(float(np.max(d)))
+        assert est.threshold_ == est.model_.threshold == float(np.max(d))
+        assert np.all(est.predict(pairs) == 1)
 
 
 class TestCalibrateThreshold:
