@@ -240,7 +240,8 @@ def _fit_inputs(est, args) -> tuple:
     if source is None:
         raise ValidationError(f"{flag} is required for {args.algo}")
     if kind == "chunks":
-        x, _, chunks = load_features(args.data, chunk_col=source)
+        x, _, chunks = load_features(args.data, label_col=args.label_col,
+                                     chunk_col=source)
         return x, chunks
     x, y, _ = load_features(args.data, label_col=args.label_col)
     if kind == "labels":

@@ -52,6 +52,13 @@ def _resolve_components(n_components, n_features: int) -> int:
 
 
 def pairwise_sq_dists(z: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of z (zero diagonal).
+
+    The rows are centred first: the Gram formula |a|^2 + |b|^2 - 2 a.b
+    cancels catastrophically when the rows sit far from the origin, and
+    distances do not depend on a common offset.
+    """
+    z = z - z.mean(axis=0)
     sq = np.sum(z * z, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (z @ z.T)
     np.fill_diagonal(d2, 0.0)
@@ -64,8 +71,35 @@ def _off_diagonal(a: np.ndarray) -> np.ndarray:
     return a[~np.eye(m, dtype=bool)].reshape(m, m - 1)
 
 
+_LOG_TINY = float(np.log(np.finfo(float).tiny))
+
+
+def _exp_flushed(a: np.ndarray) -> np.ndarray:
+    """np.exp(a) where the result is a normal float, exactly 0 where it is not.
+
+    numpy's vector exp is one to two orders of magnitude slower on
+    arguments below about -707.8 than above, and slowest where its result
+    is subnormal. Lanes below log(tiny) (their result is subnormal or 0,
+    -inf included) reach exp as 0 and are zeroed afterwards, so exp never
+    sees them; every other lane, NaN included, keeps np.exp's bits.
+    """
+    # masks multiply rather than select: np.where on a scattered mask costs
+    # several times the exp it saves
+    keep = a >= _LOG_TINY
+    e = np.maximum(a, _LOG_TINY)
+    e *= keep
+    np.exp(e, out=e)
+    e *= keep
+    return e
+
+
 def weighted_outer_sum(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_ij w_ij (x_i - x_j)(x_i - x_j)^T without forming the outer products."""
+    """sum_ij w_ij (x_i - x_j)(x_i - x_j)^T without forming the outer products.
+
+    Like pairwise_sq_dists, the rows are centred first: the sum does not
+    depend on a common offset, but its two Gram terms cancel by that much.
+    """
+    x = x - x.mean(axis=0)
     s = w + w.T
     r = s.sum(axis=1)
     g = x.T @ (r[:, None] * x) - x.T @ (s @ x)
@@ -74,17 +108,28 @@ def weighted_outer_sum(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 # -- neighborhood softmax (NCA) ---------------------------------------------
 
-def _nca_value(l: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """Value-first form of nca_objective: (f, grad) with grad() -> gradient."""
+def _same_class(y: np.ndarray) -> np.ndarray:
+    """n x n mask of pairs i != j with equal labels."""
+    return (y[:, None] == y[None, :]) & ~np.eye(len(y), dtype=bool)
+
+
+def _nca_value(l: np.ndarray, x: np.ndarray, y: np.ndarray, same=None):
+    """Value-first form of nca_objective: (f, grad) with grad() -> gradient.
+
+    ``same`` is ``_same_class(y)``; a fit builds it once and passes it in.
+    """
+    if same is None:
+        same = _same_class(y)
     z = x @ l.T
     d2 = pairwise_sq_dists(z)
     logits = -d2
     np.fill_diagonal(logits, -np.inf)
     logits -= logits.max(axis=1, keepdims=True)
-    p = np.exp(logits)
+    # each row keeps its largest weight at exp(0) = 1, so dropping the
+    # subnormal weights moves no p by more than n * tiny
+    p = _exp_flushed(logits)
     p /= p.sum(axis=1, keepdims=True)
     np.fill_diagonal(p, 0.0)
-    same = (y[:, None] == y[None, :]) & ~np.eye(len(y), dtype=bool)
     p_i = np.sum(p * same, axis=1)
 
     def grad():
@@ -116,8 +161,9 @@ class NCA(MahalanobisEstimator):
         x, y = _check_classification(x, y)
         m = _resolve_components(self.n_components, x.shape[1])
         l0 = _init_transform(self.init, m, x.shape[1], self.seed)
+        same = _same_class(y)
         l, report = backtracking_solve(
-            lambda l_: _nca_value(l_, x, y), l0,
+            lambda l_: _nca_value(l_, x, y, same), l0,
             max_iter=self.max_iter, tol=self.tol, maximize=True,
         )
         self._set_model(MahalanobisModel(l, algorithm="nca", fit_report=report))
@@ -150,16 +196,19 @@ def lmnn_targets(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
 
 
 def _lmnn_value(l: np.ndarray, x: np.ndarray, y: np.ndarray,
-                targets: np.ndarray, push_weight: float, margin: float):
+                targets: np.ndarray, push_weight: float, margin: float,
+                differ=None):
     """Value-first form of lmnn_objective: (f, grad) with grad() -> gradient.
 
     The closure keeps one boolean impostor mask per target slot (k n^2
-    bytes) and rebuilds the pull and push weights from them.
+    bytes) and rebuilds the pull and push weights from them. ``differ`` is
+    the n x n mask ``y_i != y_j``; a fit builds it once and passes it in.
     """
+    if differ is None:
+        differ = y[:, None] != y[None, :]
     z = x @ l.T
     d2 = pairwise_sq_dists(z)
     rows = np.arange(len(x))
-    differ = y[:, None] != y[None, :]
     pull = 0.0
     push = 0.0
     masks = []
@@ -226,9 +275,10 @@ class LMNN(MahalanobisEstimator):
         targets = lmnn_targets(x, y, int(self.k))
         m = _resolve_components(self.n_components, x.shape[1])
         l0 = _init_transform(self.init, m, x.shape[1], self.seed)
+        differ = y[:, None] != y[None, :]
         l, report = backtracking_solve(
             lambda l_: _lmnn_value(l_, x, y, targets, self.push_weight,
-                                   self.margin),
+                                   self.margin, differ),
             l0, max_iter=self.max_iter, tol=self.tol,
         )
         self._set_model(MahalanobisModel(l, algorithm="lmnn", fit_report=report))
@@ -241,9 +291,12 @@ def _mlkr_value(l: np.ndarray, x: np.ndarray, y: np.ndarray):
     """Value-first form of mlkr_objective: (f, grad) with grad() -> gradient."""
     z = x @ l.T
     d2 = pairwise_sq_dists(z)
-    k = np.exp(-d2)
-    np.fill_diagonal(k, 0.0)
-    s = k.sum(axis=1) + 1e-300
+    np.fill_diagonal(d2, np.inf)
+    # each row is scaled by exp(its smallest distance), which cancels in
+    # k / s: the nearest neighbour weighs 1, so s >= 1 and a row never
+    # underflows whole, however far apart the points are
+    k = _exp_flushed(d2.min(axis=1, keepdims=True) - d2)
+    s = k.sum(axis=1)
     yhat = (k @ y) / s
     r = yhat - y
 
@@ -304,10 +357,23 @@ class MLKR(MahalanobisEstimator):
 def _local_scaling(d2: np.ndarray, knn: int) -> np.ndarray:
     """sigma_i = distance to the knn-th same-class neighbor, capped at class size - 1.
 
-    ``d2`` holds the squared distances within one class.
+    ``d2`` holds the squared distances within one class. A knn-th neighbor
+    that coincides with point i gives no scale (the affinity would be 0/0):
+    sigma_i is then the distance to i's nearest neighbor that does not, or 1
+    when the whole class is one point. Neighbors closer than 1e-6 of the
+    class diameter count as coinciding: the Gram formula leaves a few
+    eps * diameter^2 of rounding in d2, so it cannot tell them apart.
     """
     kn = min(knn, len(d2) - 1)
-    return np.sqrt(np.sort(_off_diagonal(d2), axis=1, kind="stable")[:, kn - 1])
+    ranked = np.sort(_off_diagonal(d2), axis=1, kind="stable")
+    s2 = ranked[:, kn - 1].copy()
+    tol = 1e-12 * ranked[:, -1].max()
+    coincide = s2 <= tol
+    if coincide.any():
+        rows = ranked[coincide]
+        nearest = rows[np.arange(len(rows)), np.argmax(rows > tol, axis=1)]
+        s2[coincide] = np.where(nearest > tol, nearest, 1.0)
+    return np.sqrt(s2)
 
 
 def _lfda_scatters(x: np.ndarray, y: np.ndarray, knn: int):
@@ -331,7 +397,7 @@ def _lfda_scatters(x: np.ndarray, y: np.ndarray, knn: int):
             )
         xm = xc[members]
         d2 = pairwise_sq_dists(xm)
-        sigma = np.maximum(_local_scaling(d2, knn), np.finfo(float).tiny)
+        sigma = _local_scaling(d2, knn)
         with np.errstate(over="ignore", under="ignore"):
             aff = np.exp(-d2 / np.outer(sigma, sigma))
         np.fill_diagonal(aff, 0.0)

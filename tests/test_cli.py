@@ -181,6 +181,33 @@ class TestFitTransform:
                              "--chunk-col", "chunk", "--out", str(model_path))
         assert code == 0
 
+    def test_rca_drops_the_label_column(self, tmp_path, capsys):
+        r = np.random.default_rng(2)
+        rows = [(*r.standard_normal(2), i // 6, i // 3) for i in range(12)]
+        both = tmp_path / "both.csv"
+        both.write_text("f1,f2,y,c\n" + "".join(
+            f"{a},{b},{y},{c}\n" for a, b, y, c in rows))
+        model_path = tmp_path / "rca.json"
+        code, _, _ = run_cli(capsys, "fit", "--algo", "rca", "--data",
+                             str(both), "--label-col", "y", "--chunk-col",
+                             "c", "--out", str(model_path))
+        assert code == 0
+        assert json.loads(model_path.read_text())["n_features"] == 2
+        labeled = tmp_path / "labeled.csv"
+        labeled.write_text("f1,f2,y\n" + "".join(
+            f"{a},{b},{y}\n" for a, b, y, _ in rows))
+        code, out, _ = run_cli(capsys, "transform", "--model",
+                               str(model_path), "--data", str(labeled),
+                               "--label-col", "y")
+        assert code == 0
+        assert out.splitlines()[0] == "c0,c1"
+        # the chunk column is no feature either: it cannot slip into a slot
+        code, _, err = run_cli(capsys, "transform", "--model",
+                               str(model_path), "--data", str(both),
+                               "--label-col", "y")
+        assert code == 2
+        assert err.startswith("error:")
+
     def test_lsml_from_quads(self, tmp_path, capsys):
         data, _, quads = write_dataset(tmp_path)
         model_path = tmp_path / "lsml.json"

@@ -156,8 +156,9 @@ class TestLMNN:
 
     def test_fit_components_are_frozen(self):
         # SHA-256 of the fitted map, recorded with the per-point impostor
-        # loop; a BLAS build that rounds x @ l.T differently would need a new
-        # digest, the oracle tests above are the portable check
+        # loop (again once distances and gradients were computed from
+        # centred rows); a BLAS build that rounds x @ l.T differently would
+        # need a new digest, the oracle tests above are the portable check
         r = np.random.default_rng(20240601)
         centers = np.array([[0.0, 0.0, 0.0, 0.0], [3.0, 0.0, 1.0, 0.0],
                             [0.0, 3.0, 0.0, 1.0]])
@@ -169,7 +170,7 @@ class TestLMNN:
         h = hashlib.sha256(f"{l.dtype.str}{l.shape}".encode())
         h.update(np.ascontiguousarray(l).tobytes())
         assert h.hexdigest() == \
-            "d35d0f41865ef9d98c4b39fa9b59d798cd4e6f2600504c7fd8d2b11f56fd0f14"
+            "73115023f56b64f8766ac7e5a55583edb0652cc77b553f736096164f0db90236"
 
     def test_objective_memory_stays_quadratic(self):
         n, k = 800, 10
@@ -321,6 +322,23 @@ class TestLFDA:
         m1 = LFDA().fit(x, y).get_mahalanobis_matrix()
         m2 = LFDA().fit(x[perm], y[perm]).get_mahalanobis_matrix()
         assert np.max(np.abs(m1 - m2)) <= 1e-8 * max(np.max(np.abs(m1)), 1.0)
+
+    def test_repeated_rows_fit_without_warnings(self):
+        # point 1 repeats point 0, so its nearest same-class neighbor sits
+        # at distance 0 (up to Gram rounding) and gives no local scale
+        x = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.5],
+                      [4.0, 4.0], [5.0, 3.5], [4.5, 5.0]])
+        y = [0, 0, 0, 1, 1, 1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            l = LFDA(knn=1).fit(x, y).components_
+        assert np.all(np.isfinite(l))
+        d2 = pairwise_sq_dists(x[:3])
+        assert np.array_equal(_local_scaling(d2, 1),
+                              np.sqrt([d2[0, 2], d2[1, 2], min(d2[2, :2])]))
+
+    def test_one_point_class_has_unit_scale(self):
+        assert np.array_equal(_local_scaling(np.zeros((3, 3)), 2), np.ones(3))
 
     def test_singleton_class_rejected(self):
         x = np.random.default_rng(0).standard_normal((4, 2))
