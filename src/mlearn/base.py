@@ -1,7 +1,8 @@
 """Estimator base classes: parameter handling plus Mahalanobis semantics.
 
 The estimators follow the familiar fit/transform/predict shape with
-``get_params``/``set_params`` introspected from ``__init__``, so they compose
+``get_params``/``set_params`` introspected from ``__init__`` (``set_params``
+checks each value against the type of its default), so they compose
 with the grid-search harness without any external framework. A fitted
 estimator stores a :class:`~mlearn.model.MahalanobisModel` in ``model_`` and
 mirrors its transformation matrix in ``components_``.
@@ -10,6 +11,7 @@ mirrors its transformation matrix in ``components_``.
 from __future__ import annotations
 
 import inspect
+import numbers
 
 import numpy as np
 
@@ -18,25 +20,56 @@ from .exceptions import ValidationError
 from .model import MahalanobisModel, _valid_threshold
 
 
+# the type of a parameter's __init__ default -> the value types it accepts;
+# bool is an int, so only a bool default takes a bool
+_PARAM_KINDS = (
+    (bool, bool, "a bool"), (numbers.Integral, numbers.Integral, "an integer"),
+    (numbers.Real, numbers.Real, "a number"), (str, str, "a string"),
+    (tuple, (list, tuple), "a list or tuple"),
+    (type(None), (numbers.Integral, type(None)), "an integer or None"),
+)
+
+
+def check_at_least(name: str, value, low, kind=numbers.Integral):
+    """value, which must be a kind (a bool is neither) and >= low."""
+    if isinstance(value, bool) or not isinstance(value, kind) or not value >= low:
+        what = "an integer" if kind is numbers.Integral else "a number"
+        raise ValidationError(f"{name} must be {what} >= {low}, got {value!r}")
+    return value
+
+
+def check_solver_limits(est) -> None:
+    """A negative max_iter runs no iteration and a negative tol never converges."""
+    check_at_least("max_iter", est.max_iter, 0)
+    check_at_least("tol", est.tol, 0, numbers.Real)
+
+
 class BaseEstimator:
     """Minimal get_params/set_params/clone support."""
 
     @classmethod
-    def _param_names(cls):
+    def _param_defaults(cls) -> dict:
         sig = inspect.signature(cls.__init__)
-        return [name for name in sig.parameters if name != "self"]
+        return {n: p.default for n, p in sig.parameters.items() if n != "self"}
 
     def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
+        return {name: getattr(self, name) for name in self._param_defaults()}
 
     def set_params(self, **params) -> "BaseEstimator":
-        valid = self._param_names()
+        """Set parameters, each of the type of its ``__init__`` default."""
+        defaults, owner = self._param_defaults(), type(self).__name__
         for name, value in params.items():
-            if name not in valid:
+            if name not in defaults:
                 raise ValidationError(
-                    f"unknown parameter {name!r} for {type(self).__name__}; "
-                    f"valid parameters: {sorted(valid)}"
+                    f"unknown parameter {name!r} for {owner}; "
+                    f"valid parameters: {sorted(defaults)}"
                 )
+            kind = next((k for k in _PARAM_KINDS
+                         if isinstance(defaults[name], k[0])), None)
+            if kind and (not isinstance(value, kind[1])
+                         or isinstance(value, bool) != (kind[0] is bool)):
+                raise ValidationError(
+                    f"parameter {name!r} of {owner} must be {kind[2]}, got {value!r}")
             setattr(self, name, value)
         return self
 

@@ -99,7 +99,9 @@ def load_features(path, label_col=None, chunk_col=None):
 
     def finalize(vals):
         arr = np.asarray(vals)
-        if np.all(arr == np.round(arr)):
+        # past 2**53 a float need not be the integer written, and past int64
+        # the cast would wrap distinct labels onto one
+        if np.all(arr == np.round(arr)) and np.all(np.abs(arr) <= 2.0 ** 53):
             return arr.astype(int)
         return arr
 
@@ -193,7 +195,7 @@ def _coerce_option(value: str):
 
 
 def _resolve_param(algo: str, estimator, name: str) -> str:
-    valid = estimator._param_names()
+    valid = estimator._param_defaults()
     if name in valid:
         return name
     prefix = algo + "_"
@@ -216,7 +218,7 @@ def build_estimator(args):
     for flag, name in (("n_components", "n_components"), ("max_iter", "max_iter"),
                        ("tol", "tol"), ("seed", "seed")):
         value = getattr(args, flag, None)
-        if value is not None and name in est._param_names():
+        if value is not None and name in est._param_defaults():
             params[name] = value
     for opt in getattr(args, "opt", None) or []:
         if "=" not in opt:

@@ -214,12 +214,11 @@ class MahalanobisModel:
                     objective_trace=(float(fr.get("final_objective", 0.0)),),
                 ),
             )
-        except (KeyError, TypeError) as exc:
+            shape = (int(d.get("n_components", model.n_components)),
+                     int(d.get("n_features", model.n_features)))
+        except (KeyError, TypeError, AttributeError) as exc:
             raise ValidationError(f"malformed model document: {exc}") from exc
-        if components.ndim == 2 and (
-            model.n_features != int(d.get("n_features", model.n_features))
-            or model.n_components != int(d.get("n_components", model.n_components))
-        ):
+        if shape != model.components.shape:
             raise ValidationError("model document shape fields disagree with components")
         return model
 

@@ -20,6 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .base import check_at_least
 from .exceptions import ValidationError
 from .rng import SplitMix64
 from .scoring import score
@@ -115,8 +116,7 @@ def knn_predict(train_x, train_y, test_x, knn_k: int, model):
     train_y = np.asarray(train_y)
     if len(train_x) == 0:
         raise ValidationError("k-NN needs a non-empty training set")
-    if knn_k < 1:
-        raise ValidationError(f"knn_k must be >= 1, got {knn_k}")
+    check_at_least("knn_k", knn_k, 1)
     if knn_k > len(train_x):
         raise ValidationError(
             f"knn_k={knn_k} exceeds the {len(train_x)} training samples"
@@ -259,7 +259,7 @@ def _apply_candidate(task, params: dict):
         if name == "knn_k":
             if _supervision(task).scorer is not _knn_scorer:
                 raise ValidationError("knn_k only applies to k-NN scored tasks")
-            task.knn_k = int(value)
+            task.knn_k = check_at_least("knn_k", value, 1)
         else:
             est.set_params(**{name: value})
     return task

@@ -10,8 +10,10 @@ steps are ever accepted, which makes every objective trace monotone by
 construction. Iteration stops when the objective change falls below
 tol * (1 + |objective|) or the iteration cap is reached.
 
-Objectives are value-first: a trial point costs one objective value, and
-the gradient is computed only at the starting point and at accepted steps.
+Objectives are value-first: each learner's ``X_objective(params, ...)``
+returns ``(f, grad)``, where ``grad()`` gives the gradient at ``params``. A
+trial point costs one objective value, and the gradient is computed only at
+the starting point and at accepted steps.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 
-from .base import MahalanobisEstimator
+from .base import MahalanobisEstimator, check_at_least, check_solver_limits
 from .exceptions import ValidationError
 from .linalg import gen_sym_eig, psd_sqrt
 from .model import FitReport, MahalanobisModel, _as_features
@@ -113,8 +113,8 @@ def _same_class(y: np.ndarray) -> np.ndarray:
     return (y[:, None] == y[None, :]) & ~np.eye(len(y), dtype=bool)
 
 
-def _nca_value(l: np.ndarray, x: np.ndarray, y: np.ndarray, same=None):
-    """Value-first form of nca_objective: (f, grad) with grad() -> gradient.
+def nca_objective(l: np.ndarray, x: np.ndarray, y: np.ndarray, same=None):
+    """Expected same-class softmax mass: (f, grad) with grad() -> gradient at l.
 
     ``same`` is ``_same_class(y)``; a fit builds it once and passes it in.
     """
@@ -138,12 +138,6 @@ def _nca_value(l: np.ndarray, x: np.ndarray, y: np.ndarray, same=None):
     return float(p_i.sum()), grad
 
 
-def nca_objective(l: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """Expected same-class softmax mass and its gradient with respect to l."""
-    f, grad = _nca_value(l, x, y)
-    return f, grad()
-
-
 class NCA(MahalanobisEstimator):
     """Gradient-ascent learner maximizing stochastic same-class neighbor mass."""
 
@@ -158,12 +152,13 @@ class NCA(MahalanobisEstimator):
         self.seed = seed
 
     def fit(self, x, y):
+        check_solver_limits(self)
         x, y = _check_classification(x, y)
         m = _resolve_components(self.n_components, x.shape[1])
         l0 = _init_transform(self.init, m, x.shape[1], self.seed)
         same = _same_class(y)
         l, report = backtracking_solve(
-            lambda l_: _nca_value(l_, x, y, same), l0,
+            lambda l_: nca_objective(l_, x, y, same), l0,
             max_iter=self.max_iter, tol=self.tol, maximize=True,
         )
         self._set_model(MahalanobisModel(l, algorithm="nca", fit_report=report))
@@ -195,14 +190,22 @@ def lmnn_targets(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
     return targets
 
 
-def _lmnn_value(l: np.ndarray, x: np.ndarray, y: np.ndarray,
-                targets: np.ndarray, push_weight: float, margin: float,
-                differ=None):
-    """Value-first form of lmnn_objective: (f, grad) with grad() -> gradient.
+def lmnn_objective(l: np.ndarray, x: np.ndarray, y: np.ndarray,
+                   targets: np.ndarray, push_weight: float, margin: float,
+                   differ=None):
+    """Pull + hinge-push loss: (f, grad) with grad() -> (sub)gradient at l.
 
-    The closure keeps one boolean impostor mask per target slot (k n^2
-    bytes) and rebuilds the pull and push weights from them. ``differ`` is
-    the n x n mask ``y_i != y_j``; a fit builds it once and passes it in.
+    The loss sums every hinge term, so it is a deterministic function of l;
+    the gradient uses the impostor set active at l.
+
+    The terms are gathered one target slot at a time: slot s pairs every
+    point i with its target ``targets[i, s]`` and weighs the hinge against
+    all n points at once, so memory stays O(n^2) and no (n, k, n) block is
+    built. The pull and push weights are integer counts, so the gradient is
+    exactly the one a per-point loop gives; only the summation order of the
+    loss differs (last-bit changes). The closure keeps one boolean impostor
+    mask per target slot (k n^2 bytes) and rebuilds the weights from them.
+    ``differ`` is the n x n mask ``y_i != y_j``; a fit builds it once.
     """
     if differ is None:
         differ = y[:, None] != y[None, :]
@@ -234,24 +237,6 @@ def _lmnn_value(l: np.ndarray, x: np.ndarray, y: np.ndarray,
     return (1.0 - push_weight) * pull + push_weight * push, grad
 
 
-def lmnn_objective(l: np.ndarray, x: np.ndarray, y: np.ndarray,
-                   targets: np.ndarray, push_weight: float, margin: float):
-    """Pull + hinge-push loss and its (sub)gradient.
-
-    The loss sums every hinge term, so it is a deterministic function of l;
-    the gradient uses the impostor set active at l.
-
-    The terms are gathered one target slot at a time: slot s pairs every
-    point i with its target ``targets[i, s]`` and weighs the hinge against
-    all n points at once, so memory stays O(n^2) and no (n, k, n) block is
-    built. The pull and push weights are integer counts, so the gradient is
-    exactly the one a per-point loop gives; only the summation order of the
-    loss differs (last-bit changes).
-    """
-    f, grad = _lmnn_value(l, x, y, targets, push_weight, margin)
-    return f, grad()
-
-
 class LMNN(MahalanobisEstimator):
     """Margin-based learner pulling target neighbors and pushing impostors."""
 
@@ -269,16 +254,18 @@ class LMNN(MahalanobisEstimator):
         self.seed = seed
 
     def fit(self, x, y):
+        check_solver_limits(self)
+        k = check_at_least("k", self.k, 1)
         x, y = _check_classification(x, y)
         if not 0.0 < self.push_weight < 1.0:
             raise ValidationError("push_weight must lie strictly in (0, 1)")
-        targets = lmnn_targets(x, y, int(self.k))
+        targets = lmnn_targets(x, y, k)
         m = _resolve_components(self.n_components, x.shape[1])
         l0 = _init_transform(self.init, m, x.shape[1], self.seed)
         differ = y[:, None] != y[None, :]
         l, report = backtracking_solve(
-            lambda l_: _lmnn_value(l_, x, y, targets, self.push_weight,
-                                   self.margin, differ),
+            lambda l_: lmnn_objective(l_, x, y, targets, self.push_weight,
+                                      self.margin, differ),
             l0, max_iter=self.max_iter, tol=self.tol,
         )
         self._set_model(MahalanobisModel(l, algorithm="lmnn", fit_report=report))
@@ -287,8 +274,9 @@ class LMNN(MahalanobisEstimator):
 
 # -- kernel-regression loss (MLKR) ------------------------------------------
 
-def _mlkr_value(l: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """Value-first form of mlkr_objective: (f, grad) with grad() -> gradient."""
+def mlkr_objective(l: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """Leave-one-out Nadaraya-Watson squared error: (f, grad) with grad() ->
+    gradient at l."""
     z = x @ l.T
     d2 = pairwise_sq_dists(z)
     np.fill_diagonal(d2, np.inf)
@@ -306,12 +294,6 @@ def _mlkr_value(l: np.ndarray, x: np.ndarray, y: np.ndarray):
     return float(np.sum(r * r)), grad
 
 
-def mlkr_objective(l: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """Leave-one-out Nadaraya-Watson squared error and its gradient."""
-    f, grad = _mlkr_value(l, x, y)
-    return f, grad()
-
-
 class MLKR(MahalanobisEstimator):
     """Metric learner minimizing leave-one-out kernel-regression error."""
 
@@ -326,6 +308,7 @@ class MLKR(MahalanobisEstimator):
         self.seed = seed
 
     def fit(self, x, y):
+        check_solver_limits(self)
         x = _as_features(x)
         y = np.asarray(y, dtype=float)
         if len(y) != len(x):
@@ -340,12 +323,10 @@ class MLKR(MahalanobisEstimator):
                 "any transform; returning the initial transform",
                 UserWarning,
             )
-            report = FitReport(True, 1, 0.0, (0.0,))
-            self._set_model(MahalanobisModel(l0, algorithm="mlkr",
-                                             fit_report=report))
+            self._set_model(MahalanobisModel(l0, algorithm="mlkr"))
             return self
         l, report = backtracking_solve(
-            lambda l_: _mlkr_value(l_, x, y), l0,
+            lambda l_: mlkr_objective(l_, x, y), l0,
             max_iter=self.max_iter, tol=self.tol,
         )
         self._set_model(MahalanobisModel(l, algorithm="mlkr", fit_report=report))
@@ -420,12 +401,13 @@ class LFDA(MahalanobisEstimator):
         self.embedding = embedding
 
     def fit(self, x, y):
+        knn = check_at_least("knn", self.knn, 1)
         x, y = _check_classification(x, y)
         if self.embedding not in ("weighted", "plain"):
             raise ValidationError("embedding must be 'weighted' or 'plain'")
         d = x.shape[1]
         m = _resolve_components(self.n_components, d)
-        s_between, s_within = _lfda_scatters(x, y, int(self.knn))
+        s_between, s_within = _lfda_scatters(x, y, knn)
         eps = 1e-9 * np.trace(s_within) / d
         res = gen_sym_eig(s_between, s_within + eps * np.eye(d), m)
         l = res.eigenvectors.T
@@ -481,6 +463,5 @@ class RCA(MahalanobisEstimator):
             )
         cov /= count
         l = psd_sqrt(cov + float(self.reg) * np.eye(d), invert=True)
-        report = FitReport(True, 1, 0.0, (0.0,))
-        self._set_model(MahalanobisModel(l, algorithm="rca", fit_report=report))
+        self._set_model(MahalanobisModel(l, algorithm="rca"))
         return self

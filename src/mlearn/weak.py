@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import MahalanobisEstimator, PairClassifierMixin, QuadrupletClassifierMixin
+from .base import (MahalanobisEstimator, PairClassifierMixin,
+                   QuadrupletClassifierMixin, check_solver_limits)
 from .exceptions import NumericalError, ValidationError
 from .linalg import psd_project, psd_sqrt, sym_eig
 from .model import FitReport, MahalanobisModel
@@ -47,14 +48,6 @@ def _prior_matrix(prior: str, points: np.ndarray, d: int) -> np.ndarray:
     )
 
 
-def _spd_inverse(m: np.ndarray) -> np.ndarray:
-    r = sym_eig(m)
-    if r.eigenvalues[-1] <= 0:
-        raise NumericalError("matrix is singular; cannot invert")
-    inv = (r.eigenvectors / r.eigenvalues) @ r.eigenvectors.T
-    return 0.5 * (inv + inv.T)
-
-
 def _weighted_gram(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sum_i w_i x_i x_i^T as a single matrix product."""
     return (x * w[:, None]).T @ x
@@ -62,9 +55,9 @@ def _weighted_gram(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 # -- MMC ---------------------------------------------------------------------
 
-def _mmc_diag_value(w: np.ndarray, pos2: np.ndarray, neg2: np.ndarray):
-    """Value-first form of mmc_diag_objective: (f, grad) with grad() ->
-    gradient."""
+def mmc_diag_objective(w: np.ndarray, pos2: np.ndarray, neg2: np.ndarray):
+    """Diagonal-variant objective g(w): (f, grad) with grad() -> gradient at
+    w; pos2/neg2 hold squared pair differences row-wise."""
     sim = float(np.sum(pos2 @ w))
     dis = np.sqrt(np.maximum(neg2 @ w, 0.0))
     total = float(np.sum(dis))
@@ -79,28 +72,16 @@ def _mmc_diag_value(w: np.ndarray, pos2: np.ndarray, neg2: np.ndarray):
     return sim - np.log(total), grad
 
 
-def mmc_diag_objective(w: np.ndarray, pos2: np.ndarray, neg2: np.ndarray):
-    """Diagonal-variant objective g(w) and gradient; pos2/neg2 hold squared
-    pair differences row-wise."""
-    f, grad = _mmc_diag_value(w, pos2, neg2)
-    return f, grad()
-
-
-def _mmc_value(m: np.ndarray, neg: np.ndarray):
-    """Value-first form of mmc_objective: (f, grad) with grad() -> gradient."""
+def mmc_objective(m: np.ndarray, neg: np.ndarray):
+    """Full-variant objective, the sum of dissimilar-pair distances under m:
+    (f, grad) with grad() -> gradient at m; neg holds dissimilar pair
+    differences row-wise."""
     dist = np.sqrt(np.maximum(np.sum((neg @ m) * neg, axis=1), 0.0))
 
     def grad():
         safe = dist > 0.0
         return _weighted_gram(neg[safe], 0.5 / dist[safe])
     return float(np.sum(dist)), grad
-
-
-def mmc_objective(m: np.ndarray, neg: np.ndarray):
-    """Full-variant objective, the sum of dissimilar-pair distances under m,
-    and its gradient; neg holds dissimilar pair differences row-wise."""
-    f, grad = _mmc_value(m, neg)
-    return f, grad()
 
 
 class MMC(MahalanobisEstimator, PairClassifierMixin):
@@ -121,6 +102,7 @@ class MMC(MahalanobisEstimator, PairClassifierMixin):
         self.tol = tol
 
     def fit(self, pairs, y):
+        check_solver_limits(self)
         pos, neg = _split_pairs(pairs, y)
         if not np.any(np.sum(neg * neg, axis=1) > 0.0):
             raise NumericalError(
@@ -138,7 +120,7 @@ class MMC(MahalanobisEstimator, PairClassifierMixin):
         pos2, neg2 = pos * pos, neg * neg
         w0 = np.ones(d)
         w, report = backtracking_solve(
-            lambda w_: _mmc_diag_value(w_, pos2, neg2), w0,
+            lambda w_: mmc_diag_objective(w_, pos2, neg2), w0,
             max_iter=self.max_iter, tol=self.tol,
             project=lambda w_: np.clip(w_, 0.0, None),
         )
@@ -159,7 +141,7 @@ class MMC(MahalanobisEstimator, PairClassifierMixin):
         total_pos = budget(np.eye(d))
         m0 = np.eye(d) / total_pos if total_pos > 0 else np.eye(d)
         m, report = backtracking_solve(
-            lambda m_: _mmc_value(m_, neg), m0,
+            lambda m_: mmc_objective(m_, neg), m0,
             max_iter=self.max_iter, tol=self.tol,
             maximize=True, project=project,
         )
@@ -205,6 +187,7 @@ class ITML(MahalanobisEstimator, PairClassifierMixin):
         self.tol = tol
 
     def fit(self, pairs, y):
+        check_solver_limits(self)
         deltas = []
         for a, delta in self._cycles(pairs, y):
             if delta is not None:
@@ -264,9 +247,11 @@ class ITML(MahalanobisEstimator, PairClassifierMixin):
 
 # -- LSML --------------------------------------------------------------------
 
-def _lsml_value(m: np.ndarray, diffs_close: np.ndarray, diffs_far: np.ndarray,
-                m0inv: np.ndarray, logdet_m0: float, reg: float):
-    """Value-first form of lsml_objective: (f, grad) with grad() -> gradient."""
+def lsml_objective(m: np.ndarray, diffs_close: np.ndarray, diffs_far: np.ndarray,
+                   m0inv: np.ndarray, logdet_m0: float, reg: float):
+    """Squared-residual hinge over quadruplets plus LogDet anchoring to the
+    prior: (f, grad) with grad() -> gradient at m, which treats the hinge
+    active set at m as fixed."""
     d = m.shape[0]
     r = sym_eig(m)
     vals = np.maximum(r.eigenvalues, _EIG_FLOOR)
@@ -287,14 +272,6 @@ def _lsml_value(m: np.ndarray, diffs_close: np.ndarray, diffs_far: np.ndarray,
     return smooth + float(np.sum(viol * viol)), grad
 
 
-def lsml_objective(m: np.ndarray, diffs_close: np.ndarray, diffs_far: np.ndarray,
-                   m0inv: np.ndarray, logdet_m0: float, reg: float):
-    """Squared-residual hinge over quadruplets plus LogDet anchoring to the
-    prior; gradient treats the hinge active set as fixed."""
-    f, grad = _lsml_value(m, diffs_close, diffs_far, m0inv, logdet_m0, reg)
-    return f, grad()
-
-
 class LSML(MahalanobisEstimator, QuadrupletClassifierMixin):
     """Quadruplet learner minimizing squared residuals of ordering violations."""
 
@@ -307,6 +284,7 @@ class LSML(MahalanobisEstimator, QuadrupletClassifierMixin):
         self.tol = tol
 
     def fit(self, quads):
+        check_solver_limits(self)
         quads = validate_tuples(quads, 4)
         if len(quads) == 0:
             raise ValidationError("need at least one quadruplet")
@@ -319,7 +297,8 @@ class LSML(MahalanobisEstimator, QuadrupletClassifierMixin):
                 np.maximum(r0.eigenvalues, 1e-300)))):
             raise ValidationError("invalid prior: log-determinant is not finite")
         logdet_m0 = float(np.sum(np.log(r0.eigenvalues)))
-        m0inv = _spd_inverse(m0)
+        m0inv = (r0.eigenvectors / r0.eigenvalues) @ r0.eigenvectors.T
+        m0inv = 0.5 * (m0inv + m0inv.T)
         diffs_close = quads[:, 0] - quads[:, 1]
         diffs_far = quads[:, 2] - quads[:, 3]
 
@@ -330,8 +309,8 @@ class LSML(MahalanobisEstimator, QuadrupletClassifierMixin):
             return 0.5 * (out + out.T)
 
         m, report = backtracking_solve(
-            lambda m_: _lsml_value(m_, diffs_close, diffs_far, m0inv,
-                                   logdet_m0, float(self.reg)),
+            lambda m_: lsml_objective(m_, diffs_close, diffs_far, m0inv,
+                                      logdet_m0, float(self.reg)),
             m0, max_iter=self.max_iter, tol=self.tol, project=project,
         )
         model = MahalanobisModel(psd_sqrt(m), algorithm="lsml", fit_report=report)

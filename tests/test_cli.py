@@ -87,6 +87,14 @@ class TestLoadFeatures:
         _, y, _ = load_features(p, label_col="y")
         assert np.array_equal(y, [0.5, 1.5])
 
+    def test_labels_beyond_int64_stay_distinct(self, tmp_path):
+        # an int cast would wrap both onto -2**63 (with a RuntimeWarning,
+        # which pytest turns into an error)
+        p = tmp_path / "d.csv"
+        p.write_text("f1,y\n0,1e20\n1,2e20\n")
+        _, y, _ = load_features(p, label_col="y")
+        assert np.array_equal(y, [1e20, 2e20])
+
 
 class TestLoadTuples:
     def test_labeled_pairs(self, tmp_path):
@@ -392,6 +400,16 @@ class TestCv:
             "best max_iter=2,knn_k=5 mean 0.958333\n"
         )
 
+    def test_labels_beyond_int64_cross_validate(self, tmp_path, capsys):
+        data, _, _ = write_dataset(tmp_path)
+        text = data.read_text().replace(",0\n", ",1e20\n").replace(",1\n", ",2e20\n")
+        data.write_text(text)
+        code, out, err = run_cli(capsys, "cv", "--algo", "nca", "--data",
+                                 str(data), "--label-col", "y", "--max-iter",
+                                 "5")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1].startswith("mean ")
+
     def test_pairs_cv_roc_auc(self, tmp_path, capsys):
         data, pairs, _ = write_dataset(tmp_path)
         code, out, _ = run_cli(capsys, "cv", "--algo", "itml", "--data",
@@ -476,6 +494,52 @@ class TestMalformedTupleFiles:
         text = "i,label\n0,1\n" if arity == 2 else "i,j,k\n0,1,2\n"
         err = self._run(capsys, setup, command, text)
         assert "expected columns" in err
+
+
+class TestMalformedOptionsAndModels:
+    """Mistyped options, mistyped grid values and malformed model JSON exit
+    2 with a one-line error and no traceback."""
+
+    def _exits_2(self, capsys, *argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2, err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("field,value", [
+        ("fit_report", 5), ("fit_report", [1]), ("n_features", None),
+        ("n_components", None)])
+    def test_malformed_model_field(self, tmp_path, capsys, field, value):
+        data, _, _ = write_dataset(tmp_path)
+        model = tmp_path / "m.json"
+        code, _, _ = run_cli(capsys, "fit", "--algo", "lfda", "--data",
+                             str(data), "--label-col", "y", "--out",
+                             str(model))
+        assert code == 0
+        doc = json.loads(model.read_text())
+        doc[field] = value
+        model.write_text(json.dumps(doc))
+        self._exits_2(capsys, "transform", "--model", str(model), "--data",
+                      str(data), "--label-col", "y")
+
+    @pytest.mark.parametrize("algo,opt", [
+        ("nca", "max_iter=2.5"), ("nca", "max_iter=abc"),
+        ("itml", "max_iter=2.5"), ("itml", "max_iter=abc"),
+        ("lmnn", "tol=abc"), ("lmnn", "margin=abc"), ("mmc", "diagonal=abc")])
+    def test_mistyped_option(self, tmp_path, capsys, algo, opt):
+        data, pairs, _ = write_dataset(tmp_path)
+        self._exits_2(capsys, "fit", "--algo", algo, "--data", str(data),
+                      "--label-col", "y", "--pairs", str(pairs), "--opt", opt,
+                      "--out", str(tmp_path / "m.json"))
+
+    @pytest.mark.parametrize("grid", [
+        '{"max_iter": [null]}', '{"tol": ["x"]}', '{"knn_k": [null]}',
+        '{"knn_k": [1.5]}', '{"push_weight": ["a"]}'])
+    def test_mistyped_grid_value(self, tmp_path, capsys, grid):
+        data, _, _ = write_dataset(tmp_path)
+        path = tmp_path / "grid.json"
+        path.write_text(grid)
+        self._exits_2(capsys, "cv", "--algo", "lmnn", "--data", str(data),
+                      "--label-col", "y", "--grid", str(path))
 
 
 class TestExitCodes:

@@ -1,6 +1,6 @@
 """The line-search solver asks for gradients only at accepted points, and the
-value-first objectives it drives give every learner the same fit as the
-eager (objective, gradient) forms they replaced."""
+value-first objective of every learner gives the same fit as the eager
+(objective, gradient) solver it replaced (the digests pinned below)."""
 
 import hashlib
 import warnings
@@ -94,32 +94,33 @@ def _quads():
 
 
 _FITS = {
-    "nca": lambda: (supervised, "_nca_value", NCA(max_iter=20), _blobs()),
-    "lmnn": lambda: (supervised, "_lmnn_value", LMNN(k=3, max_iter=20),
+    "nca": lambda: (supervised, "nca_objective", NCA(max_iter=20), _blobs()),
+    "lmnn": lambda: (supervised, "lmnn_objective", LMNN(k=3, max_iter=20),
                      _blobs()),
-    "mlkr": lambda: (supervised, "_mlkr_value", MLKR(max_iter=20),
+    "mlkr": lambda: (supervised, "mlkr_objective", MLKR(max_iter=20),
                      _regression()),
-    "mmc": lambda: (weak, "_mmc_value", MMC(max_iter=20), _pairs()),
-    "mmc_diag": lambda: (weak, "_mmc_diag_value",
+    "mmc": lambda: (weak, "mmc_objective", MMC(max_iter=20), _pairs()),
+    "mmc_diag": lambda: (weak, "mmc_diag_objective",
                          MMC(diagonal=True, max_iter=20), _pairs()),
-    "lsml": lambda: (weak, "_lsml_value", LSML(max_iter=20), (_quads(),)),
+    "lsml": lambda: (weak, "lsml_objective", LSML(max_iter=20), (_quads(),)),
 }
 
 
 class TestValueThenGradient:
-    """Each public objective equals its value part followed by its gradient
-    closure, bit for bit, even when other points were evaluated in between
-    (a closure must not share state with a later evaluation)."""
+    """Each objective's gradient closure gives, bit for bit, what a fresh
+    evaluate-then-grad() at its point gives, even when another point was
+    evaluated and differentiated in between (a closure must not share state
+    with a later evaluation)."""
 
-    def _check(self, value, public, point_a, point_b):
-        f_a, grad_a = value(point_a)
-        f_b, grad_b = value(point_b)
+    def _check(self, objective, point_a, point_b):
+        f_a, grad_a = objective(point_a)
+        f_b, grad_b = objective(point_b)
         g_b = grad_b()
         g_a = grad_a()
         for f, g, p in ((f_a, g_a, point_a), (f_b, g_b, point_b)):
-            f_ref, g_ref = public(p)
+            f_ref, grad_ref = objective(p)
             assert f == f_ref
-            assert np.array_equal(g, g_ref)
+            assert np.array_equal(g, grad_ref())
 
     def test_supervised(self):
         x, y = _blobs(per=8)
@@ -128,33 +129,28 @@ class TestValueThenGradient:
         targets = supervised.lmnn_targets(x, y, 3)
         y_reg = x @ [1.0, -0.5, 0.2, 0.0]
         cases = [
-            (supervised._nca_value, supervised.nca_objective, (x, y)),
-            (supervised._lmnn_value, supervised.lmnn_objective,
-             (x, y, targets, 0.3, 1.0)),
-            (supervised._mlkr_value, supervised.mlkr_objective, (x, y_reg)),
+            (supervised.nca_objective, (x, y)),
+            (supervised.lmnn_objective, (x, y, targets, 0.3, 1.0)),
+            (supervised.mlkr_objective, (x, y_reg)),
         ]
-        for value, public, args in cases:
-            self._check(lambda p: value(p, *args), lambda p: public(p, *args),
-                        la, lb)
+        for objective, args in cases:
+            self._check(lambda p: objective(p, *args), la, lb)
 
     def test_weak(self):
         r = np.random.default_rng(5)
         pos, neg = r.standard_normal((2, 12, 3))
         a = r.standard_normal((3, 3))
         ma, mb = a @ a.T + 0.5 * np.eye(3), np.diag([1.0, 2.0, 0.5])
-        self._check(lambda m: weak._mmc_value(m, neg),
-                    lambda m: weak.mmc_objective(m, neg), ma, mb)
+        self._check(lambda m: weak.mmc_objective(m, neg), ma, mb)
         wa, wb = r.random(3) + 0.5, np.array([0.0, 1.0, 2.0])
-        self._check(lambda w: weak._mmc_diag_value(w, pos ** 2, neg ** 2),
-                    lambda w: weak.mmc_diag_objective(w, pos ** 2, neg ** 2),
+        self._check(lambda w: weak.mmc_diag_objective(w, pos ** 2, neg ** 2),
                     wa, wb)
         args = (pos, neg, np.diag([1.0, 2.0, 0.5]), 0.1, 0.3)
-        self._check(lambda m: weak._lsml_value(m, *args),
-                    lambda m: weak.lsml_objective(m, *args), ma, mb)
+        self._check(lambda m: weak.lsml_objective(m, *args), ma, mb)
 
     def test_infeasible_mmc_diag_point(self):
         pos2, neg2 = np.ones((2, 3)), np.ones((2, 3))
-        f, grad = weak._mmc_diag_value(np.zeros(3), pos2, neg2)
+        f, grad = weak.mmc_diag_objective(np.zeros(3), pos2, neg2)
         assert f == np.inf
         assert np.array_equal(grad(), np.zeros(3))
 

@@ -8,7 +8,18 @@ import numpy as np
 import pytest
 
 import mlearn
-from mlearn import LFDA, LMNN, MLKR, NCA, RCA
+from mlearn import (
+    ITML,
+    LFDA,
+    LMNN,
+    LSML,
+    MLKR,
+    MMC,
+    NCA,
+    RCA,
+    pairs_from_labels,
+    quadruplets_from_labels,
+)
 from mlearn.exceptions import ValidationError
 from mlearn.linalg import gen_sym_eig
 from mlearn.supervised import (
@@ -49,7 +60,7 @@ class TestNCA:
         x = r.standard_normal((10, 4))
         y = r.integers(0, 2, 10)
         l = r.standard_normal((4, 4)) * 0.3
-        _, g = nca_objective(l, x, y)
+        g = nca_objective(l, x, y)[1]()
         fd = finite_diff_grad(lambda l_: nca_objective(l_, x, y)[0], l)
         assert max_rel_err(g, fd) <= 1e-5
 
@@ -114,7 +125,7 @@ class TestLMNN:
         y = r.integers(0, 2, 10)
         targets = lmnn_targets(x, y, 1)
         l = np.eye(4) + 0.1 * r.standard_normal((4, 4))
-        _, g = lmnn_objective(l, x, y, targets, 0.5, 1.0)
+        g = lmnn_objective(l, x, y, targets, 0.5, 1.0)[1]()
         fd = finite_diff_grad(
             lambda l_: lmnn_objective(l_, x, y, targets, 0.5, 1.0)[0], l)
         assert max_rel_err(g, fd) <= 1e-5
@@ -148,7 +159,8 @@ class TestLMNN:
                 # half-integer maps keep distances exact, so hinges sit at 0
                 l = np.round(2.0 * l) / 2.0
             for margin in (1.0, 0.5):
-                f, g = lmnn_objective(l, x, y, targets, 0.3, margin)
+                f, grad = lmnn_objective(l, x, y, targets, 0.3, margin)
+                g = grad()
                 f_ref, g_ref = _lmnn_objective_oracle(l, x, y, targets, 0.3,
                                                       margin)
                 assert np.array_equal(g, g_ref)
@@ -181,7 +193,7 @@ class TestLMNN:
         l = np.eye(5)
         tracemalloc.start()
         try:
-            lmnn_objective(l, x, y, targets, 0.5, 1.0)
+            lmnn_objective(l, x, y, targets, 0.5, 1.0)[1]()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -249,7 +261,7 @@ class TestMLKR:
         x = r.standard_normal((8, 3))
         y = r.standard_normal(8)
         l = r.standard_normal((3, 3)) * 0.4
-        _, g = mlkr_objective(l, x, y)
+        g = mlkr_objective(l, x, y)[1]()
         fd = finite_diff_grad(lambda l_: mlkr_objective(l_, x, y)[0], l)
         assert max_rel_err(g, fd) <= 1e-5
 
@@ -482,6 +494,43 @@ class TestCommonEstimatorBehaviour:
         assert est.tol == 1e-3
         with pytest.raises(ValidationError):
             est.set_params(bogus=1)
+
+    @pytest.mark.parametrize("name,value", [
+        ("max_iter", 2.5), ("max_iter", "abc"), ("max_iter", None),
+        ("max_iter", True), ("tol", "abc"), ("tol", None), ("margin", "abc"),
+        ("k", 2.0), ("diagonal", "abc"), ("diagonal", 1), ("init", 1),
+        ("percentiles", 5), ("n_components", 2.0), ("n_components", True),
+    ])
+    def test_set_params_rejects_the_wrong_type(self, name, value):
+        est = next(cls() for cls in (LMNN, MMC, ITML)
+                   if name in cls._param_defaults())
+        with pytest.raises(ValidationError, match=name):
+            est.set_params(**{name: value})
+
+    @pytest.mark.parametrize("name,value", [
+        ("max_iter", 0), ("max_iter", np.int64(7)), ("tol", 1),
+        ("tol", np.float32(0.5)), ("diagonal", True), ("init", "random"),
+        ("percentiles", [10, 90]), ("n_components", None),
+        ("n_components", 2),
+    ])
+    def test_set_params_accepts_the_default_type(self, name, value):
+        est = next(cls() for cls in (LMNN, MMC, ITML)
+                   if name in cls._param_defaults())
+        assert est.set_params(**{name: value}).get_params()[name] is value
+
+    @pytest.mark.parametrize("cls,name,value", [
+        (LFDA, "knn", 0), (LFDA, "knn", -1), (LFDA, "knn", 2.5), (LMNN, "k", 0),
+    ] + [(cls, name, -1) for cls in (NCA, LMNN, MLKR, MMC, ITML, LSML)
+         for name in ("max_iter", "tol")])
+    def test_out_of_range_values_rejected(self, cls, name, value):
+        # unchecked, each of these fits without complaint: knn=0 scales by
+        # the farthest same-class point, k=0 returns the identity as
+        # converged, max_iter=-1 runs no iteration, tol=-1 never converges
+        x, y = clustered_data()
+        inputs = {"labels": (x, y), "pairs": pairs_from_labels(x, y, 2, seed=0),
+                  "quads": (quadruplets_from_labels(x, y, 2, seed=0),)}
+        with pytest.raises(ValidationError, match=f"^{name} must be"):
+            cls(**{name: value}).fit(*inputs[cls.supervision])
 
     def test_clone_is_unfitted_copy(self):
         x, y = clustered_data()
