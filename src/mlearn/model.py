@@ -216,7 +216,9 @@ class MahalanobisModel:
             )
             shape = (int(d.get("n_components", model.n_components)),
                      int(d.get("n_features", model.n_features)))
-        except (KeyError, TypeError, AttributeError) as exc:
+        except ValidationError:
+            raise
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ValidationError(f"malformed model document: {exc}") from exc
         if shape != model.components.shape:
             raise ValidationError("model document shape fields disagree with components")

@@ -8,6 +8,9 @@ symmetric square-root factor at the end.
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 from .base import (MahalanobisEstimator, PairClassifierMixin,
@@ -22,6 +25,7 @@ _EIG_FLOOR = 1e-10  # keeps log-determinants finite in LSML
 
 
 def _split_pairs(pairs, y):
+    """(validated pairs, similar differences, dissimilar differences)."""
     pairs = validate_tuples(pairs, 2, labels=y)
     y = np.asarray(y)
     pos = pairs[y == 1, 0] - pairs[y == 1, 1]
@@ -30,7 +34,7 @@ def _split_pairs(pairs, y):
         raise ValidationError(
             "degenerate constraints: need at least one +1 and one -1 pair"
         )
-    return pos, neg
+    return pairs, pos, neg
 
 
 def _prior_matrix(prior: str, points: np.ndarray, d: int) -> np.ndarray:
@@ -103,7 +107,7 @@ class MMC(MahalanobisEstimator, PairClassifierMixin):
 
     def fit(self, pairs, y):
         check_solver_limits(self)
-        pos, neg = _split_pairs(pairs, y)
+        _, pos, neg = _split_pairs(pairs, y)
         if not np.any(np.sum(neg * neg, axis=1) > 0.0):
             raise NumericalError(
                 "all dissimilar pairs coincide: log of zero distance"
@@ -152,7 +156,14 @@ class MMC(MahalanobisEstimator, PairClassifierMixin):
 
 def itml_bounds(pairs, percentiles) -> tuple[float, float]:
     """Similarity/dissimilarity bounds on squared Euclidean pair distances."""
-    low, high = percentiles
+    try:
+        low, high = percentiles
+    except (TypeError, ValueError):
+        low = high = None
+    if not all(isinstance(p, numbers.Real) and not isinstance(p, bool)
+               for p in (low, high)):
+        raise ValidationError(
+            f"percentiles must be two numbers (low, high), got {percentiles!r}")
     if not 0 <= low < high <= 100:
         raise ValidationError("percentiles must satisfy 0 <= low < high <= 100")
     pairs = np.asarray(pairs, dtype=float)
@@ -167,13 +178,27 @@ def itml_bounds(pairs, percentiles) -> tuple[float, float]:
     return max(float(u), 1e-9), max(float(l), 1e-9)
 
 
+def _bregman_step(wtw, lam, bound, similar, gamma, gamma_proj):
+    """(alpha, beta, new bound) of one constraint's Bregman projection, where
+    wtw is the constraint's squared distance under the current M."""
+    if similar:
+        alpha = min(lam, gamma_proj * (1.0 / wtw - 1.0 / bound))
+        return (alpha, alpha / (1.0 - alpha * wtw),
+                1.0 / (1.0 / bound + alpha / gamma))
+    alpha = min(lam, gamma_proj * (1.0 / bound - 1.0 / wtw))
+    return (alpha, -alpha / (1.0 + alpha * wtw),
+            1.0 / (1.0 / bound - alpha / gamma))
+
+
 class ITML(MahalanobisEstimator, PairClassifierMixin):
     """Bregman-projection pair learner anchored to a prior metric.
 
     Cycles through the pair constraints, applying to each a rank-one
     multiplicative update of M that enforces the (slack-adjusted) distance
     bound while moving minimally in LogDet divergence. gamma controls the
-    slack: larger values enforce the bounds more strictly.
+    slack: larger values enforce the bounds more strictly. A constraint that
+    is already satisfied with a zero multiplier costs one quadratic form and
+    no rank-one update.
     """
 
     supervision = "pairs"
@@ -203,43 +228,60 @@ class ITML(MahalanobisEstimator, PairClassifierMixin):
     def _cycles(self, pairs, y):
         """Yield (M, multiplier change): first the prior with change None,
         then one entry per full cycle."""
-        pos, neg = _split_pairs(pairs, y)
+        pairs, pos, neg = _split_pairs(pairs, y)
         d = pos.shape[1]
-        u, l = itml_bounds(np.asarray(pairs, dtype=float), self.percentiles)
+        u, l = itml_bounds(pairs, self.percentiles)
         self.bounds_ = (u, l)
         gamma = float(self.gamma)
         if gamma <= 0:
             raise ValidationError("gamma must be > 0")
         gamma_proj = gamma / (gamma + 1.0)
-        a = _prior_matrix(self.prior, np.asarray(pairs, float).reshape(-1, d),
-                          d).copy()
+        # + 0.0 copies the prior and turns any -0.0 into +0.0 (np.eye and
+        # numpy's b^T b hold none). The rank-one updates and the
+        # symmetrisation of an exactly symmetric M never make a -0.0,
+        # which the skip below relies on
+        a = _prior_matrix(self.prior, pairs.reshape(-1, d), d) + 0.0
         vecs = np.vstack([pos, neg])
         n_pos = len(pos)
-        lam = np.zeros(len(vecs))
-        bhat = np.concatenate([np.full(n_pos, u), np.full(len(neg), l)])
-        self.adjusted_bounds_ = bhat.copy()
+        # the per-constraint state is Python floats: scalar arithmetic on
+        # them gives numpy's bits at a fraction of its dispatch cost
+        lam = [0.0] * len(vecs)
+        bhat = [u] * n_pos + [l] * len(neg)
+        self.adjusted_bounds_ = np.array(bhat)
         self.n_pos_constraints_ = n_pos
+        buf = np.empty((d, d))
         yield a, None
         for _ in range(self.max_iter):
             lam_old = lam.copy()
             for i, v in enumerate(vecs):
-                wtw = float(v @ a @ v)
+                wtw = float(v.dot(a).dot(v))
                 if wtw <= 0.0:
                     continue
-                if i < n_pos:
-                    alpha = min(lam[i], gamma_proj * (1.0 / wtw - 1.0 / bhat[i]))
-                    beta = alpha / (1.0 - alpha * wtw)
-                    bhat[i] = 1.0 / (1.0 / bhat[i] + alpha / gamma)
-                else:
-                    alpha = min(lam[i], gamma_proj * (1.0 / bhat[i] - 1.0 / wtw))
-                    beta = -alpha / (1.0 + alpha * wtw)
-                    bhat[i] = 1.0 / (1.0 / bhat[i] - alpha / gamma)
+                try:
+                    alpha, beta, bhat[i] = _bregman_step(
+                        wtw, lam[i], bhat[i], i < n_pos, gamma, gamma_proj)
+                except ZeroDivisionError:
+                    # a bound or a denominator is 0: numpy scalars give
+                    # inf or nan with a RuntimeWarning where Python floats
+                    # raise
+                    alpha, beta, bhat[i] = _bregman_step(
+                        np.float64(wtw), np.float64(lam[i]),
+                        np.float64(bhat[i]), i < n_pos, gamma, gamma_proj)
                 lam[i] -= alpha
-                av = a @ v
-                a += beta * np.outer(av, av)
+                if alpha == 0.0 and math.isfinite(wtw):
+                    # beta is +-0, and a.dot(v) is finite: it holds the
+                    # sums v.dot(a) holds, whose dot with v gave the finite
+                    # wtw. The update would add +-0 to every entry of M,
+                    # which holds no -0.0: a no-op
+                    continue
+                av = a.dot(v)
+                np.multiply(av[:, None], av, out=buf)
+                buf *= beta
+                a += buf
             a = 0.5 * (a + a.T)
-            delta = float(np.max(np.abs(lam - lam_old)))
-            self.adjusted_bounds_ = bhat.copy()
+            # np.max, unlike max(), returns nan when any change is nan
+            delta = float(np.max(np.abs(np.subtract(lam, lam_old))))
+            self.adjusted_bounds_ = np.array(bhat)
             yield a, delta
             if delta <= self.tol:
                 break

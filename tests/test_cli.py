@@ -507,7 +507,9 @@ class TestMalformedOptionsAndModels:
 
     @pytest.mark.parametrize("field,value", [
         ("fit_report", 5), ("fit_report", [1]), ("n_features", None),
-        ("n_components", None)])
+        ("n_components", None), ("components", [[1.0, 0.0], [0.0]]),
+        ("components", "abc"), ("fit_report.final_objective", "x"),
+        ("fit_report.n_iter", "x")])
     def test_malformed_model_field(self, tmp_path, capsys, field, value):
         data, _, _ = write_dataset(tmp_path)
         model = tmp_path / "m.json"
@@ -516,7 +518,8 @@ class TestMalformedOptionsAndModels:
                              str(model))
         assert code == 0
         doc = json.loads(model.read_text())
-        doc[field] = value
+        parent, _, key = field.rpartition(".")
+        (doc[parent] if parent else doc)[key] = value
         model.write_text(json.dumps(doc))
         self._exits_2(capsys, "transform", "--model", str(model), "--data",
                       str(data), "--label-col", "y")
@@ -524,7 +527,9 @@ class TestMalformedOptionsAndModels:
     @pytest.mark.parametrize("algo,opt", [
         ("nca", "max_iter=2.5"), ("nca", "max_iter=abc"),
         ("itml", "max_iter=2.5"), ("itml", "max_iter=abc"),
-        ("lmnn", "tol=abc"), ("lmnn", "margin=abc"), ("mmc", "diagonal=abc")])
+        ("lmnn", "tol=abc"), ("lmnn", "margin=abc"), ("mmc", "diagonal=abc"),
+        ("itml", "percentiles=5,abc"), ("itml", "percentiles=5"),
+        ("itml", "percentiles=5,95,99")])
     def test_mistyped_option(self, tmp_path, capsys, algo, opt):
         data, pairs, _ = write_dataset(tmp_path)
         self._exits_2(capsys, "fit", "--algo", algo, "--data", str(data),

@@ -314,6 +314,31 @@ class TestPersistence:
         with pytest.raises(ValidationError):
             MahalanobisModel.load(path)
 
+    @staticmethod
+    def _doc(**changes):
+        doc = {"algorithm": "manual", "n_features": 2, "n_components": 2,
+               "components": [[1.0, 0.0], [0.0, 1.0]], "threshold": None,
+               "fit_report": {"converged": True, "n_iter": 1,
+                              "final_objective": 0.0}}
+        for key, value in changes.items():
+            if key in doc["fit_report"]:
+                doc["fit_report"][key] = value
+            else:
+                doc[key] = value
+        return doc
+
+    @pytest.mark.parametrize("changes", [
+        {"components": [[1.0, 0.0], [0.0]]}, {"components": "abc"},
+        {"final_objective": "x"}, {"n_iter": "x"}, {"n_features": "x"}])
+    def test_malformed_values_are_validation_errors(self, changes):
+        with pytest.raises(ValidationError, match="^malformed model document"):
+            MahalanobisModel.from_dict(self._doc(**changes))
+
+    def test_component_errors_keep_their_message(self):
+        with pytest.raises(ValidationError,
+                           match="^components must be a non-empty 2-D matrix$"):
+            MahalanobisModel.from_dict(self._doc(components=[1.0, 2.0]))
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{not json")

@@ -18,8 +18,10 @@ import mlearn.calibration
 import mlearn.model
 from mlearn.calibration import candidate_thresholds
 from mlearn.exceptions import DimensionError, NumericalError, ValidationError
+from mlearn.linalg import psd_project, psd_sqrt
 from mlearn.tuples import validate_tuples
 from mlearn.weak import (
+    _prior_matrix,
     itml_bounds,
     lsml_objective,
     mmc_diag_objective,
@@ -47,6 +49,53 @@ def fit_quiet(est, *args):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return est.fit(*args)
+
+
+def reference_itml_cycles(est, pairs, y):
+    """ITML's cycle loop as it was written before zero-multiplier steps
+    skipped the rank-one update: numpy state, ``v @ a @ v``, ``np.outer``.
+
+    Returns ([(M, change, adjusted bounds), ...], the number of steps whose
+    multiplier change alpha was 0), copying each yielded value.
+    """
+    pairs = np.asarray(pairs, dtype=float)
+    y = np.asarray(y)
+    pos = pairs[y == 1, 0] - pairs[y == 1, 1]
+    neg = pairs[y == -1, 0] - pairs[y == -1, 1]
+    d = pos.shape[1]
+    u, l = itml_bounds(pairs, est.percentiles)
+    gamma = float(est.gamma)
+    gamma_proj = gamma / (gamma + 1.0)
+    a = _prior_matrix(est.prior, pairs.reshape(-1, d), d).copy()
+    vecs = np.vstack([pos, neg])
+    n_pos = len(pos)
+    lam = np.zeros(len(vecs))
+    bhat = np.concatenate([np.full(n_pos, u), np.full(len(neg), l)])
+    out, zero_steps = [(a.copy(), None, bhat.copy())], 0
+    for _ in range(est.max_iter):
+        lam_old = lam.copy()
+        for i, v in enumerate(vecs):
+            wtw = float(v @ a @ v)
+            if wtw <= 0.0:
+                continue
+            if i < n_pos:
+                alpha = min(lam[i], gamma_proj * (1.0 / wtw - 1.0 / bhat[i]))
+                beta = alpha / (1.0 - alpha * wtw)
+                bhat[i] = 1.0 / (1.0 / bhat[i] + alpha / gamma)
+            else:
+                alpha = min(lam[i], gamma_proj * (1.0 / bhat[i] - 1.0 / wtw))
+                beta = -alpha / (1.0 + alpha * wtw)
+                bhat[i] = 1.0 / (1.0 / bhat[i] - alpha / gamma)
+            zero_steps += alpha == 0.0
+            lam[i] -= alpha
+            av = a @ v
+            a += beta * np.outer(av, av)
+        a = 0.5 * (a + a.T)
+        delta = float(np.max(np.abs(lam - lam_old)))
+        out.append((a.copy(), delta, bhat.copy()))
+        if delta <= est.tol:
+            break
+    return out, zero_steps
 
 
 class TestMMC:
@@ -221,6 +270,100 @@ class TestITML:
         est = ITML(max_iter=0).fit(pairs, y)
         assert not est.fit_report_.converged
         assert np.allclose(est.get_mahalanobis_matrix(), np.eye(3), atol=1e-12)
+
+    @staticmethod
+    def _cycles_and_reference(est, pairs, y):
+        got = [(a.copy(), delta, est.adjusted_bounds_)
+               for a, delta in est._cycles(pairs, y)]
+        want, zero_steps = reference_itml_cycles(est, pairs, y)
+        assert got[0][1] is None
+        assert len(got) == len(want)
+        for (a, delta, bounds), (ref_a, ref_delta, ref_bounds) in zip(got, want):
+            assert a.tobytes() == ref_a.tobytes()
+            assert delta == ref_delta or np.isnan(delta) and np.isnan(ref_delta)
+            assert isinstance(bounds, np.ndarray)
+            assert bounds.tobytes() == ref_bounds.tobytes()
+        return zero_steps, len(want) - 1
+
+    @staticmethod
+    def _blob_pairs(seed, n=60, d=20, sep=4.0):
+        r = np.random.default_rng(seed)
+        x = np.vstack([r.standard_normal((n, d)) + sep * c
+                       for c in np.eye(d)[:3]])
+        labels = np.repeat(np.arange(3), n)
+        idx = r.integers(0, len(x), size=(150, 2))
+        y = np.where(labels[idx[:, 0]] == labels[idx[:, 1]], 1, -1)
+        return x[idx], y
+
+    @pytest.mark.parametrize("kw", [
+        {}, {"prior": "covariance-inverse"}, {"gamma": 1e6},
+        {"gamma": 0.1, "percentiles": (20, 80)}])
+    def test_cycles_match_the_reference_loop(self, kw):
+        pairs, y = self._blob_pairs(seed=11)
+        self._cycles_and_reference(ITML(max_iter=15, **kw), pairs, y)
+
+    def test_zero_difference_pair_matches_the_reference_loop(self):
+        # the coincident pairs have wtw == 0 and are skipped before any update
+        pairs, y = labeled_pairs(seed=4, n=8)
+        pairs[0, 1] = pairs[0, 0]
+        pairs[1, 1] = pairs[1, 0]
+        est = ITML(max_iter=20)
+        self._cycles_and_reference(est, pairs, y)
+        assert est.adjusted_bounds_[0] == est.bounds_[0]
+
+    def test_inactive_constraints_match_the_reference_loop(self):
+        # separable pairs with both bounds between the two groups: most
+        # constraints hold from the start, so most steps take the
+        # zero-multiplier path that skips the rank-one update
+        pairs, y = labeled_pairs(seed=9, n=30, d=4)
+        est = ITML(max_iter=10, percentiles=(40, 60))
+        zero_steps, n_cycles = self._cycles_and_reference(est, pairs, y)
+        assert n_cycles >= 2
+        assert zero_steps > 0.5 * len(pairs) * n_cycles
+
+    @pytest.mark.parametrize("gamma,near,far", [
+        # gamma / (gamma + 1) rounds to 1: a dissimilar pair far inside its
+        # bound divides by 1 - 1 = 0
+        (1e20, 0.5, 0.5 + 1e-9),
+        # the pair's squared distance overflows to inf
+        (1.0, 0.0, 1e155),
+        # it is a subnormal number, whose reciprocal overflows
+        (1.0, 0.0, 1e-156)])
+    def test_non_finite_steps_match_the_reference_loop(self, gamma, near, far):
+        # inf and nan spread through M, the bounds and the multiplier
+        # changes exactly as in the reference loop
+        pairs, y = labeled_pairs(seed=0, n=10)
+        pairs[-1, 0], pairs[-1, 1] = near, far
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            self._cycles_and_reference(ITML(gamma=gamma, max_iter=4), pairs, y)
+
+    def test_zero_division_warns_as_numpy_does(self):
+        pairs, y = labeled_pairs(seed=0, n=10)
+        pairs[-1, 0], pairs[-1, 1] = 0.5, 0.5 + 1e-9
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            list(ITML(gamma=1e20, max_iter=3)._cycles(pairs, y))
+        assert any(w.category is RuntimeWarning
+                   and "divide by zero" in str(w.message) for w in caught)
+
+    def test_fit_matches_the_reference_loop(self):
+        pairs, y = self._blob_pairs(seed=12)
+        est = ITML(max_iter=8).fit(pairs, y)
+        want, _ = reference_itml_cycles(est, pairs, y)
+        ref = psd_sqrt(psd_project(want[-1][0]))
+        assert est.components_.tobytes() == ref.tobytes()
+        assert est.fit_report_.objective_trace == tuple(w[1] for w in want[1:])
+        assert est.adjusted_bounds_.tobytes() == want[-1][2].tobytes()
+
+    @pytest.mark.parametrize("percentiles", [(5, "abc"), (5,), (5, 95, 99),
+                                             5, (True, 95), "ab"])
+    def test_malformed_percentiles_rejected(self, percentiles):
+        pairs, y = labeled_pairs()
+        with pytest.raises(ValidationError, match="two numbers"):
+            itml_bounds(pairs, percentiles)
+        with pytest.raises(ValidationError, match="two numbers"):
+            ITML(percentiles=percentiles).fit(pairs, y)
 
 
 class TestLSML:
