@@ -16,7 +16,7 @@ import numbers
 import numpy as np
 
 from .calibration import calibrate_threshold
-from .exceptions import ValidationError
+from .exceptions import ValidationError, check_at_least
 from .model import MahalanobisModel, _valid_threshold
 
 
@@ -28,14 +28,6 @@ _PARAM_KINDS = (
     (tuple, (list, tuple), "a list or tuple"),
     (type(None), (numbers.Integral, type(None)), "an integer or None"),
 )
-
-
-def check_at_least(name: str, value, low, kind=numbers.Integral):
-    """value, which must be a kind (a bool is neither) and >= low."""
-    if isinstance(value, bool) or not isinstance(value, kind) or not value >= low:
-        what = "an integer" if kind is numbers.Integral else "a number"
-        raise ValidationError(f"{name} must be {what} >= {low}, got {value!r}")
-    return value
 
 
 def check_solver_limits(est) -> None:

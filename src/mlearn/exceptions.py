@@ -4,8 +4,11 @@ Input problems (bad shapes, bad labels, unparseable files) raise
 :class:`ValidationError` or one of its subclasses; failures of the numerics
 themselves (non-convergence, singular spectra, ill-conditioning) raise
 :class:`NumericalError`. The CLI maps the former to exit code 2 and the
-latter to exit code 3.
+latter to exit code 3. :func:`check_at_least` is the one type-and-range
+check for integer and real arguments.
 """
+
+import numbers
 
 
 class MetricLearnError(Exception):
@@ -38,3 +41,14 @@ class ConditioningError(NumericalError):
 
 class ConvergenceWarning(UserWarning):
     """A solver stopped at its iteration cap without meeting its tolerance."""
+
+
+def check_at_least(name: str, value, low=None, kind=numbers.Integral):
+    """value, which must be a kind (a bool is neither) and >= low unless
+    low is None."""
+    if (isinstance(value, bool) or not isinstance(value, kind)
+            or (low is not None and not value >= low)):
+        what = "an integer" if kind is numbers.Integral else "a number"
+        bound = "" if low is None else f" >= {low}"
+        raise ValidationError(f"{name} must be {what}{bound}, got {value!r}")
+    return value

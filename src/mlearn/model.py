@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,6 +69,14 @@ def _valid_threshold(threshold) -> float:
     if not math.isfinite(thr) or thr < 0:
         raise ValidationError(f"threshold must be finite and >= 0, got {threshold!r}")
     return thr
+
+
+def _json_count(doc: dict, key: str, default: int, low: int) -> int:
+    """doc[key], or default when absent: an integer >= low, not a bool."""
+    value = doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise TypeError(f"{key} must be an integer >= {low}, got {value!r}")
+    return value
 
 
 @dataclass
@@ -200,22 +209,29 @@ class MahalanobisModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MahalanobisModel":
+        """The model a :meth:`to_dict` document describes; a missing
+        ``fit_report`` field takes its default, a mistyped one raises
+        :class:`ValidationError` (``converged`` must be a JSON bool, the
+        counts JSON integers)."""
         try:
             components = np.asarray(d["components"], dtype=float)
             fr = d.get("fit_report") or {}
+            converged = fr.get("converged", True)
+            if not isinstance(converged, bool):
+                raise TypeError(f"converged must be true or false, got {converged!r}")
             model = cls(
                 components=components,
                 threshold=d.get("threshold"),
                 algorithm=str(d.get("algorithm", "manual")),
                 fit_report=FitReport(
-                    converged=bool(fr.get("converged", True)),
-                    n_iter=int(fr.get("n_iter", 1)),
+                    converged=converged,
+                    n_iter=_json_count(fr, "n_iter", 1, 0),
                     final_objective=float(fr.get("final_objective", 0.0)),
                     objective_trace=(float(fr.get("final_objective", 0.0)),),
                 ),
             )
-            shape = (int(d.get("n_components", model.n_components)),
-                     int(d.get("n_features", model.n_features)))
+            shape = (_json_count(d, "n_components", model.n_components, 1),
+                     _json_count(d, "n_features", model.n_features, 1))
         except ValidationError:
             raise
         except (KeyError, TypeError, AttributeError, ValueError) as exc:

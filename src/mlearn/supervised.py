@@ -35,9 +35,8 @@ def _init_transform(init: str, n_components: int, n_features: int, seed: int):
         return np.eye(n_features)[:n_components].copy()
     if init == "random":
         # uniform in [-1, 1) from the top 53 bits of each SplitMix64 draw
-        rng = SplitMix64(seed)
-        bits = [rng.next_uint64() >> 11 for _ in range(n_components * n_features)]
-        u = np.array(bits, dtype=float) * 2.0 ** -52 - 1.0
+        bits = SplitMix64(seed).draws(n_components * n_features) >> np.uint64(11)
+        u = bits.astype(float) * 2.0 ** -52 - 1.0
         return u.reshape(n_components, n_features) / np.sqrt(n_features)
     raise ValidationError(f"unknown init {init!r}; expected 'identity' or 'random'")
 

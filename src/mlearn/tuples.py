@@ -8,15 +8,21 @@ the other arities never do.
 The samplers bridge class-labeled data to the weakly-supervised learners.
 Rows are copied verbatim into the tuple blocks and all randomness comes from
 the package's SplitMix64 generator, so a seed reproduces tuples exactly on
-any platform.
+any platform. Each sampler draws one block of SplitMix64 outputs, a fixed
+run per sample: pairs and triplets take 2k (k same-class partners, then k
+other-class ones), quadruplets 3k (k same-class partners, then the random
+point r and r's other-class partner for each partner in turn). A draw z
+picks from a pool of n as ``below(z, n)``, exact for pools below 2**32.
+Partners come from a virtual partial Fisher-Yates draw, or with replacement
+where k exceeds the pool; the tuples are gathered from ``x`` at the end.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import DimensionError, ValidationError
-from .rng import SplitMix64
+from .exceptions import DimensionError, ValidationError, check_at_least
+from .rng import SplitMix64, below
 
 
 def validate_tuples(tuples, expected_t: int, n_features: int | None = None,
@@ -52,41 +58,79 @@ def validate_tuples(tuples, expected_t: int, n_features: int | None = None,
 class _ClassPools:
     """Partner pools per class, built once per sampler call.
 
-    Pools hold sample indices in ascending order. The draws index into them,
-    so another order would change the tuples a seed produces.
+    ``members`` holds the sample indices grouped by class, ascending within
+    each class; class c fills ``members[start[c]:start[c] + size[c]]``.
+    Sample i's same-class pool is its class block without i, so its entry p
+    is the block's entry p, or p + 1 from i's own rank on. The pool of class
+    c's outsiders is every other sample in ascending order; its entry p is
+    p plus the number of class-c members before it, which one searchsorted
+    over the outsiders counted before each member gives. Another pool order
+    would change the tuples a seed produces.
     """
 
     def __init__(self, x, y, k: int, what: str):
-        if k < 1:
-            raise ValidationError("k must be >= 1")
+        check_at_least("k", k, 1)
         if len(y) != len(x):
             raise ValidationError("labels length must match number of samples")
         labels, self.codes = np.unique(y, return_inverse=True)
-        self.members = [np.flatnonzero(self.codes == c) for c in range(len(labels))]
         if len(labels) < 2:
             raise ValidationError(f"{what} requires at least 2 distinct classes")
-        for label, members in zip(labels, self.members):
-            if len(members) < 2:
+        self.size = np.bincount(self.codes)
+        for label, size in zip(labels, self.size):
+            if size < 2:
                 raise ValidationError(
                     f"cannot build {what}: class {label!r} has a single member"
                 )
-        self.others = [np.flatnonzero(self.codes != c) for c in range(len(labels))]
-        self.rank = np.empty(len(y), dtype=int)  # position within own class
-        for members in self.members:
-            self.rank[members] = np.arange(len(members))
+        n = len(y)
+        self.start = np.cumsum(self.size) - self.size
+        self.members = np.argsort(self.codes, kind="stable")
+        member_codes = self.codes[self.members]
+        rank = np.arange(n) - self.start[member_codes]
+        self.rank = np.empty(n, dtype=np.intp)  # position within own class
+        self.rank[self.members] = rank
+        # outsiders before each member, offset by class so the keys ascend
+        self._stride = n + 1
+        self._outsider_keys = member_codes * self._stride + self.members - rank
 
-    def same(self, i: int) -> np.ndarray:
-        """Members of sample i's class, without i itself."""
-        return np.delete(self.members[self.codes[i]], self.rank[i])
+    def same_class(self, z) -> np.ndarray:
+        """Partners of each sample from its class, one per draw of its row
+        of z (shape n_samples x k)."""
+        c = self.codes[:, None]
+        p = _pool_positions(z, self.size[c] - 1)
+        return self.members[self.start[c] + p + (p >= self.rank[:, None])]
 
-    def other(self, i: int) -> np.ndarray:
-        """Samples of every class but sample i's."""
-        return self.others[self.codes[i]]
+    def other_class(self, z) -> np.ndarray:
+        """Partners of each sample from the other classes, one per draw."""
+        c = self.codes[:, None]
+        return self.outsiders(c, _pool_positions(z, len(self.codes) - self.size[c]))
+
+    def outsiders(self, c, p) -> np.ndarray:
+        """Entry p of the ascending pool of samples outside class c."""
+        keys = c * self._stride + p
+        return p + np.searchsorted(self._outsider_keys, keys, side="right") - self.start[c]
 
 
-def _draw_partners(rng: SplitMix64, pool, k: int) -> list:
-    # without replacement when the pool allows, with replacement otherwise
-    return rng.sample(pool, k, replace=k > len(pool))
+def _pool_positions(z, n) -> np.ndarray:
+    """Pool positions for the draws z (rows x k) from pools of sizes n
+    (rows x 1): a partial Fisher-Yates without replacement where the pool
+    holds k, independent draws with replacement where it does not.
+
+    The shuffle is virtual: slot s draws position j_s = s + below(n - s),
+    then maps it back through the earlier swaps (t, j_t), t = s-1 .. 0, to
+    the pool position whose element the swaps moved there. That is O(k^2)
+    work per row, and the pool is never copied.
+    """
+    k = z.shape[1]
+    s = np.arange(k)
+    replace = n < k
+    pos = below(z, np.where(replace, n, n - s)) + np.where(replace, 0, s)
+    rows = ~replace[:, 0]
+    shuffled = pos[rows]
+    for t in range(k - 2, -1, -1):
+        later = shuffled[:, t + 1:]
+        later[later == shuffled[:, t:t + 1]] = t
+    pos[rows] = shuffled
+    return pos
 
 
 def pairs_from_labels(x, y, k: int, seed: int):
@@ -98,26 +142,27 @@ def pairs_from_labels(x, y, k: int, seed: int):
     """
     x = np.asarray(x, dtype=float)
     pools = _ClassPools(x, np.asarray(y), k, "pairs")
-    rng = SplitMix64(seed)
-    blocks = []
-    for i in range(len(x)):
-        blocks.extend((i, j) for j in _draw_partners(rng, pools.same(i), k))
-        blocks.extend((i, j) for j in _draw_partners(rng, pools.other(i), k))
-    labels = np.tile(np.repeat([1, -1], k), len(x))
-    return x[np.array(blocks)], labels
+    n = len(x)
+    z = SplitMix64(seed).draws(2 * k * n).reshape(n, 2 * k)
+    idx = np.empty((n, 2 * k, 2), dtype=np.intp)
+    idx[:, :, 0] = np.arange(n)[:, None]
+    idx[:, :k, 1] = pools.same_class(z[:, :k])
+    idx[:, k:, 1] = pools.other_class(z[:, k:])
+    labels = np.tile(np.repeat([1, -1], k), n)
+    return x[idx.reshape(-1, 2)], labels
 
 
 def triplets_from_labels(x, y, k: int, seed: int) -> np.ndarray:
     """k triplets (anchor, same-class positive, other-class negative) per sample."""
     x = np.asarray(x, dtype=float)
     pools = _ClassPools(x, np.asarray(y), k, "triplets")
-    rng = SplitMix64(seed)
-    blocks = []
-    for i in range(len(x)):
-        pos = _draw_partners(rng, pools.same(i), k)
-        neg = _draw_partners(rng, pools.other(i), k)
-        blocks.extend((i, j, l) for j, l in zip(pos, neg))
-    return x[np.array(blocks)]
+    n = len(x)
+    z = SplitMix64(seed).draws(2 * k * n).reshape(n, 2 * k)
+    idx = np.empty((n, k, 3), dtype=np.intp)
+    idx[:, :, 0] = np.arange(n)[:, None]
+    idx[:, :, 1] = pools.same_class(z[:, :k])
+    idx[:, :, 2] = pools.other_class(z[:, k:])
+    return x[idx.reshape(-1, 3)]
 
 
 def quadruplets_from_labels(x, y, k: int, seed: int) -> np.ndarray:
@@ -125,11 +170,12 @@ def quadruplets_from_labels(x, y, k: int, seed: int) -> np.ndarray:
     partner of a different class than the random point)."""
     x = np.asarray(x, dtype=float)
     pools = _ClassPools(x, np.asarray(y), k, "quadruplets")
-    rng = SplitMix64(seed)
-    blocks = []
-    for i in range(len(x)):
-        for j in _draw_partners(rng, pools.same(i), k):
-            r = rng.below(len(x))
-            far = pools.other(r)
-            blocks.append((i, j, r, far[rng.below(len(far))]))
-    return x[np.array(blocks)]
+    n = len(x)
+    z = SplitMix64(seed).draws(3 * k * n).reshape(n, 3 * k)
+    idx = np.empty((n, k, 4), dtype=np.intp)
+    idx[:, :, 0] = np.arange(n)[:, None]
+    idx[:, :, 1] = pools.same_class(z[:, :k])
+    idx[:, :, 2] = below(z[:, k::2], n)
+    c = pools.codes[idx[:, :, 2]]
+    idx[:, :, 3] = pools.outsiders(c, below(z[:, k + 1::2], n - pools.size[c]))
+    return x[idx.reshape(-1, 4)]

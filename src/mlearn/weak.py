@@ -198,7 +198,9 @@ class ITML(MahalanobisEstimator, PairClassifierMixin):
     bound while moving minimally in LogDet divergence. gamma controls the
     slack: larger values enforce the bounds more strictly. A constraint that
     is already satisfied with a zero multiplier costs one quadratic form and
-    no rank-one update.
+    no rank-one update. If the updates overflow (a huge gamma, or a pair
+    distance whose square or reciprocal is not finite), M turns non-finite
+    and ``fit`` raises :class:`NumericalError`.
     """
 
     supervision = "pairs"
@@ -217,6 +219,11 @@ class ITML(MahalanobisEstimator, PairClassifierMixin):
         for a, delta in self._cycles(pairs, y):
             if delta is not None:
                 deltas.append(delta)
+        if not np.all(np.isfinite(a)):
+            raise NumericalError(
+                "ITML diverged: the Bregman updates left non-finite entries "
+                "in M (lower gamma or rescale the features)"
+            )
         converged = bool(deltas) and deltas[-1] <= self.tol
         trace = tuple(deltas) if deltas else (0.0,)
         report = FitReport(converged, len(trace), trace[-1], trace)

@@ -11,6 +11,34 @@ import numpy as np
 import pytest
 
 
+# ITML inputs whose Bregman updates turn M non-finite: (gamma, and the two
+# coordinates every feature of the last, dissimilar pair of
+# labeled_pairs(seed=0, n=10) is set to)
+NON_FINITE_ITML_CASES = [
+    # gamma / (gamma + 1) rounds to 1: a dissimilar pair far inside its
+    # bound divides by 1 - 1 = 0
+    (1e20, 0.5, 0.5 + 1e-9),
+    # the pair's squared distance overflows to inf
+    (1.0, 0.0, 1e155),
+    # it is a subnormal number, whose reciprocal overflows
+    (1.0, 0.0, 1e-156),
+]
+
+
+def labeled_pairs(seed=0, n=10, d=3, sim_scale=0.2, dis_scale=3.0):
+    """Similar pairs close together, dissimilar pairs far apart."""
+    r = np.random.default_rng(seed)
+    base = r.standard_normal((2 * n, d))
+    pairs, y = [], []
+    for i in range(n):
+        pairs.append([base[i], base[i] + sim_scale * r.standard_normal(d)])
+        y.append(1)
+        pairs.append([base[n + i], base[n + i] + dis_scale * (
+            r.standard_normal(d) + 2.0)])
+        y.append(-1)
+    return np.array(pairs), np.array(y)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -11,6 +11,8 @@ from mlearn.model import MahalanobisModel
 from mlearn.modelsel import SUPERVISION
 from mlearn.tuples import validate_tuples
 
+from conftest import NON_FINITE_ITML_CASES, labeled_pairs
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -509,7 +511,9 @@ class TestMalformedOptionsAndModels:
         ("fit_report", 5), ("fit_report", [1]), ("n_features", None),
         ("n_components", None), ("components", [[1.0, 0.0], [0.0]]),
         ("components", "abc"), ("fit_report.final_objective", "x"),
-        ("fit_report.n_iter", "x")])
+        ("fit_report.n_iter", "x"), ("fit_report.converged", "false"),
+        ("fit_report.n_iter", 2.7), ("n_components", 2.7),
+        ("n_features", True)])
     def test_malformed_model_field(self, tmp_path, capsys, field, value):
         data, _, _ = write_dataset(tmp_path)
         model = tmp_path / "m.json"
@@ -566,6 +570,25 @@ class TestExitCodes:
                                "--out", str(tmp_path / "m.json"))
         assert code == 3
         assert "error:" in err
+
+    @pytest.mark.parametrize("gamma,near,far", NON_FINITE_ITML_CASES)
+    def test_itml_blow_up_exits_3(self, tmp_path, capsys, gamma, near, far):
+        pairs, y = labeled_pairs(seed=0, n=10)
+        pairs[-1, 0], pairs[-1, 1] = near, far
+        data = tmp_path / "X.csv"
+        data.write_text("f1,f2,f3\n" + "".join(
+            ",".join(repr(float(v)) for v in row) + "\n"
+            for row in pairs.reshape(-1, 3)))
+        index = tmp_path / "P.csv"
+        index.write_text("i,j,label\n" + "".join(
+            f"{2 * p},{2 * p + 1},{lab}\n" for p, lab in enumerate(y)))
+        code, _, err = run_cli(capsys, "fit", "--algo", "itml", "--data",
+                               str(data), "--pairs", str(index), "--opt",
+                               f"gamma={gamma!r}", "--opt", "max_iter=4",
+                               "--out", str(tmp_path / "m.json"))
+        assert code == 3
+        assert err.startswith("error: ITML diverged") and err.count("\n") == 1
+        assert not (tmp_path / "m.json").exists()
 
     def test_success_stderr_empty(self, tmp_path, capsys):
         data, _, _ = write_dataset(tmp_path)

@@ -329,10 +329,28 @@ class TestPersistence:
 
     @pytest.mark.parametrize("changes", [
         {"components": [[1.0, 0.0], [0.0]]}, {"components": "abc"},
-        {"final_objective": "x"}, {"n_iter": "x"}, {"n_features": "x"}])
+        {"final_objective": "x"}, {"n_iter": "x"}, {"n_features": "x"},
+        {"converged": "false"}, {"converged": 0}, {"converged": None},
+        {"n_iter": 2.7}, {"n_iter": 2.0}, {"n_iter": True}, {"n_iter": -1},
+        {"n_components": 2.7}, {"n_features": 2.0}, {"n_features": True}])
     def test_malformed_values_are_validation_errors(self, changes):
         with pytest.raises(ValidationError, match="^malformed model document"):
             MahalanobisModel.from_dict(self._doc(**changes))
+
+    @pytest.mark.parametrize("converged", [True, False])
+    @pytest.mark.parametrize("threshold", [None, 0.0, 1.25])
+    def test_saved_documents_load_with_their_fields(self, tmp_path, rng,
+                                                    converged, threshold):
+        report = FitReport(converged, 37, -2.5, (1.0, -2.5))
+        m = MahalanobisModel(rng.standard_normal((2, 3)), threshold=threshold,
+                             algorithm="nca", fit_report=report)
+        m.save(tmp_path / "m.json")
+        back = MahalanobisModel.load(tmp_path / "m.json")
+        assert back.fit_report.converged is converged
+        assert back.fit_report.n_iter == 37
+        assert back.components.tobytes() == m.components.tobytes()
+        pairs = rng.standard_normal((20, 2, 3))
+        assert back.score_pairs(pairs).tobytes() == m.score_pairs(pairs).tobytes()
 
     def test_component_errors_keep_their_message(self):
         with pytest.raises(ValidationError,

@@ -2,15 +2,100 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mlearn import (
+    NCA,
+    kfold_split,
     pairs_from_labels,
     quadruplets_from_labels,
     triplets_from_labels,
     validate_tuples,
 )
 from mlearn.exceptions import DimensionError, ValidationError
-from mlearn.rng import SplitMix64
+from mlearn.rng import SplitMix64, below
+from mlearn.tuples import _pool_positions
+
+
+# -- reference samplers -----------------------------------------------------
+# The per-sample samplers that the block-draw samplers replaced: one scalar
+# SplitMix64 draw at a time, one pool array per sample. The block samplers
+# must give the same tuples bit for bit.
+
+def reference_below(rng, n):
+    """Uniform integer in [0, n) via the multiply-shift reduction."""
+    return (rng.next_uint64() * n) >> 64
+
+
+def reference_sample(rng, pool, k, replace=False):
+    """k elements of pool: a virtual partial Fisher-Yates draw that stores
+    only the positions it has swapped, or k draws with replacement."""
+    n = len(pool)
+    if replace:
+        return [pool[reference_below(rng, n)] for _ in range(k)]
+    moved = {}  # position -> element swapped into it
+    out = []
+    for i in range(k):
+        j = i + reference_below(rng, n - i)
+        out.append(moved.get(j, pool[j]))
+        moved[j] = moved.get(i, pool[i])
+    return out
+
+
+class ReferencePools:
+    def __init__(self, y):
+        labels, self.codes = np.unique(y, return_inverse=True)
+        self.members = [np.flatnonzero(self.codes == c) for c in range(len(labels))]
+        self.others = [np.flatnonzero(self.codes != c) for c in range(len(labels))]
+
+    def same(self, i):
+        members = self.members[self.codes[i]]
+        return members[members != i]
+
+    def other(self, i):
+        return self.others[self.codes[i]]
+
+
+def reference_partners(rng, pool, k):
+    return reference_sample(rng, pool, k, replace=k > len(pool))
+
+
+def reference_pairs_from_labels(x, y, k, seed):
+    pools, rng, blocks = ReferencePools(y), SplitMix64(seed), []
+    for i in range(len(x)):
+        blocks.extend((i, j) for j in reference_partners(rng, pools.same(i), k))
+        blocks.extend((i, j) for j in reference_partners(rng, pools.other(i), k))
+    return x[np.array(blocks)], np.tile(np.repeat([1, -1], k), len(x))
+
+
+def reference_triplets_from_labels(x, y, k, seed):
+    pools, rng, blocks = ReferencePools(y), SplitMix64(seed), []
+    for i in range(len(x)):
+        pos = reference_partners(rng, pools.same(i), k)
+        neg = reference_partners(rng, pools.other(i), k)
+        blocks.extend((i, j, l) for j, l in zip(pos, neg))
+    return x[np.array(blocks)]
+
+
+def reference_quadruplets_from_labels(x, y, k, seed):
+    pools, rng, blocks = ReferencePools(y), SplitMix64(seed), []
+    for i in range(len(x)):
+        for j in reference_partners(rng, pools.same(i), k):
+            r = reference_below(rng, len(x))
+            far = pools.other(r)
+            blocks.append((i, j, r, far[reference_below(rng, len(far))]))
+    return x[np.array(blocks)]
+
+
+SAMPLERS = {
+    "pairs": (pairs_from_labels, reference_pairs_from_labels),
+    "triplets": (triplets_from_labels, reference_triplets_from_labels),
+    "quadruplets": (quadruplets_from_labels, reference_quadruplets_from_labels),
+}
+
+
+def _outputs(kind, out):
+    return out if kind == "pairs" else (out,)
 
 
 class TestValidateTuples:
@@ -152,10 +237,9 @@ class TestSplitMix64:
         assert SplitMix64(0).next_uint64() == 0xE220A8397B1DCDAF
 
     def test_below_range(self):
-        r = SplitMix64(7)
-        draws = [r.below(10) for _ in range(200)]
+        draws = below(SplitMix64(7).draws(200), 10)
         assert min(draws) >= 0 and max(draws) < 10
-        assert len(set(draws)) == 10  # all residues reached
+        assert len(set(draws.tolist())) == 10  # all residues reached
 
     def test_shuffle_is_permutation(self):
         r = SplitMix64(3)
@@ -163,10 +247,23 @@ class TestSplitMix64:
         r.shuffle(items)
         assert sorted(items) == list(range(20))
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 300])
+    def test_shuffle_equals_scalar_fisher_yates(self, n):
+        for seed in (0, 5, -7, 2**64 - 1):
+            a, b = SplitMix64(seed), SplitMix64(seed)
+            got, want = list(range(n)), list(range(n))
+            a.shuffle(got)
+            for i in range(n - 1, 0, -1):
+                j = reference_below(b, i + 1)
+                want[i], want[j] = want[j], want[i]
+            assert got == want
+            assert a.next_uint64() == b.next_uint64()
+
     def test_sample_without_replacement(self):
+        pos = _pool_positions(SplitMix64(1).draws(10).reshape(1, 10), np.array([[10]]))
+        assert sorted(pos[0].tolist()) == list(range(10))
         r = SplitMix64(1)
-        out = r.sample(list(range(10)), 10, replace=False)
-        assert sorted(out) == list(range(10))
+        assert sorted(reference_sample(r, list(range(10)), 10)) == list(range(10))
 
     @pytest.mark.parametrize("n, k", [(1, 1), (5, 0), (5, 3), (10, 10), (300, 7),
                                       (1000, 999)])
@@ -175,17 +272,49 @@ class TestSplitMix64:
             work = list(pool)
             out = []
             for i in range(k):
-                j = i + rng.below(len(work) - i)
+                j = i + reference_below(rng, len(work) - i)
                 work[i], work[j] = work[j], work[i]
                 out.append(work[i])
             return out
 
         pool = np.arange(100, 100 + n)
         for seed in range(20):
-            a, b = SplitMix64(seed), SplitMix64(seed)
-            assert a.sample(pool, k) == reference(b, pool, k)
-            assert a.next_uint64() == b.next_uint64()  # same state left
+            a, b, c = SplitMix64(seed), SplitMix64(seed), SplitMix64(seed)
+            want = reference(b, pool, k)
+            assert reference_sample(a, pool, k) == want
+            pos = _pool_positions(c.draws(k).reshape(1, k), np.array([[n]]))
+            assert pool[pos[0]].tolist() == want
+            assert a.next_uint64() == b.next_uint64() == c.next_uint64()  # same state left
         assert np.array_equal(pool, np.arange(100, 100 + n))  # pool untouched
+
+    @pytest.mark.parametrize("seed", [0, 1, -7, 2**63 + 5, 2**64 - 1, 2**70 + 3])
+    @pytest.mark.parametrize("count", [0, 1, 2, 17])
+    def test_block_equals_scalar_draws(self, seed, count):
+        a, b = SplitMix64(seed), SplitMix64(seed)
+        block = a.draws(count)
+        assert block.dtype == np.uint64 and block.shape == (count,)
+        assert block.tolist() == [b.next_uint64() for _ in range(count)]
+        # the scalar stream and a second block continue where the block ended
+        assert a.next_uint64() == b.next_uint64()
+        assert a.draws(3).tolist() == [b.next_uint64() for _ in range(3)]
+
+    def test_vector_below_equals_multiply_shift(self):
+        z = SplitMix64(11).draws(4000)
+        n = np.concatenate([[1, 1, 2, 3, 2**32 - 1, 2**31],
+                            below(SplitMix64(12).draws(3994), 2**32 - 1) + 1])
+        got = below(z, n)
+        assert got.tolist() == [(int(a) * int(b)) >> 64 for a, b in zip(z, n)]
+        assert np.all(below(z, 1) == 0)  # a modulus of 1 always gives 0
+
+    def test_numpy_integer_seed(self):
+        assert SplitMix64(np.int64(-7)).draws(4).tolist() == SplitMix64(-7).draws(4).tolist()
+        assert SplitMix64(np.uint64(2**64 - 1)).next_uint64() == \
+            SplitMix64(-1).next_uint64()
+
+    @pytest.mark.parametrize("seed", [1.5, "a", None, True, np.float64(2.0)])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            SplitMix64(seed)
 
 
 def _digest(*arrays) -> str:
@@ -219,8 +348,66 @@ def test_sampler_output_is_frozen(kind, k, seed):
     x = np.arange(n * d, dtype=float).reshape(n, d) * 0.25 - 7.0
     # classes 0-2 interleaved, class 3 has 6 members so k=9 draws with replacement
     y = np.array([(i * 7) % 3 if i < 34 else 3 for i in range(n)])
-    sampler = {"pairs": pairs_from_labels, "triplets": triplets_from_labels,
-               "quadruplets": quadruplets_from_labels}[kind]
-    out = sampler(x, y, k, seed)
-    assert _digest(*(out if kind == "pairs" else (out,))) == \
-        _SAMPLER_DIGESTS[(kind, k, seed)]
+    for fn in SAMPLERS[kind]:
+        assert _digest(*_outputs(kind, fn(x, y, k, seed))) == \
+            _SAMPLER_DIGESTS[(kind, k, seed)]
+
+
+@st.composite
+def class_layouts(draw):
+    """Shuffled labels of 2 to 6 classes, small classes of 2 members likely,
+    and a k from 1 to past the smallest pool."""
+    sizes = draw(st.lists(st.sampled_from([2, 2, 3, 4, 5, 9]), min_size=2, max_size=6))
+    order = draw(st.permutations(range(sum(sizes))))
+    y = np.repeat(np.arange(len(sizes)) * 3 - 2, sizes)[list(order)]
+    k = draw(st.integers(1, min(sizes) + 2))
+    seed = draw(st.one_of(st.sampled_from([0, 2**63 + 5, -7, 2**64 - 1]),
+                          st.integers(-2**70, 2**70)))
+    return y, k, seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(layout=class_layouts())
+def test_samplers_equal_the_reference_samplers(layout):
+    y, k, seed = layout
+    x = np.arange(2 * len(y), dtype=float).reshape(-1, 2) * 0.5 - 3.0
+    for kind, (fn, reference) in SAMPLERS.items():
+        got, want = _outputs(kind, fn(x, y, k, seed)), _outputs(kind, reference(x, y, k, seed))
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+class TestTypedArguments:
+    @pytest.mark.parametrize("kind", sorted(SAMPLERS))
+    @pytest.mark.parametrize("k", [1.5, True, "2", None, np.float64(1.0)])
+    def test_non_integer_k_rejected(self, kind, k):
+        x, y = small_dataset()
+        with pytest.raises(ValidationError, match="k must be an integer >= 1"):
+            SAMPLERS[kind][0](x, y, k, 0)
+
+    @pytest.mark.parametrize("kind", sorted(SAMPLERS))
+    @pytest.mark.parametrize("seed", [1.5, "a", None, False])
+    def test_non_integer_seed_rejected(self, kind, seed):
+        x, y = small_dataset()
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            SAMPLERS[kind][0](x, y, 1, seed)
+
+    @pytest.mark.parametrize("kind", sorted(SAMPLERS))
+    def test_numpy_integer_arguments_accepted(self, kind):
+        x, y = small_dataset()
+        fn = SAMPLERS[kind][0]
+        for a, b in zip(_outputs(kind, fn(x, y, np.int64(2), np.int64(-3))),
+                        _outputs(kind, fn(x, y, 2, -3))):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [1.5, "a", None])
+    def test_kfold_split_seed_rejected(self, seed):
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            kfold_split(10, 2, seed)
+
+    @pytest.mark.parametrize("seed", [1.5, "a", None])
+    def test_random_init_seed_rejected(self, seed):
+        x, y = small_dataset()
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            NCA(init="random", seed=seed, max_iter=1).fit(x, y)

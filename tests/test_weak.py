@@ -28,21 +28,8 @@ from mlearn.weak import (
     mmc_objective,
 )
 
-from conftest import finite_diff_grad, max_rel_err
-
-
-def labeled_pairs(seed=0, n=10, d=3, sim_scale=0.2, dis_scale=3.0):
-    """Similar pairs close together, dissimilar pairs far apart."""
-    r = np.random.default_rng(seed)
-    base = r.standard_normal((2 * n, d))
-    pairs, y = [], []
-    for i in range(n):
-        pairs.append([base[i], base[i] + sim_scale * r.standard_normal(d)])
-        y.append(1)
-        pairs.append([base[n + i], base[n + i] + dis_scale * (
-            r.standard_normal(d) + 2.0)])
-        y.append(-1)
-    return np.array(pairs), np.array(y)
+from conftest import (NON_FINITE_ITML_CASES, finite_diff_grad, labeled_pairs,
+                      max_rel_err)
 
 
 def fit_quiet(est, *args):
@@ -321,14 +308,7 @@ class TestITML:
         assert n_cycles >= 2
         assert zero_steps > 0.5 * len(pairs) * n_cycles
 
-    @pytest.mark.parametrize("gamma,near,far", [
-        # gamma / (gamma + 1) rounds to 1: a dissimilar pair far inside its
-        # bound divides by 1 - 1 = 0
-        (1e20, 0.5, 0.5 + 1e-9),
-        # the pair's squared distance overflows to inf
-        (1.0, 0.0, 1e155),
-        # it is a subnormal number, whose reciprocal overflows
-        (1.0, 0.0, 1e-156)])
+    @pytest.mark.parametrize("gamma,near,far", NON_FINITE_ITML_CASES)
     def test_non_finite_steps_match_the_reference_loop(self, gamma, near, far):
         # inf and nan spread through M, the bounds and the multiplier
         # changes exactly as in the reference loop
@@ -337,6 +317,16 @@ class TestITML:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             self._cycles_and_reference(ITML(gamma=gamma, max_iter=4), pairs, y)
+
+    @pytest.mark.parametrize("gamma,near,far", NON_FINITE_ITML_CASES)
+    def test_non_finite_fit_raises_numerical_error(self, gamma, near, far):
+        # a blow-up of the updates is a numerical failure, not bad input
+        pairs, y = labeled_pairs(seed=0, n=10)
+        pairs[-1, 0], pairs[-1, 1] = near, far
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(NumericalError, match="ITML diverged"):
+                ITML(gamma=gamma, max_iter=4).fit(pairs, y)
 
     def test_zero_division_warns_as_numpy_does(self):
         pairs, y = labeled_pairs(seed=0, n=10)
