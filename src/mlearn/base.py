@@ -1,11 +1,16 @@
-"""Estimator base classes: parameter handling plus Mahalanobis semantics.
+"""Estimator base classes: parameter handling, the input gate of every fit,
+and Mahalanobis semantics.
 
 The estimators follow the familiar fit/transform/predict shape with
-``get_params``/``set_params`` introspected from ``__init__`` (``set_params``
-checks each value against the type of its default), so they compose
-with the grid-search harness without any external framework. A fitted
-estimator stores a :class:`~mlearn.model.MahalanobisModel` in ``model_`` and
-mirrors its transformation matrix in ``components_``.
+``get_params``/``set_params`` introspected from ``__init__``, so they compose
+with the grid-search harness without any external framework. Every ``fit``
+starts with one gate, :meth:`MahalanobisEstimator._check_fit`: each
+parameter, from the constructor or ``set_params`` (which checks at once),
+must have the type of its ``__init__`` default, a real may not be NaN, and
+``max_iter`` and ``tol`` must be >= 0; the data is checked by the learner's
+``supervision`` kind. A fitted estimator stores a
+:class:`~mlearn.model.MahalanobisModel` in ``model_`` and mirrors its
+transformation matrix in ``components_``.
 """
 
 from __future__ import annotations
@@ -18,22 +23,33 @@ import numpy as np
 from .calibration import calibrate_threshold
 from .exceptions import ValidationError, check_at_least
 from .model import MahalanobisModel, _valid_threshold
+from .tuples import validate_supervision
 
 
 # the type of a parameter's __init__ default -> the value types it accepts;
-# bool is an int, so only a bool default takes a bool
+# bool is an int, so only a bool default takes a bool. The one tuple
+# parameter, ITML's percentiles, is a (low, high) pair
 _PARAM_KINDS = (
     (bool, bool, "a bool"), (numbers.Integral, numbers.Integral, "an integer"),
     (numbers.Real, numbers.Real, "a number"), (str, str, "a string"),
-    (tuple, (list, tuple), "a list or tuple"),
+    (tuple, (list, tuple), "a list or tuple of two numbers"),
     (type(None), (numbers.Integral, type(None)), "an integer or None"),
 )
 
 
-def check_solver_limits(est) -> None:
-    """A negative max_iter runs no iteration and a negative tol never converges."""
-    check_at_least("max_iter", est.max_iter, 0)
-    check_at_least("tol", est.tol, 0, numbers.Real)
+def _check_param(name: str, value, default):
+    """value, of the type of its __init__ default; a real is not NaN, and
+    max_iter and tol are >= 0."""
+    kind = next((k for k in _PARAM_KINDS if isinstance(default, k[0])), None)
+    if kind and (not isinstance(value, kind[1])
+                 or isinstance(value, bool) != (kind[0] is bool)):
+        raise ValidationError(f"{name} must be {kind[2]}, got {value!r}")
+    # NaN is the one real unequal to itself (math.isnan overflows on big ints)
+    if isinstance(value, numbers.Real) and value != value:
+        raise ValidationError(f"{name} must not be NaN")
+    if name in ("max_iter", "tol"):
+        check_at_least(name, value, 0, kind[1])
+    return value
 
 
 class BaseEstimator:
@@ -48,21 +64,15 @@ class BaseEstimator:
         return {name: getattr(self, name) for name in self._param_defaults()}
 
     def set_params(self, **params) -> "BaseEstimator":
-        """Set parameters, each of the type of its ``__init__`` default."""
-        defaults, owner = self._param_defaults(), type(self).__name__
+        """Set parameters, each checked as the gate of ``fit`` checks it."""
+        defaults = self._param_defaults()
         for name, value in params.items():
             if name not in defaults:
                 raise ValidationError(
-                    f"unknown parameter {name!r} for {owner}; "
+                    f"unknown parameter {name!r} for {type(self).__name__}; "
                     f"valid parameters: {sorted(defaults)}"
                 )
-            kind = next((k for k in _PARAM_KINDS
-                         if isinstance(defaults[name], k[0])), None)
-            if kind and (not isinstance(value, kind[1])
-                         or isinstance(value, bool) != (kind[0] is bool)):
-                raise ValidationError(
-                    f"parameter {name!r} of {owner} must be {kind[2]}, got {value!r}")
-            setattr(self, name, value)
+            setattr(self, name, _check_param(name, value, defaults[name]))
         return self
 
     def clone(self) -> "BaseEstimator":
@@ -73,6 +83,13 @@ class MahalanobisEstimator(BaseEstimator):
     """Shared post-fit surface of every metric learner."""
 
     model_: MahalanobisModel
+    supervision: str  # a key of mlearn.tuples.ARITY
+
+    def _check_fit(self, x, y):
+        """(x, y) as arrays once every parameter and the data pass the gate."""
+        for name, default in self._param_defaults().items():
+            _check_param(name, getattr(self, name), default)
+        return validate_supervision(self.supervision, x, y)
 
     def _set_model(self, model: MahalanobisModel) -> None:
         self.model_ = model

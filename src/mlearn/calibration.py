@@ -21,7 +21,7 @@ import numpy as np
 
 from .exceptions import ValidationError
 from .model import _distances
-from .tuples import validate_tuples
+from .tuples import validate_supervision
 
 
 @dataclass(frozen=True)
@@ -42,10 +42,9 @@ def calibrate_threshold(model, pairs, y, metric: str = "accuracy") -> Calibratio
 
     Does not mutate the model; the caller stores the threshold where needed.
     """
-    pairs = validate_tuples(pairs, 2, model.n_features, labels=y)
+    pairs, y = validate_supervision("pairs", pairs, y, model.n_features)
     if len(pairs) == 0:
         raise ValidationError("cannot calibrate on an empty pair set")
-    y = np.asarray(y)
     if metric not in ("accuracy", "f1"):
         raise ValidationError(f"unsupported calibration metric {metric!r}")
     is_pos = y == 1

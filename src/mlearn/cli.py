@@ -22,9 +22,9 @@ import numpy as np
 
 from .exceptions import MetricLearnError, NumericalError, ValidationError
 from .model import MahalanobisModel
-from .modelsel import SUPERVISION, SupervisedTask, cross_validate, grid_search
+from .modelsel import SupervisedTask, cross_validate, grid_search
 from .supervised import LFDA, LMNN, MLKR, NCA, RCA
-from .tuples import validate_tuples
+from .tuples import ARITY, validate_tuples
 from .weak import ITML, LSML, MMC
 
 ALGORITHMS = {
@@ -215,11 +215,13 @@ def build_estimator(args):
         )
     est = ALGORITHMS[algo]()
     params = {}
-    for flag, name in (("n_components", "n_components"), ("max_iter", "max_iter"),
-                       ("tol", "tol"), ("seed", "seed")):
-        value = getattr(args, flag, None)
-        if value is not None and name in est._param_defaults():
-            params[name] = value
+    for name in ("n_components", "max_iter", "tol"):
+        value = getattr(args, name, None)
+        if value is not None:
+            params[_resolve_param(algo, est, name)] = value
+    # --seed always has a value, which cv also uses for its folds
+    if "seed" in est._param_defaults():
+        params["seed"] = args.seed
     for opt in getattr(args, "opt", None) or []:
         if "=" not in opt:
             raise ValidationError(f"options must look like key=value, got {opt!r}")
@@ -230,8 +232,7 @@ def build_estimator(args):
 
 
 def _fit_inputs(est, args) -> tuple:
-    """(x, y) for ``est.fit``, loaded as its supervision kind needs; y is
-    None for quadruplets."""
+    """(x, y) for ``est.fit``, loaded as its supervision kind needs."""
     kind = est.supervision
     flag, source = {
         "labels": ("--label-col", args.label_col),
@@ -248,10 +249,7 @@ def _fit_inputs(est, args) -> tuple:
     x, y, _ = load_features(args.data, label_col=args.label_col)
     if kind == "labels":
         return x, y
-    tuples, y = load_tuples(source, x, SUPERVISION[kind].arity)
-    if kind == "pairs" and y is None:
-        raise ValidationError("pairs file must include a label column")
-    return tuples, y
+    return load_tuples(source, x, ARITY[kind])
 
 
 # -- commands ----------------------------------------------------------------
@@ -261,10 +259,7 @@ def cmd_fit(args) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         x, y = _fit_inputs(est, args)
-        if y is None:
-            est.fit(x)
-        else:
-            est.fit(x, y)
+        est.fit(x, y)
         if args.calibrate is not None:
             if est.supervision != "pairs":
                 raise ValidationError("--calibrate only applies to pair learners")
@@ -322,8 +317,6 @@ def cmd_calibrate(args) -> int:
     model = MahalanobisModel.load(args.model)
     x, _, _ = load_features(args.data, label_col=args.label_col)
     pairs, y = load_tuples(args.pairs, x, 2)
-    if y is None:
-        raise ValidationError("pairs file must include a label column")
     result = calibrate_threshold(model, pairs, y, args.metric)
     model.threshold = result.threshold
     model.save(args.out or args.model)

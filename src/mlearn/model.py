@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DimensionError, ValidationError
+from .exceptions import DimensionError, ValidationError, check_at_least
 from .linalg import sym_eig
-from .tuples import validate_tuples
+from .tuples import _as_features, validate_tuples
 
 
 @dataclass(frozen=True)
@@ -39,19 +38,6 @@ class FitReport:
     n_iter: int = 1
     final_objective: float = 0.0
     objective_trace: tuple = field(default=(0.0,))
-
-
-def _as_features(x, n_features: int | None = None) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise DimensionError(f"expected a 2-D feature matrix, got ndim={x.ndim}")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("feature matrix contains non-finite entries")
-    if n_features is not None and x.shape[1] != n_features:
-        raise DimensionError(
-            f"expected {n_features} feature columns, got {x.shape[1]}"
-        )
-    return x
 
 
 def _distances(components: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -69,14 +55,6 @@ def _valid_threshold(threshold) -> float:
     if not math.isfinite(thr) or thr < 0:
         raise ValidationError(f"threshold must be finite and >= 0, got {threshold!r}")
     return thr
-
-
-def _json_count(doc: dict, key: str, default: int, low: int) -> int:
-    """doc[key], or default when absent: an integer >= low, not a bool."""
-    value = doc.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise TypeError(f"{key} must be an integer >= {low}, got {value!r}")
-    return value
 
 
 @dataclass
@@ -219,23 +197,20 @@ class MahalanobisModel:
             converged = fr.get("converged", True)
             if not isinstance(converged, bool):
                 raise TypeError(f"converged must be true or false, got {converged!r}")
-            model = cls(
-                components=components,
-                threshold=d.get("threshold"),
-                algorithm=str(d.get("algorithm", "manual")),
-                fit_report=FitReport(
-                    converged=converged,
-                    n_iter=_json_count(fr, "n_iter", 1, 0),
-                    final_objective=float(fr.get("final_objective", 0.0)),
-                    objective_trace=(float(fr.get("final_objective", 0.0)),),
-                ),
+            report = FitReport(
+                converged=converged,
+                n_iter=check_at_least("n_iter", fr.get("n_iter", 1), 0),
+                final_objective=float(fr.get("final_objective", 0.0)),
+                objective_trace=(float(fr.get("final_objective", 0.0)),),
             )
-            shape = (_json_count(d, "n_components", model.n_components, 1),
-                     _json_count(d, "n_features", model.n_features, 1))
-        except ValidationError:
-            raise
+            # an absent count is not checked
+            shape = tuple(check_at_least(key, d[key], 1) if key in d else size
+                          for key, size in zip(("n_components", "n_features"),
+                                               components.shape))
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ValidationError(f"malformed model document: {exc}") from exc
+        model = cls(components=components, threshold=d.get("threshold"),
+                    algorithm=str(d.get("algorithm", "manual")), fit_report=report)
         if shape != model.components.shape:
             raise ValidationError("model document shape fields disagree with components")
         return model

@@ -20,11 +20,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .base import check_at_least
-from .exceptions import ValidationError
+from .exceptions import ValidationError, check_at_least
 from .rng import SplitMix64
 from .scoring import score
-from .tuples import validate_tuples
+from .tuples import ARITY, _as_labels, validate_supervision
 
 
 @dataclass
@@ -59,9 +58,7 @@ def kfold_split(n: int, k: int, seed: int, stratify_labels=None):
     rng = SplitMix64(seed)
     assignment = np.empty(n, dtype=int)
     if stratify_labels is not None:
-        labels = np.asarray(stratify_labels)
-        if len(labels) != n:
-            raise ValidationError("stratify_labels length must equal n")
+        labels = _as_labels(stratify_labels, n)
         counts = {c: int(np.sum(labels == c)) for c in np.unique(labels)}
         if min(counts.values()) < k:
             warnings.warn(
@@ -79,7 +76,6 @@ def kfold_split(n: int, k: int, seed: int, stratify_labels=None):
             assignment[order[start:start + size]] = fold
             start += size
     else:
-        labels = np.asarray(stratify_labels)
         counter = 0
         for c in np.unique(labels):
             members = np.flatnonzero(labels == c).tolist()
@@ -112,10 +108,7 @@ def knn_predict(train_x, train_y, test_x, knn_k: int, model):
     per-query ``np.linalg.norm`` and stable ``argsort`` give (see
     :func:`_k_nearest`).
     """
-    train_x = np.asarray(train_x, dtype=float)
-    train_y = np.asarray(train_y)
-    if len(train_x) == 0:
-        raise ValidationError("k-NN needs a non-empty training set")
+    train_x, train_y = validate_supervision("labels", train_x, train_y)
     check_at_least("knn_k", knn_k, 1)
     if knn_k > len(train_x):
         raise ValidationError(
@@ -200,49 +193,46 @@ def _quad_scorer(task, est, train, metric_name):
 
 
 class Supervision(NamedTuple):
-    """How cross-validation treats one kind of supervision."""
-    arity: int | None  # tuple arity; None for points, which split stratified on y
+    """How cross-validation treats one kind of supervision; points (see
+    :data:`~mlearn.tuples.ARITY`) split stratified on y, tuples do not."""
     y_name: str | None  # what a training fold needs two distinct values of
     scorer: Callable  # (task, fitted estimator, train rows, metric) -> rows -> score
 
 
 SUPERVISION = {
-    "labels": Supervision(None, "class", _knn_scorer),
-    "chunks": Supervision(None, "class", _knn_scorer),
-    "pairs": Supervision(2, "pair label", _pair_scorer),
-    "quads": Supervision(4, None, _quad_scorer),
+    "labels": Supervision("class", _knn_scorer),
+    "chunks": Supervision("class", _knn_scorer),
+    "pairs": Supervision("pair label", _pair_scorer),
+    "quads": Supervision(None, _quad_scorer),
 }
 
 
-def _supervision(task) -> Supervision:
+def _supervision(task) -> str:
     kind = getattr(getattr(task, "estimator", None), "supervision", None)
     if kind not in SUPERVISION:
         raise ValidationError(
             f"unknown supervision kind {kind!r} for task {type(task).__name__}"
         )
-    return SUPERVISION[kind]
+    return kind
 
 
 def cross_validate(task, k: int, seed: int, metric_name: str = "accuracy") -> CvResult:
     """Per-fold fit and evaluation; no test-fold information reaches a fit."""
-    kind = _supervision(task)
-    x, y = task.x, task.y
-    if kind.arity is None:
-        folds = kfold_split(len(x), k, seed, stratify_labels=y)
-    else:
-        validate_tuples(x, kind.arity, labels=y)
-        folds = kfold_split(len(x), k, seed)
+    name = _supervision(task)
+    x, y = validate_supervision(name, task.x, task.y)
+    task = replace(task, x=x, y=y)
+    folds = kfold_split(len(x), k, seed,
+                        stratify_labels=y if ARITY[name] is None else None)
+    kind = SUPERVISION[name]
     test_scores, train_scores, models = [], [], []
     for fold, (train, test) in enumerate(folds):
+        y_train = None if y is None else y[train]
+        if kind.y_name and len(np.unique(y_train)) < 2:
+            raise ValidationError(
+                f"fold {fold} is degenerate: one {kind.y_name} in training data"
+            )
         est = task.estimator.clone()
-        if y is None:
-            est.fit(x[train])
-        else:
-            if len(np.unique(y[train])) < 2:
-                raise ValidationError(
-                    f"fold {fold} is degenerate: one {kind.y_name} in training data"
-                )
-            est.fit(x[train], y[train])
+        est.fit(x[train], y_train)
         score_on = kind.scorer(task, est, train, metric_name)
         test_scores.append(score_on(test))
         train_scores.append(score_on(train))
@@ -257,7 +247,7 @@ def _apply_candidate(task, params: dict):
     task = replace(task, estimator=est)
     for name, value in params.items():
         if name == "knn_k":
-            if _supervision(task).scorer is not _knn_scorer:
+            if SUPERVISION[_supervision(task)].scorer is not _knn_scorer:
                 raise ValidationError("knn_k only applies to k-NN scored tasks")
             task.knn_k = check_at_least("knn_k", value, 1)
         else:

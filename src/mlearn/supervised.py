@@ -12,22 +12,17 @@ import warnings
 
 import numpy as np
 
-from .base import MahalanobisEstimator, check_at_least, check_solver_limits
-from .exceptions import ValidationError
+from .base import MahalanobisEstimator
+from .exceptions import ValidationError, check_at_least
 from .linalg import gen_sym_eig, psd_sqrt
-from .model import FitReport, MahalanobisModel, _as_features
+from .model import FitReport, MahalanobisModel
 from .optimize import backtracking_solve
 from .rng import SplitMix64
 
 
-def _check_classification(x, y):
-    x = _as_features(x)
-    y = np.asarray(y)
-    if len(y) != len(x):
-        raise ValidationError("labels length must match number of samples")
+def _check_two_classes(y: np.ndarray) -> None:
     if len(np.unique(y)) < 2:
         raise ValidationError("degenerate labels: need at least 2 distinct classes")
-    return x, y
 
 
 def _init_transform(init: str, n_components: int, n_features: int, seed: int):
@@ -42,7 +37,7 @@ def _init_transform(init: str, n_components: int, n_features: int, seed: int):
 
 
 def _resolve_components(n_components, n_features: int) -> int:
-    m = n_features if n_components is None else int(n_components)
+    m = n_features if n_components is None else n_components
     if not 1 <= m <= n_features:
         raise ValidationError(
             f"n_components must be in [1, {n_features}], got {m}"
@@ -151,8 +146,8 @@ class NCA(MahalanobisEstimator):
         self.seed = seed
 
     def fit(self, x, y):
-        check_solver_limits(self)
-        x, y = _check_classification(x, y)
+        x, y = self._check_fit(x, y)
+        _check_two_classes(y)
         m = _resolve_components(self.n_components, x.shape[1])
         l0 = _init_transform(self.init, m, x.shape[1], self.seed)
         same = _same_class(y)
@@ -253,9 +248,9 @@ class LMNN(MahalanobisEstimator):
         self.seed = seed
 
     def fit(self, x, y):
-        check_solver_limits(self)
+        x, y = self._check_fit(x, y)
         k = check_at_least("k", self.k, 1)
-        x, y = _check_classification(x, y)
+        _check_two_classes(y)
         if not 0.0 < self.push_weight < 1.0:
             raise ValidationError("push_weight must lie strictly in (0, 1)")
         targets = lmnn_targets(x, y, k)
@@ -307,11 +302,8 @@ class MLKR(MahalanobisEstimator):
         self.seed = seed
 
     def fit(self, x, y):
-        check_solver_limits(self)
-        x = _as_features(x)
+        x, y = self._check_fit(x, y)
         y = np.asarray(y, dtype=float)
-        if len(y) != len(x):
-            raise ValidationError("targets length must match number of samples")
         if len(x) < 3:
             raise ValidationError("need at least 3 samples")
         m = _resolve_components(self.n_components, x.shape[1])
@@ -400,8 +392,9 @@ class LFDA(MahalanobisEstimator):
         self.embedding = embedding
 
     def fit(self, x, y):
+        x, y = self._check_fit(x, y)
         knn = check_at_least("knn", self.knn, 1)
-        x, y = _check_classification(x, y)
+        _check_two_classes(y)
         if self.embedding not in ("weighted", "plain"):
             raise ValidationError("embedding must be 'weighted' or 'plain'")
         d = x.shape[1]
@@ -435,12 +428,9 @@ class RCA(MahalanobisEstimator):
         self.n_components = n_components
 
     def fit(self, x, chunks):
-        x = _as_features(x)
-        chunks = np.asarray(chunks)
-        if len(chunks) != len(x):
-            raise ValidationError("chunklet assignment length must match samples")
+        x, chunks = self._check_fit(x, chunks)
         d = x.shape[1]
-        if self.n_components is not None and int(self.n_components) != d:
+        if self.n_components is not None and self.n_components != d:
             raise ValidationError(
                 "this learner does not reduce dimension: n_components must "
                 f"equal n_features ({d})"
@@ -461,6 +451,6 @@ class RCA(MahalanobisEstimator):
                 "no constraints: need at least one chunklet with 2 or more members"
             )
         cov /= count
-        l = psd_sqrt(cov + float(self.reg) * np.eye(d), invert=True)
+        l = psd_sqrt(cov + self.reg * np.eye(d), invert=True)
         self._set_model(MahalanobisModel(l, algorithm="rca"))
         return self

@@ -1,4 +1,8 @@
-"""Tuple supervision: validation and samplers over labeled data.
+"""Supervision: the data gate of every fit, and samplers over labeled data.
+
+:func:`validate_supervision` checks data by its kind of supervision, as
+every fit, ``cross_validate``, ``knn_predict``, ``calibrate_threshold`` and
+the samplers below do; :data:`ARITY` says what each kind takes as ``x``.
 
 Tuple sets are plain 3-D numpy arrays of shape (n_tuples, t, n_features)
 with t = 2 (pairs), 3 (triplets: anchor, positive, negative) or 4
@@ -25,6 +29,46 @@ from .exceptions import DimensionError, ValidationError, check_at_least
 from .rng import SplitMix64, below
 
 
+# supervision kind -> tuple arity of what fit takes as x; None for points
+ARITY = {"labels": None, "chunks": None, "pairs": 2, "quads": 4}
+
+
+def validate_supervision(kind: str, x, y, n_features: int | None = None):
+    """(x, y) as arrays, checked for the supervision kind: points with a
+    1-D y of one entry per row, labeled pairs, or quadruplets without y."""
+    arity = ARITY[kind]
+    if arity is None:
+        x = _as_features(x, n_features)
+        return x, _as_labels(y, len(x))
+    if kind == "pairs" and y is None:
+        raise ValidationError("pairs need labels: one +1 or -1 per pair")
+    x = validate_tuples(x, arity, n_features, labels=y)
+    return x, None if y is None else np.asarray(y)
+
+
+def _as_features(x, n_features: int | None = None) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise DimensionError(f"expected a 2-D feature matrix, got ndim={x.ndim}")
+    if not np.all(np.isfinite(x)):
+        raise ValidationError("feature matrix contains non-finite entries")
+    if n_features is not None and x.shape[1] != n_features:
+        raise DimensionError(
+            f"expected {n_features} feature columns, got {x.shape[1]}"
+        )
+    return x
+
+
+def _as_labels(y, n: int) -> np.ndarray:
+    """y as a 1-D array of one entry per row of n rows."""
+    y = np.asarray(y)
+    if y.ndim != 1:
+        raise DimensionError(f"labels must be 1-D, got ndim={y.ndim}")
+    if len(y) != n:
+        raise ValidationError(f"length mismatch: {len(y)} labels for {n} rows")
+    return y
+
+
 def validate_tuples(tuples, expected_t: int, n_features: int | None = None,
                     labels=None) -> np.ndarray:
     """Check a tuple block against arity, width, finiteness and label rules."""
@@ -45,11 +89,7 @@ def validate_tuples(tuples, expected_t: int, n_features: int | None = None,
     if labels is not None:
         if expected_t != 2:
             raise ValidationError("labels are only permitted for pairs (t=2)")
-        labels = np.asarray(labels)
-        if labels.shape != (tuples.shape[0],):
-            raise ValidationError(
-                f"labels must have length {tuples.shape[0]}, got shape {labels.shape}"
-            )
+        labels = _as_labels(labels, len(tuples))
         if not np.all(np.isin(labels, (-1, 1))):
             raise ValidationError("pair labels must take values in {+1, -1}")
     return tuples
@@ -68,10 +108,8 @@ class _ClassPools:
     would change the tuples a seed produces.
     """
 
-    def __init__(self, x, y, k: int, what: str):
+    def __init__(self, y, k: int, what: str):
         check_at_least("k", k, 1)
-        if len(y) != len(x):
-            raise ValidationError("labels length must match number of samples")
         labels, self.codes = np.unique(y, return_inverse=True)
         if len(labels) < 2:
             raise ValidationError(f"{what} requires at least 2 distinct classes")
@@ -140,8 +178,8 @@ def pairs_from_labels(x, y, k: int, seed: int):
     itself), dissimilar partners from all other classes. Output order is by
     sample index, similar pairs first within each sample.
     """
-    x = np.asarray(x, dtype=float)
-    pools = _ClassPools(x, np.asarray(y), k, "pairs")
+    x, y = validate_supervision("labels", x, y)
+    pools = _ClassPools(y, k, "pairs")
     n = len(x)
     z = SplitMix64(seed).draws(2 * k * n).reshape(n, 2 * k)
     idx = np.empty((n, 2 * k, 2), dtype=np.intp)
@@ -154,8 +192,8 @@ def pairs_from_labels(x, y, k: int, seed: int):
 
 def triplets_from_labels(x, y, k: int, seed: int) -> np.ndarray:
     """k triplets (anchor, same-class positive, other-class negative) per sample."""
-    x = np.asarray(x, dtype=float)
-    pools = _ClassPools(x, np.asarray(y), k, "triplets")
+    x, y = validate_supervision("labels", x, y)
+    pools = _ClassPools(y, k, "triplets")
     n = len(x)
     z = SplitMix64(seed).draws(2 * k * n).reshape(n, 2 * k)
     idx = np.empty((n, k, 3), dtype=np.intp)
@@ -168,8 +206,8 @@ def triplets_from_labels(x, y, k: int, seed: int) -> np.ndarray:
 def quadruplets_from_labels(x, y, k: int, seed: int) -> np.ndarray:
     """k quadruplets per sample: (sample, same-class partner, random point,
     partner of a different class than the random point)."""
-    x = np.asarray(x, dtype=float)
-    pools = _ClassPools(x, np.asarray(y), k, "quadruplets")
+    x, y = validate_supervision("labels", x, y)
+    pools = _ClassPools(y, k, "quadruplets")
     n = len(x)
     z = SplitMix64(seed).draws(3 * k * n).reshape(n, 3 * k)
     idx = np.empty((n, k, 4), dtype=np.intp)

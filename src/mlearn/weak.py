@@ -14,27 +14,24 @@ import numbers
 import numpy as np
 
 from .base import (MahalanobisEstimator, PairClassifierMixin,
-                   QuadrupletClassifierMixin, check_solver_limits)
+                   QuadrupletClassifierMixin)
 from .exceptions import NumericalError, ValidationError
 from .linalg import psd_project, psd_sqrt, sym_eig
 from .model import FitReport, MahalanobisModel
 from .optimize import backtracking_solve
-from .tuples import validate_tuples
 
 _EIG_FLOOR = 1e-10  # keeps log-determinants finite in LSML
 
 
-def _split_pairs(pairs, y):
-    """(validated pairs, similar differences, dissimilar differences)."""
-    pairs = validate_tuples(pairs, 2, labels=y)
-    y = np.asarray(y)
+def _split_pairs(pairs: np.ndarray, y: np.ndarray):
+    """(similar differences, dissimilar differences) of gated pairs."""
     pos = pairs[y == 1, 0] - pairs[y == 1, 1]
     neg = pairs[y == -1, 0] - pairs[y == -1, 1]
     if len(pos) == 0 or len(neg) == 0:
         raise ValidationError(
             "degenerate constraints: need at least one +1 and one -1 pair"
         )
-    return pairs, pos, neg
+    return pos, neg
 
 
 def _prior_matrix(prior: str, points: np.ndarray, d: int) -> np.ndarray:
@@ -106,8 +103,7 @@ class MMC(MahalanobisEstimator, PairClassifierMixin):
         self.tol = tol
 
     def fit(self, pairs, y):
-        check_solver_limits(self)
-        _, pos, neg = _split_pairs(pairs, y)
+        pos, neg = _split_pairs(*self._check_fit(pairs, y))
         if not np.any(np.sum(neg * neg, axis=1) > 0.0):
             raise NumericalError(
                 "all dissimilar pairs coincide: log of zero distance"
@@ -214,9 +210,8 @@ class ITML(MahalanobisEstimator, PairClassifierMixin):
         self.tol = tol
 
     def fit(self, pairs, y):
-        check_solver_limits(self)
         deltas = []
-        for a, delta in self._cycles(pairs, y):
+        for a, delta in self._cycles(*self._check_fit(pairs, y)):
             if delta is not None:
                 deltas.append(delta)
         if not np.all(np.isfinite(a)):
@@ -233,13 +228,13 @@ class ITML(MahalanobisEstimator, PairClassifierMixin):
         return self
 
     def _cycles(self, pairs, y):
-        """Yield (M, multiplier change): first the prior with change None,
-        then one entry per full cycle."""
-        pairs, pos, neg = _split_pairs(pairs, y)
+        """Yield (M, multiplier change) for gated pairs: first the prior with
+        change None, then one entry per full cycle."""
+        pos, neg = _split_pairs(pairs, y)
         d = pos.shape[1]
         u, l = itml_bounds(pairs, self.percentiles)
         self.bounds_ = (u, l)
-        gamma = float(self.gamma)
+        gamma = self.gamma
         if gamma <= 0:
             raise ValidationError("gamma must be > 0")
         gamma_proj = gamma / (gamma + 1.0)
@@ -332,12 +327,11 @@ class LSML(MahalanobisEstimator, QuadrupletClassifierMixin):
         self.max_iter = max_iter
         self.tol = tol
 
-    def fit(self, quads):
-        check_solver_limits(self)
-        quads = validate_tuples(quads, 4)
+    def fit(self, quads, y=None):
+        quads, _ = self._check_fit(quads, y)
         if len(quads) == 0:
             raise ValidationError("need at least one quadruplet")
-        if float(self.reg) < 0:
+        if self.reg < 0:
             raise ValidationError("reg must be >= 0")
         d = quads.shape[2]
         m0 = _prior_matrix(self.prior, quads.reshape(-1, d), d)
@@ -359,7 +353,7 @@ class LSML(MahalanobisEstimator, QuadrupletClassifierMixin):
 
         m, report = backtracking_solve(
             lambda m_: lsml_objective(m_, diffs_close, diffs_far, m0inv,
-                                      logdet_m0, float(self.reg)),
+                                      logdet_m0, self.reg),
             m0, max_iter=self.max_iter, tol=self.tol, project=project,
         )
         model = MahalanobisModel(psd_sqrt(m), algorithm="lsml", fit_report=report)

@@ -1,0 +1,151 @@
+"""The input gate: every bad parameter or data value raises ValidationError,
+and through the CLI exits 2 with exactly one ``error:`` line."""
+
+import math
+
+import numpy as np
+import pytest
+
+import mlearn as ml
+from mlearn.cli import main
+from mlearn.exceptions import ValidationError
+
+R = np.random.default_rng(0)
+X = R.standard_normal((18, 3)) + 4.0 * np.repeat(np.eye(3), 6, axis=0)
+Y = np.repeat([0, 1, 2], 6)
+PAIRS, PAIR_Y = ml.pairs_from_labels(X, Y, 2, 0)
+QUADS = ml.quadruplets_from_labels(X, Y, 2, 0)
+MODEL = ml.from_components(np.eye(3))
+
+# what each kind fits on: (learner, x, y)
+KINDS = {
+    "labels": (ml.NCA(max_iter=5), X, Y),
+    "chunks": (ml.RCA(), X, Y),
+    "pairs": (ml.MMC(max_iter=5), PAIRS, PAIR_Y),
+    "quads": (ml.LSML(max_iter=3), QUADS, None),
+}
+
+
+def _bad_y(kind, y):
+    """A 2-D y and a y of the wrong length for the kind."""
+    y = np.ones(len(KINDS[kind][1])) if y is None else y
+    return {"2-D y": y[:, None], "short y": y[:-1]}
+
+
+FIT = ["fit", "--data", "{data}", "--label-col", "y", "--out", "{out}"]
+
+# id -> (call that must raise ValidationError or None, CLI argv that must
+# exit 2 or None); {name} in an argv is a file the fixture below writes
+CASES = {
+    "NCA n_components=2.7": (lambda: ml.NCA(n_components=2.7).fit(X, Y),
+                             FIT + ["--algo", "nca", "--opt", "n_components=2.7"]),
+    "MMC diagonal='no'": (lambda: ml.MMC(diagonal="no").fit(PAIRS, PAIR_Y),
+                          FIT + ["--algo", "mmc", "--pairs", "{pairs}",
+                                 "--opt", "diagonal=no"]),
+    "LMNN push_weight='0.5'": (lambda: ml.LMNN(push_weight="0.5").fit(X, Y),
+                               FIT + ["--algo", "lmnn", "--opt", "push_weight=abc"]),
+    "ITML gamma=nan": (lambda: ml.ITML(gamma=math.nan).fit(PAIRS, PAIR_Y),
+                       FIT + ["--algo", "itml", "--pairs", "{pairs}",
+                              "--opt", "gamma=nan"]),
+    "NCA tol=nan": (lambda: ml.NCA(tol=math.nan).fit(X, Y),
+                    FIT + ["--algo", "nca", "--tol", "nan"]),
+    "NCA max_iter=2.5": (lambda: ml.NCA(max_iter=2.5).fit(X, Y), None),
+    "NCA 2-D y": (lambda: ml.NCA().fit(X, Y[:, None]), None),
+    "LMNN 2-D y": (lambda: ml.LMNN().fit(X, Y[:, None]), None),
+    "MLKR 2-D y": (lambda: ml.MLKR().fit(X, Y[:, None]), None),
+    "pairs_from_labels 2-D y": (
+        lambda: ml.pairs_from_labels(X, Y[:, None], 2, 0), None),
+    "triplets_from_labels 2-D y": (
+        lambda: ml.triplets_from_labels(X, Y[:, None], 2, 0), None),
+    "quadruplets_from_labels 2-D y": (
+        lambda: ml.quadruplets_from_labels(X, Y[:, None], 2, 0), None),
+    "sampler short y": (lambda: ml.pairs_from_labels(X, Y[:-1], 2, 0), None),
+    "knn_predict 2-D y": (lambda: ml.knn_predict(X, Y[:, None], X, 3, MODEL), None),
+    "knn_predict short y": (lambda: ml.knn_predict(X, Y[:-1], X, 3, MODEL), None),
+    "calibrate_threshold y=None": (
+        lambda: ml.calibrate_threshold(MODEL, PAIRS, None),
+        ["calibrate", "--model", "{model}", "--data", "{data}", "--label-col",
+         "y", "--pairs", "{unlabeled}"]),
+    "MMC pairs without labels": (
+        lambda: ml.MMC().fit(PAIRS, None),
+        FIT + ["--algo", "mmc", "--pairs", "{unlabeled}"]),
+    "unknown init": (lambda: ml.NCA(init="bogus").fit(X, Y),
+                     FIT + ["--algo", "nca", "--opt", "init=bogus"]),
+    "n_components out of range": (lambda: ml.NCA(n_components=5).fit(X, Y),
+                                  FIT + ["--algo", "nca", "--n-components", "5"]),
+    "LFDA embedding": (lambda: ml.LFDA(embedding="bogus").fit(X, Y),
+                       FIT + ["--algo", "lfda", "--opt", "embedding=bogus"]),
+    "ITML gamma <= 0": (lambda: ml.ITML(gamma=-1.0).fit(PAIRS, PAIR_Y),
+                        FIT + ["--algo", "itml", "--pairs", "{pairs}",
+                               "--opt", "gamma=-1"]),
+    "LSML reg < 0": (lambda: ml.LSML(reg=-1.0).fit(QUADS),
+                     FIT + ["--algo", "lsml", "--quads", "{quads}",
+                            "--opt", "reg=-1"]),
+    "MLKR 2 samples": (lambda: ml.MLKR().fit(X[:2], [0.0, 1.0]),
+                       ["fit", "--algo", "mlkr", "--data", "{small}",
+                        "--label-col", "y", "--out", "{out}"]),
+    "calibrate unsupported metric": (
+        lambda: ml.calibrate_threshold(MODEL, PAIRS, PAIR_Y, "bogus"), None),
+    "LFDA --max-iter --tol": (None, FIT + ["--algo", "lfda", "--max-iter", "3",
+                                           "--tol", "0.1"]),
+    "MMC --n-components": (None, FIT + ["--algo", "mmc", "--pairs", "{pairs}",
+                                        "--n-components", "2"]),
+}
+for _kind, (_est, _x, _y) in KINDS.items():
+    for _what, _bad in _bad_y(_kind, _y).items():
+        CASES[f"{_kind} fit {_what}"] = (
+            lambda e=_est, x=_x, y=_bad: e.clone().fit(x, y), None)
+        CASES[f"{_kind} cross_validate {_what}"] = (
+            lambda e=_est, x=_x, y=_bad: ml.cross_validate(
+                ml.SupervisedTask(x, y, e), 3, 0), None)
+
+
+@pytest.mark.parametrize("case", [c for c, (call, _) in CASES.items() if call])
+def test_bad_input_raises_validation_error(case):
+    with pytest.raises(ValidationError):
+        CASES[case][0]()
+
+
+@pytest.fixture
+def files(tmp_path):
+    paths = {name: tmp_path / name for name in
+             ("data", "small", "pairs", "unlabeled", "quads", "model", "out")}
+    rows = "".join(",".join(map(repr, row.tolist())) + f",{lab}\n"
+                   for row, lab in zip(X, Y))
+    paths["data"].write_text("f1,f2,f3,y\n" + rows)
+    paths["small"].write_text("f1,f2,f3,y\n0,0,0,0\n1,0,0,1\n")
+    paths["pairs"].write_text("i,j,label\n0,1,1\n6,7,1\n0,6,-1\n1,12,-1\n")
+    paths["unlabeled"].write_text("i,j\n0,1\n0,6\n")
+    paths["quads"].write_text("i,j,k,l\n0,1,0,6\n6,7,6,12\n")
+    MODEL.save(paths["model"])
+    return {name: str(path) for name, path in paths.items()}
+
+
+@pytest.mark.parametrize("argv", [
+    FIT + ["--algo", "nca"], FIT + ["--algo", "lfda"],
+    FIT + ["--algo", "itml", "--pairs", "{pairs}", "--max-iter", "3"],
+    FIT + ["--algo", "lsml", "--quads", "{quads}", "--max-iter", "3"],
+    ["calibrate", "--model", "{model}", "--data", "{data}", "--label-col", "y",
+     "--pairs", "{pairs}"]])
+def test_the_files_are_valid_input(argv, files, capsys):
+    assert main([a.format(**files) for a in argv]) == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", [c for c, (_, argv) in CASES.items() if argv])
+def test_bad_input_exits_2_with_one_error_line(case, files, capsys):
+    code = main([a.format(**files) for a in CASES[case][1]])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("ignore::mlearn.ConvergenceWarning")
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_list_inputs_fit_and_cross_validate_as_arrays(kind):
+    est, x, y = KINDS[kind]
+    listed = (x.tolist(), None if y is None else y.tolist())
+    fitted = est.clone().fit(x, y).components_
+    assert est.clone().fit(*listed).components_.tobytes() == fitted.tobytes()
+    want = ml.cross_validate(ml.SupervisedTask(x, y, est), 3, 0)
+    got = ml.cross_validate(ml.SupervisedTask(*listed, est), 3, 0)
+    assert got.test_scores == want.test_scores

@@ -14,8 +14,8 @@ from mlearn import (
     f1_score,
     from_components,
 )
-import mlearn.calibration
 import mlearn.model
+import mlearn.tuples
 from mlearn.calibration import candidate_thresholds
 from mlearn.exceptions import DimensionError, NumericalError, ValidationError
 from mlearn.linalg import psd_project, psd_sqrt
@@ -528,7 +528,8 @@ class TestCalibrateThreshold:
             calls.append(args[1:])
             return validate_tuples(*args, **kwargs)
 
-        for module in (mlearn.calibration, mlearn.model):
+        # calibration validates through the input gate in mlearn.tuples
+        for module in (mlearn.tuples, mlearn.model):
             monkeypatch.setattr(module, "validate_tuples", counting)
         model, pairs = self._model_for([1.0, 2.0, 3.0])
         calibrate_threshold(model, pairs, [1, -1, -1], "accuracy")
