@@ -6,9 +6,9 @@ The estimators follow the familiar fit/transform/predict shape with
 with the grid-search harness without any external framework. Every ``fit``
 starts with one gate, :meth:`MahalanobisEstimator._check_fit`: each
 parameter, from the constructor or ``set_params`` (which checks at once),
-must have the type of its ``__init__`` default, a real may not be NaN, and
-``max_iter`` and ``tol`` must be >= 0; the data is checked by the learner's
-``supervision`` kind. A fitted estimator stores a
+must have the type of its ``__init__`` default, one with a float default
+must be a finite float, and ``max_iter`` and ``tol`` must be >= 0; the data
+is checked by the learner's ``supervision`` kind. A fitted estimator stores a
 :class:`~mlearn.model.MahalanobisModel` in ``model_`` and mirrors its
 transformation matrix in ``components_``.
 """
@@ -16,6 +16,7 @@ transformation matrix in ``components_``.
 from __future__ import annotations
 
 import inspect
+import math
 import numbers
 
 import numpy as np
@@ -38,15 +39,19 @@ _PARAM_KINDS = (
 
 
 def _check_param(name: str, value, default):
-    """value, of the type of its __init__ default; a real is not NaN, and
-    max_iter and tol are >= 0."""
+    """value, of the type of its __init__ default; where that is a float, a
+    finite float; and max_iter and tol are >= 0."""
     kind = next((k for k in _PARAM_KINDS if isinstance(default, k[0])), None)
     if kind and (not isinstance(value, kind[1])
                  or isinstance(value, bool) != (kind[0] is bool)):
         raise ValidationError(f"{name} must be {kind[2]}, got {value!r}")
-    # NaN is the one real unequal to itself (math.isnan overflows on big ints)
-    if isinstance(value, numbers.Real) and value != value:
-        raise ValidationError(f"{name} must not be NaN")
+    if isinstance(default, float):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int past the largest float
+            finite = False
+        if not finite:
+            raise ValidationError(f"{name} must be a finite number, got {value!r}")
     if name in ("max_iter", "tol"):
         check_at_least(name, value, 0, kind[1])
     return value

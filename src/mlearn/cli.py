@@ -2,12 +2,15 @@
 
 Data comes in as headered CSV (comma separator, dot decimal point). Tuple
 files reference 0-based rows of the feature file via index columns
-(i,j[,label] for pairs, i,j,k for triplets, i,j,k,l for quadruplets).
+(i,j[,label] for pairs, i,j,k for triplets, i,j,k,l for quadruplets). One
+reader checks every row's width, then each loader parses a row's cells once.
 ``fit`` and ``cv`` load what a learner fits on from its supervision kind:
 class labels from --label-col (nca, lmnn, mlkr, lfda), chunklet ids from
 --chunk-col (rca), labeled pairs from --pairs (mmc, itml) or quadruplets
-from --quads (lsml). Models persist as JSON. Exit codes: 0 success, 2
-validation or format error, 3 numerical failure.
+from --quads (lsml). The serving commands load the model, the features and
+their one tuple file in one place and call only the model's public methods,
+which do the remaining checks. Models persist as JSON. Exit codes: 0
+success, 2 validation or format error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .exceptions import MetricLearnError, NumericalError, ValidationError
 from .model import MahalanobisModel
 from .modelsel import SupervisedTask, cross_validate, grid_search
 from .supervised import LFDA, LMNN, MLKR, NCA, RCA
-from .tuples import ARITY, validate_tuples
+from .tuples import ARITY
 from .weak import ITML, LSML, MMC
 
 ALGORITHMS = {
@@ -35,15 +38,21 @@ ALGORITHMS = {
 
 # -- file I/O ----------------------------------------------------------------
 
-def _read_csv(path):
+def _read_csv(path, row_name="row"):
+    """(header, rows) of a headered CSV whose every row is as wide as its
+    header; a fault names its ``row_name`` (``row``, ``tuple row``) N."""
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    rows = [r for r in rows if r]
+        rows = [r for r in csv.reader(fh) if r]
     if not rows:
         raise ValidationError(f"{path}: empty file")
     header = [c.strip() for c in rows[0]]
     if all(_is_number(c) for c in header):
         raise ValidationError(f"{path}: missing header row")
+    for r, row in enumerate(rows[1:], 1):
+        if len(row) != len(header):
+            raise ValidationError(
+                f"{path}: {row_name} {r} has {len(row)} cells, expected {len(header)}"
+            )
     return header, rows[1:]
 
 
@@ -60,57 +69,40 @@ def load_features(path, label_col=None, chunk_col=None):
 
     Features keep column order with the label/chunk columns removed. Labels
     come back as integers when every value is integral, floats otherwise.
+    Cells are parsed in header order, so the first bad cell of a row is
+    reported, whatever its column.
     """
     header, rows = _read_csv(path)
-    special = {}
     for name in (label_col, chunk_col):
-        if name is None:
-            continue
-        if name not in header:
+        if name is not None and name not in header:
             raise ValidationError(
                 f"{path}: column {name!r} not found; available columns: "
                 f"{', '.join(header)}"
             )
-        special[name] = header.index(name)
-    feature_idx = [i for i in range(len(header)) if i not in special.values()]
-    x = np.empty((len(rows), len(feature_idx)))
-    raw_special = {name: [] for name in special}
+    cells = np.empty((len(rows), len(header)))
     for r, row in enumerate(rows):
-        if len(row) != len(header):
+        try:
+            cells[r] = [float(cell) for cell in row]
+        except ValueError:
+            c = next(c for c, cell in enumerate(row) if not _is_number(cell))
             raise ValidationError(
-                f"{path}: row {r + 1} has {len(row)} cells, expected {len(header)}"
-            )
-        for out_c, c in enumerate(feature_idx):
-            try:
-                x[r, out_c] = float(row[c])
-            except ValueError:
-                raise ValidationError(
-                    f"{path}: unparseable value {row[c]!r} at row {r + 1}, "
-                    f"column {header[c]}"
-                ) from None
-        for name, c in special.items():
-            try:
-                raw_special[name].append(float(row[c]))
-            except ValueError:
-                raise ValidationError(
-                    f"{path}: unparseable value {row[c]!r} at row {r + 1}, "
-                    f"column {header[c]}"
-                ) from None
+                f"{path}: unparseable value {row[c]!r} at row {r + 1}, "
+                f"column {header[c]}"
+            ) from None
 
-    def finalize(vals):
-        arr = np.asarray(vals)
+    def column(name):
+        if name is None:
+            return None
+        arr = cells[:, header.index(name)].copy()
         # past 2**53 a float need not be the integer written, and past int64
         # the cast would wrap distinct labels onto one
         if np.all(arr == np.round(arr)) and np.all(np.abs(arr) <= 2.0 ** 53):
             return arr.astype(int)
         return arr
 
-    labels = finalize(raw_special[label_col]) if label_col else None
-    chunks = finalize(raw_special[chunk_col]) if chunk_col else None
-    return x, labels, chunks
-
-
-_TUPLE_COLUMNS = {2: ["i", "j"], 3: ["i", "j", "k"], 4: ["i", "j", "k", "l"]}
+    special = [header.index(n) for n in (label_col, chunk_col) if n is not None]
+    features = [c for c in range(len(header)) if c not in special]
+    return cells[:, features], column(label_col), column(chunk_col)
 
 
 def load_tuples(path, base: np.ndarray, arity: int):
@@ -118,8 +110,8 @@ def load_tuples(path, base: np.ndarray, arity: int):
 
     Returns (tuples, labels); labels are only ever present for pairs.
     """
-    header, rows = _read_csv(path)
-    wanted = _TUPLE_COLUMNS[arity]
+    header, rows = _read_csv(path, "tuple row")
+    wanted = "ijkl"[:arity]
     for name in wanted:
         if name not in header:
             raise ValidationError(
@@ -130,11 +122,6 @@ def load_tuples(path, base: np.ndarray, arity: int):
     indices = []
     labels = [] if label_idx is not None else None
     for r, row in enumerate(rows):
-        if len(row) != len(header):
-            raise ValidationError(
-                f"{path}: tuple row {r + 1} has {len(row)} cells, expected "
-                f"{len(header)}"
-            )
         for c in cols:
             try:
                 idx = int(row[c])
@@ -209,10 +196,6 @@ def _resolve_param(algo: str, estimator, name: str) -> str:
 
 def build_estimator(args):
     algo = args.algo
-    if algo not in ALGORITHMS:
-        raise ValidationError(
-            f"unknown algorithm {algo!r}; expected one of {sorted(ALGORITHMS)}"
-        )
     est = ALGORITHMS[algo]()
     params = {}
     for name in ("n_components", "max_iter", "tol"):
@@ -271,9 +254,27 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def cmd_transform(args) -> int:
+def _serving_inputs(args):
+    """(model, x, tuples, labels) for a serving command: the saved model, the
+    feature rows, and the tuples and pair labels of its one tuple file (None
+    for transform, which reads none). The model's methods validate them."""
     model = MahalanobisModel.load(args.model)
     x, _, _ = load_features(args.data, label_col=args.label_col)
+    if args.command == "transform":
+        return model, x, None, None
+    given = [(arity, path) for arity, path in enumerate(
+        (args.pairs, getattr(args, "triplets", None), getattr(args, "quads", None)),
+        2) if path is not None]
+    if len(given) != 1:
+        raise ValidationError(
+            "exactly one of --pairs, --triplets, --quads is required"
+        )
+    arity, path = given[0]
+    return (model, x, *load_tuples(path, x, arity))
+
+
+def cmd_transform(args) -> int:
+    model, x, _, _ = _serving_inputs(args)
     z = model.transform(x)
     lines = [",".join(f"c{i}" for i in range(z.shape[1]))]
     lines += [",".join(_fmt(v) for v in row) for row in z]
@@ -281,42 +282,24 @@ def cmd_transform(args) -> int:
     return 0
 
 
-def _load_prediction_tuples(args, model) -> np.ndarray:
-    """The one tuple file given, checked once against the model's width."""
-    x, _, _ = load_features(args.data, label_col=args.label_col)
-    given = [(a, f) for a, f in ((2, args.pairs), (3, args.triplets),
-                                 (4, args.quads)) if f is not None]
-    if len(given) != 1:
-        raise ValidationError(
-            "exactly one of --pairs, --triplets, --quads is required"
-        )
-    arity, path = given[0]
-    tuples, labels = load_tuples(path, x, arity)
-    return validate_tuples(tuples, arity, model.n_features, labels=labels)
-
-
 def cmd_score_pairs(args) -> int:
-    model = MahalanobisModel.load(args.model)
-    x, _, _ = load_features(args.data, label_col=args.label_col)
-    pairs, _ = load_tuples(args.pairs, x, 2)
-    distances = model.score_pairs(pairs)
-    _write_lines(args.out, [_fmt(d) for d in distances])
+    model, _, pairs, _ = _serving_inputs(args)
+    _write_lines(args.out, [_fmt(d) for d in model.score_pairs(pairs)])
     return 0
 
 
 def cmd_predict(args) -> int:
-    model = MahalanobisModel.load(args.model)
-    labels = model._predict(_load_prediction_tuples(args, model))
-    _write_lines(args.out, [str(int(v)) for v in labels])
+    model, _, tuples, _ = _serving_inputs(args)
+    predict = {2: model.predict_pairs, 3: model.predict_triplets,
+               4: model.predict_quadruplets}[tuples.shape[1]]
+    _write_lines(args.out, [str(int(v)) for v in predict(tuples)])
     return 0
 
 
 def cmd_calibrate(args) -> int:
     from .calibration import calibrate_threshold
 
-    model = MahalanobisModel.load(args.model)
-    x, _, _ = load_features(args.data, label_col=args.label_col)
-    pairs, y = load_tuples(args.pairs, x, 2)
+    model, _, pairs, y = _serving_inputs(args)
     result = calibrate_threshold(model, pairs, y, args.metric)
     model.threshold = result.threshold
     model.save(args.out or args.model)

@@ -159,7 +159,6 @@ class MahalanobisModel:
         """+1/-1 per tuple of a block that validate_tuples already accepted."""
         l = self.components
         if t.shape[1] == 2:
-            self._check_threshold()
             return np.where(_distances(l, t[:, 0], t[:, 1]) <= self.threshold, 1, -1)
         near = _distances(l, t[:, 0], t[:, 1])
         if t.shape[1] == 3:

@@ -6,9 +6,11 @@ the folds are split and how each fold is scored. Points with class labels
 (``labels``) or chunklet ids (``chunks``) split stratified on them and score
 through a downstream k-NN classifier in the learned space. Labeled pairs
 (``pairs``) are scored by threshold, auto-calibrated on each training fold,
-or by ROC-AUC; quadruplets (``quads``) by the fraction of held-out
-quadruplets predicted in the right order. Tuple kinds split by tuple index,
-so the same underlying point may appear on both sides of a fold boundary.
+or by ROC-AUC; quadruplets (``quads``) by scoring their order predictions
+against a truth of all +1, so accuracy is the fraction predicted in the
+right order, F1 the F1 of those predictions, and ROC-AUC, undefined on one
+class, raises. Tuple kinds split by tuple index, so the same underlying
+point may appear on both sides of a fold boundary.
 """
 
 from __future__ import annotations
@@ -56,39 +58,33 @@ def kfold_split(n: int, k: int, seed: int, stratify_labels=None):
     if not 2 <= k <= n:
         raise ValidationError(f"need 2 <= k <= n, got k={k}, n={n}")
     rng = SplitMix64(seed)
-    assignment = np.empty(n, dtype=int)
     if stratify_labels is not None:
         labels = _as_labels(stratify_labels, n)
-        counts = {c: int(np.sum(labels == c)) for c in np.unique(labels)}
-        if min(counts.values()) < k:
+        # each NaN its own class of one, so NaN labels never stratify
+        classes, counts = np.unique(labels, return_counts=True, equal_nan=False)
+        if counts.min() < k:
             warnings.warn(
                 "a stratum is smaller than the number of folds; "
                 "falling back to an unstratified split",
                 UserWarning,
             )
             stratify_labels = None
+    # order lists the samples in the order they are dealt to folds
     if stratify_labels is None:
         order = list(range(n))
         rng.shuffle(order)
-        sizes = [n // k + (1 if i < n % k else 0) for i in range(k)]
-        start = 0
-        for fold, size in enumerate(sizes):
-            assignment[order[start:start + size]] = fold
-            start += size
+        fold_of = np.repeat(np.arange(k), n // k + (np.arange(k) < n % k))
     else:
-        counter = 0
-        for c in np.unique(labels):
+        order = []
+        for c in classes:
             members = np.flatnonzero(labels == c).tolist()
             rng.shuffle(members)
-            for idx in members:
-                assignment[idx] = counter % k
-                counter += 1
-    folds = []
-    for fold in range(k):
-        test = np.flatnonzero(assignment == fold)
-        train = np.flatnonzero(assignment != fold)
-        folds.append((train, test))
-    return folds
+            order += members
+        fold_of = np.arange(n) % k
+    assignment = np.empty(n, dtype=int)
+    assignment[order] = fold_of
+    return [(np.flatnonzero(assignment != fold), np.flatnonzero(assignment == fold))
+            for fold in range(k)]
 
 
 # query-train pairs per chunk (and difference rows per exact recheck); 2**16
@@ -189,7 +185,11 @@ def _pair_scorer(task, est, train, metric_name):
 
 
 def _quad_scorer(task, est, train, metric_name):
-    return lambda rows: float(np.mean(est.model_.predict_quadruplets(task.x[rows]) == 1))
+    # every quadruplet's true order is +1: its first pair is the closer one
+    def score_on(rows):
+        pred = est.model_.predict_quadruplets(task.x[rows])
+        return score(metric_name, np.ones(len(pred)), pred)
+    return score_on
 
 
 class Supervision(NamedTuple):

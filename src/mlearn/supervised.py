@@ -303,6 +303,8 @@ class MLKR(MahalanobisEstimator):
 
     def fit(self, x, y):
         x, y = self._check_fit(x, y)
+        if y.dtype.kind not in "biuf":
+            raise ValidationError("MLKR targets must be numbers")
         y = np.asarray(y, dtype=float)
         if len(x) < 3:
             raise ValidationError("need at least 3 samples")
@@ -429,6 +431,10 @@ class RCA(MahalanobisEstimator):
 
     def fit(self, x, chunks):
         x, chunks = self._check_fit(x, chunks)
+        if chunks.dtype.kind not in "biuf":
+            raise ValidationError(
+                "chunklet ids must be numbers: -1 marks an unassigned point"
+            )
         d = x.shape[1]
         if self.n_components is not None and self.n_components != d:
             raise ValidationError(

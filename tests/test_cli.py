@@ -1,10 +1,11 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-import mlearn.cli
 import mlearn.model
+import mlearn.tuples
 from mlearn.cli import ALGORITHMS, load_features, load_tuples, main
 from mlearn.exceptions import ValidationError
 from mlearn.model import MahalanobisModel
@@ -305,7 +306,7 @@ class TestScoreAndPredict:
             calls.append(args[1:3])
             return validate_tuples(*args, **kwargs)
 
-        for module in (mlearn.cli, mlearn.model):
+        for module in (mlearn.model, mlearn.tuples):
             monkeypatch.setattr(module, "validate_tuples", counting)
         code, _, _ = run_cli(capsys, "predict", "--model", str(model_path),
                              "--data", str(data), "--label-col", "y",
@@ -661,3 +662,52 @@ class TestRoundTrip:
         trip = np.random.default_rng(2).standard_normal((50, 3, 3))
         assert np.array_equal(est.model_.predict_triplets(trip),
                               loaded.predict_triplets(trip))
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# command -> sha256 prefix of its stdout (fit: of the model file it writes)
+_PINNED_STDOUT = {
+    "fit": "22020b67777662a2", "score-pairs": "e8d520c6e71059af",
+    "predict-pairs": "24a80af80adb9d19", "predict-triplets": "e9913a59810ba359",
+    "predict-quads": "7c78d32d064a325e", "transform": "74ace33580e70dc8",
+    "calibrate": "9fd4818bd3d00f4a", "cv-nca": "ccc564df813f2b1c",
+    "cv-lsml": "d67d32f4a6a0b3e0",
+}
+
+
+def test_every_command_stdout_is_pinned(tmp_path, capsys):
+    data, pairs, _ = write_dataset(tmp_path, seed=1, sep=1.0)
+    rows = range(24)
+    triplets = tmp_path / "T.csv"
+    triplets.write_text("i,j,k\n" + "".join(
+        f"{i},{5 * i % 24},{(7 * i + 3) % 24}\n" for i in rows))
+    quads = tmp_path / "Q.csv"
+    quads.write_text("i,j,k,l\n" + "".join(
+        f"{i},{5 * i % 24},{(7 * i + 3) % 24},{(11 * i + 1) % 24}\n"
+        for i in rows))
+    model = tmp_path / "m.json"
+    served = ["--model", str(model), "--data", str(data), "--label-col", "y"]
+    learned = ["--data", str(data), "--label-col", "y"]
+    runs = {
+        "fit": ["fit", "--algo", "mmc", *learned, "--pairs", str(pairs),
+                "--calibrate", "accuracy", "--out", str(model)],
+        "score-pairs": ["score-pairs", *served, "--pairs", str(pairs)],
+        "predict-pairs": ["predict", *served, "--pairs", str(pairs)],
+        "predict-triplets": ["predict", *served, "--triplets", str(triplets)],
+        "predict-quads": ["predict", *served, "--quads", str(quads)],
+        "transform": ["transform", *served],
+        "calibrate": ["calibrate", *served, "--pairs", str(pairs), "--metric",
+                      "f1", "--out", str(tmp_path / "c.json")],
+        "cv-nca": ["cv", "--algo", "nca", *learned, "--max-iter", "5"],
+        "cv-lsml": ["cv", "--algo", "lsml", *learned, "--quads", str(quads),
+                    "--max-iter", "10"],
+    }
+    got = {}
+    for name, argv in runs.items():
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), name
+        got[name] = _digest(out + model.read_text() if name == "fit" else out)
+    assert got == _PINNED_STDOUT

@@ -9,6 +9,7 @@ import pytest
 import mlearn as ml
 from mlearn.cli import main
 from mlearn.exceptions import ValidationError
+from mlearn.linalg import gen_sym_eig, psd_sqrt, sym_eig
 
 R = np.random.default_rng(0)
 X = R.standard_normal((18, 3)) + 4.0 * np.repeat(np.eye(3), 6, axis=0)
@@ -91,6 +92,67 @@ CASES = {
     "MMC --n-components": (None, FIT + ["--algo", "mmc", "--pairs", "{pairs}",
                                         "--n-components", "2"]),
 }
+X_NAN = X.copy()
+X_NAN[3, 1] = math.nan
+ONE_NEGATIVE = np.where(np.arange(len(PAIR_Y)) == 0, -1, 1)
+CV = ["cv", "--data", "{data}", "--label-col", "y"]
+CASES.update({
+    "fit 1-D x": (lambda: ml.NCA().fit(X[0], Y), None),
+    "fit non-finite x": (lambda: ml.NCA().fit(X_NAN, Y),
+                         ["fit", "--algo", "nca", "--data", "{nan}",
+                          "--label-col", "y", "--out", "{out}"]),
+    "score_pairs 2-D block": (lambda: MODEL.score_pairs(X), None),
+    "sampler on one class": (
+        lambda: ml.pairs_from_labels(X, np.zeros(len(X), int), 2, 0), None),
+    "cross_validate degenerate fold": (
+        lambda: ml.cross_validate(
+            ml.SupervisedTask(PAIRS, ONE_NEGATIVE, ml.MMC(max_iter=5)), 3, 0),
+        CV + ["--algo", "mmc", "--pairs", "{one_negative}", "--max-iter", "5"]),
+    "not fitted": (lambda: ml.NCA().transform(X), None),
+    "score length mismatch": (lambda: ml.score("accuracy", [1, -1], [1]), None),
+    "score unknown metric": (lambda: ml.score("bogus", [1, -1], [1, 1]), None),
+    "sym_eig non-finite": (lambda: sym_eig(np.array([[1.0, math.inf],
+                                                     [math.inf, 1.0]])), None),
+    "psd_sqrt not PSD": (lambda: psd_sqrt(-np.eye(2)), None),
+    "gen_sym_eig k=0": (lambda: gen_sym_eig(np.eye(2), np.eye(2), 0), None),
+    "gen_sym_eig k > d": (lambda: gen_sym_eig(np.eye(2), np.eye(2), 3), None),
+    "ITML unknown prior": (lambda: ml.ITML(prior="bogus").fit(PAIRS, PAIR_Y),
+                           FIT + ["--algo", "itml", "--pairs", "{pairs}",
+                                  "--opt", "prior=bogus"]),
+    "ITML gamma=10**400": (lambda: ml.ITML(gamma=10 ** 400).fit(PAIRS, PAIR_Y),
+                           FIT + ["--algo", "itml", "--pairs", "{pairs}",
+                                  "--opt", "gamma=1" + "0" * 400]),
+    "ITML gamma=inf": (lambda: ml.ITML(gamma=math.inf).fit(PAIRS, PAIR_Y),
+                       FIT + ["--algo", "itml", "--pairs", "{pairs}",
+                              "--opt", "gamma=inf"]),
+    "LMNN margin=inf": (lambda: ml.LMNN(margin=math.inf).fit(X, Y),
+                        FIT + ["--algo", "lmnn", "--opt", "margin=inf"]),
+    "RCA string chunklet ids": (
+        lambda: ml.RCA().fit(X, np.repeat(list("abc"), 6)), None),
+    "MLKR string targets": (
+        lambda: ml.MLKR().fit(X, np.repeat(list("abc"), 6)), None),
+    "quads cross_validate roc_auc": (
+        lambda: ml.cross_validate(ml.SupervisedTask(QUADS, None, ml.LSML(max_iter=3)),
+                                  3, 0, "roc_auc"),
+        CV + ["--algo", "lsml", "--quads", "{quads6}", "--max-iter", "3",
+              "--metric", "roc_auc"]),
+    "quads cross_validate unknown metric": (
+        lambda: ml.cross_validate(ml.SupervisedTask(QUADS, None, ml.LSML(max_iter=3)),
+                                  3, 0, "bogus"), None),
+    "empty file": (None, ["fit", "--algo", "nca", "--data", "{empty}",
+                          "--label-col", "y", "--out", "{out}"]),
+    "feature row of the wrong width": (
+        None, ["fit", "--algo", "nca", "--data", "{ragged}", "--label-col",
+               "y", "--out", "{out}"]),
+    "non-integer pair label": (None, FIT + ["--algo", "mmc", "--pairs",
+                                            "{label_x}"]),
+    "--opt without =": (None, FIT + ["--algo", "nca", "--opt", "max_iter"]),
+    "fit mmc without --pairs": (None, FIT + ["--algo", "mmc"]),
+    "grid not JSON": (None, CV + ["--algo", "nca", "--grid", "{grid_text}"]),
+    "grid not an object": (None, CV + ["--algo", "nca", "--grid", "{grid_list}"]),
+    "grid entry not a list": (None, CV + ["--algo", "nca", "--grid",
+                                          "{grid_scalar}"]),
+})
 for _kind, (_est, _x, _y) in KINDS.items():
     for _what, _bad in _bad_y(_kind, _y).items():
         CASES[f"{_kind} fit {_what}"] = (
@@ -109,15 +171,29 @@ def test_bad_input_raises_validation_error(case):
 @pytest.fixture
 def files(tmp_path):
     paths = {name: tmp_path / name for name in
-             ("data", "small", "pairs", "unlabeled", "quads", "model", "out")}
-    rows = "".join(",".join(map(repr, row.tolist())) + f",{lab}\n"
-                   for row, lab in zip(X, Y))
-    paths["data"].write_text("f1,f2,f3,y\n" + rows)
+             ("data", "small", "pairs", "unlabeled", "quads", "model", "out",
+              "nan", "one_negative", "quads6", "empty", "ragged", "label_x",
+              "grid_text", "grid_list", "grid_scalar")}
+    def rows(x):
+        return "f1,f2,f3,y\n" + "".join(",".join(map(repr, row.tolist())) +
+                                        f",{lab}\n" for row, lab in zip(x, Y))
+    paths["data"].write_text(rows(X))
     paths["small"].write_text("f1,f2,f3,y\n0,0,0,0\n1,0,0,1\n")
     paths["pairs"].write_text("i,j,label\n0,1,1\n6,7,1\n0,6,-1\n1,12,-1\n")
     paths["unlabeled"].write_text("i,j\n0,1\n0,6\n")
     paths["quads"].write_text("i,j,k,l\n0,1,0,6\n6,7,6,12\n")
     MODEL.save(paths["model"])
+    paths["nan"].write_text(rows(X_NAN))
+    paths["one_negative"].write_text(
+        "i,j,label\n0,1,1\n6,7,1\n12,13,1\n2,3,1\n0,6,-1\n8,9,1\n")
+    paths["quads6"].write_text("i,j,k,l\n" + "".join(
+        f"{i},{i + 1},{i},{(i + 6) % 18}\n" for i in range(0, 18, 3)))
+    paths["empty"].write_text("")
+    paths["ragged"].write_text("f1,f2,f3,y\n0,0,0,0\n1,0,0\n")
+    paths["label_x"].write_text("i,j,label\n0,1,1\n0,6,x\n")
+    paths["grid_text"].write_text("{max_iter: [2]}")
+    paths["grid_list"].write_text("[2, 3]")
+    paths["grid_scalar"].write_text('{"max_iter": 2}')
     return {name: str(path) for name, path in paths.items()}
 
 

@@ -82,6 +82,72 @@ class TestKfoldSplit:
             kfold_split(3, 4, seed=0)
 
 
+def _kfold_split_oracle(n, k, seed, stratify_labels=None):
+    """The per-index loops that the array version replaced."""
+    from mlearn.rng import SplitMix64
+    rng = SplitMix64(seed)
+    assignment = np.empty(n, dtype=int)
+    if stratify_labels is not None:
+        labels = np.asarray(stratify_labels)
+        counts = {c: int(np.sum(labels == c)) for c in np.unique(labels)}
+        if min(counts.values()) < k:
+            stratify_labels = None
+    if stratify_labels is None:
+        order = list(range(n))
+        rng.shuffle(order)
+        sizes = [n // k + (1 if i < n % k else 0) for i in range(k)]
+        start = 0
+        for fold, size in enumerate(sizes):
+            assignment[order[start:start + size]] = fold
+            start += size
+    else:
+        counter = 0
+        for c in np.unique(labels):
+            members = np.flatnonzero(labels == c).tolist()
+            rng.shuffle(members)
+            for idx in members:
+                assignment[idx] = counter % k
+                counter += 1
+    return [(np.flatnonzero(assignment != f), np.flatnonzero(assignment == f))
+            for f in range(k)]
+
+
+def _kfold_cases():
+    r = np.random.default_rng(7)
+    cases = []
+    for n in (2, 3, 7, 10, 31, 64):
+        for k in sorted({2, 3, 5, n}):
+            if k > n:
+                continue
+            seed = int(r.integers(0, 2 ** 40))
+            cases.append((n, k, seed, None))
+            for n_classes in (1, 2, 4):
+                labels = r.integers(0, n_classes, n)
+                cases.append((n, k, seed, labels))
+                cases.append((n, k, seed, np.array(list("xyzw"))[labels]))
+            cases.append((n, k, seed, np.sort(r.integers(0, 2, n)) * 0.5))
+    return cases
+
+
+class TestKfoldSplitOracle:
+    @pytest.mark.parametrize("n,k,seed,labels", _kfold_cases())
+    def test_folds_equal_the_loop_version(self, n, k, seed, labels):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = kfold_split(n, k, seed, stratify_labels=labels)
+        want = _kfold_split_oracle(n, k, seed, labels)
+        assert len(got) == len(want)
+        for (train, test), (train0, test0) in zip(got, want):
+            assert np.array_equal(train, train0) and np.array_equal(test, test0)
+
+    def test_nan_labels_fall_back_to_unstratified(self):
+        labels = np.repeat([0.0, np.nan], 5)
+        with pytest.warns(UserWarning, match="stratum"):
+            got = kfold_split(10, 2, 3, stratify_labels=labels)
+        for (train, test), (train0, test0) in zip(got, kfold_split(10, 2, 3)):
+            assert np.array_equal(train, train0) and np.array_equal(test, test0)
+
+
 class TestScorers:
     def test_hand_confusion_matrix(self):
         y_true = [1, -1, 1, -1]
@@ -338,6 +404,34 @@ class TestCrossValidate:
                                  3, seed=0)
         assert len(res.test_scores) == 3
         assert all(len(t) == 3 for _, t in res.folds)
+
+    @pytest.mark.parametrize("metric", ["accuracy", "f1"])
+    def test_quadruplet_scores_are_the_metric_of_order_predictions(self, metric):
+        r = np.random.default_rng(3)
+        quads = r.standard_normal((12, 4, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = cross_validate(SupervisedTask(quads, None, LSML(max_iter=10)),
+                                 3, seed=0, metric_name=metric)
+        scorer = {"accuracy": lambda p: float(np.mean(p == 1)),
+                  "f1": lambda p: f1_score(np.ones(len(p)), p)}[metric]
+        for (train, test), model, tr, te in zip(res.folds, res.fold_models,
+                                                res.train_scores, res.test_scores):
+            assert te == scorer(model.predict_quadruplets(quads[test]))
+            assert tr == scorer(model.predict_quadruplets(quads[train]))
+        assert min(res.test_scores) < 1.0  # the data is not trivially ordered
+
+    @pytest.mark.filterwarnings("ignore::mlearn.ConvergenceWarning")
+    def test_knn_f1_on_signed_labels(self):
+        x, y = supervised_data(seed=4, sep=0.8)
+        y = np.where(y == 1, 1, -1)
+        res = cross_validate(SupervisedTask(x, y, NCA(max_iter=5), knn_k=3),
+                             3, seed=2, metric_name="f1")
+        for (train, test), model, te in zip(res.folds, res.fold_models,
+                                            res.test_scores):
+            pred = knn_predict(x[train], y[train], x[test], 3, model)
+            assert te == f1_score(y[test], pred)
+        assert res.test_scores != [1.0] * 3
 
     def test_seed_determinism(self):
         x, y = supervised_data(seed=2)

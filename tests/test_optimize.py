@@ -10,7 +10,7 @@ import pytest
 
 from mlearn import ITML, LMNN, LSML, MLKR, MMC, NCA, pairs_from_labels
 from mlearn import supervised, weak
-from mlearn.exceptions import ConvergenceWarning
+from mlearn.exceptions import ConvergenceWarning, NumericalError
 from mlearn.optimize import backtracking_solve
 
 
@@ -46,6 +46,12 @@ class TestBacktrackingSolve:
         with pytest.warns(ConvergenceWarning):
             backtracking_solve(fun, np.array([10.0]), max_iter=1, tol=0.0)
         assert trials[:2] == [10.0, 8.0]
+
+    @pytest.mark.parametrize("start", [np.inf, np.nan])
+    def test_non_finite_start_raises(self, start):
+        with pytest.raises(NumericalError, match="starting point"):
+            backtracking_solve(lambda x: (start, lambda: x), np.zeros(2),
+                               max_iter=5, tol=1e-6)
 
     @pytest.mark.parametrize("make", ["nca", "lmnn", "mlkr", "mmc", "mmc_diag",
                                       "lsml"])

@@ -431,6 +431,25 @@ class TestLSML:
         assert est.model_.min_mahalanobis_eigenvalue() >= -1e-9
 
 
+class TestEstimatorDelegates:
+    """The estimator's serving methods return its model's bits."""
+
+    def test_pair_learner(self):
+        pairs, y = labeled_pairs(seed=2)
+        est = fit_quiet(MMC(max_iter=10), pairs, y)
+        a, b = pairs[0]
+        assert est.get_metric()(a, b) == est.model_.get_metric()(a, b)
+        assert (est.decision_function(pairs).tobytes()
+                == est.model_.decision_function_pairs(pairs).tobytes())
+
+    def test_quadruplet_learner(self):
+        quads = np.random.default_rng(6).standard_normal((20, 4, 3))
+        est = fit_quiet(LSML(max_iter=10), quads)
+        pred = est.predict(quads)
+        assert pred.tobytes() == est.model_.predict_quadruplets(quads).tobytes()
+        assert set(pred.tolist()) == {1, -1}
+
+
 class TestSetThreshold:
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, "abc", None])
     def test_bad_value_rejected_and_state_kept(self, bad):
