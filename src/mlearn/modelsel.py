@@ -24,7 +24,7 @@ import numpy as np
 
 from .exceptions import ValidationError, check_at_least
 from .rng import SplitMix64
-from .scoring import score
+from .scoring import METRIC_NAMES, score
 from .tuples import ARITY, _as_labels, validate_supervision
 
 
@@ -87,8 +87,10 @@ def kfold_split(n: int, k: int, seed: int, stratify_labels=None):
             for fold in range(k)]
 
 
-# query-train pairs per chunk (and difference rows per exact recheck); 2**16
-# was no faster on 1000 x 1000 queries and raised the peak resident set by 3 MB
+# query-train pairs per chunk (and difference rows per exact recheck); on
+# 1000 x 1000 queries 2**16 was no faster (15.1 ms against 15.1, median of 6
+# interleaved runs on a 2-vCPU VM) with four times the chunk buffers, and
+# 2**12 was slower (23.7 ms)
 _KNN_CHUNK_ELEMENTS = 2 ** 14
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
@@ -97,12 +99,14 @@ _TINY = np.finfo(float).tiny
 def knn_predict(train_x, train_y, test_x, knn_k: int, model):
     """Majority-vote k-NN in the learned space.
 
-    Distance ties resolve toward the lower training index; vote ties toward
-    the smallest label value. Queries run in chunks of at most
-    ``_KNN_CHUNK_ELEMENTS`` query-train pairs, so memory does not grow with
-    the number of queries; the neighbors and distances are the ones a
-    per-query ``np.linalg.norm`` and stable ``argsort`` give (see
-    :func:`_k_nearest`).
+    Each query's neighbors are the first ``knn_k`` training points in
+    (distance, index) order, with the distances ``np.linalg.norm`` gives, so
+    distance ties resolve toward the lower training index (see
+    :func:`_k_nearest`). The vote counts each chunk's neighbor labels with
+    one ``np.bincount`` over (query, label code) keys; ``argmax`` takes the
+    first label of the largest count, so a vote tie goes to the smallest
+    label value. Queries run in chunks of at most ``_KNN_CHUNK_ELEMENTS``
+    query-train pairs, so memory does not grow with the number of queries.
     """
     train_x, train_y = validate_supervision("labels", train_x, train_y)
     check_at_least("knn_k", knn_k, 1)
@@ -113,55 +117,71 @@ def knn_predict(train_x, train_y, test_x, knn_k: int, model):
     z_train = model.transform(train_x)
     z_test = model.transform(np.asarray(test_x, dtype=float))
     labels, codes = np.unique(train_y, return_inverse=True)
-    onehot = codes[:, None] == np.arange(len(labels))
-    step = max(1, _KNN_CHUNK_ELEMENTS // len(z_train))
-    pred = np.empty(len(z_test), dtype=int)
-    for start in range(0, len(z_test), step):
-        near = _k_nearest(z_train, z_test[start:start + step], knn_k)
-        pred[start:start + step] = np.argmax(near.astype(float) @ onehot, axis=1)
+    pred = np.empty(len(z_test), dtype=np.intp)
+    for rows, near in _k_nearest(z_train, z_test, knn_k):
+        key = np.arange(len(near))[:, None] * len(labels) + codes[near]
+        votes = np.bincount(key.ravel(), minlength=len(near) * len(labels))
+        pred[rows] = votes.reshape(len(near), len(labels)).argmax(axis=1)
     # built from the label scalars, so a string result is only as wide as
     # its longest predicted label
     return np.array(list(labels[pred]))
 
 
-def _k_nearest(z_train, z_query, k: int) -> np.ndarray:
-    """Mask (queries, train) of each query's k nearest training points.
+def _k_nearest(z_train, z_query, k: int):
+    """Yield (rows, near) per chunk of queries: ``near[i]`` holds the
+    indices of query ``rows[i]``'s k nearest training points in (distance,
+    index) order, the prefix a per-query stable argsort gives.
 
-    A Gram-matrix estimate of the squared distances, with a bound on its
-    rounding error, rules out the points that are certainly farther than the
-    k-th nearest. Only the rest get an exact distance, computed the way
-    ``np.linalg.norm(z_train - q, axis=1)`` does it (square root of the
-    summed squares along each row), so the values have the same bits. The k
-    nearest are then the points strictly closer than the k-th smallest
-    distance plus the lowest-index points at that distance: the prefix a
-    stable argsort gives.
+    Each chunk makes one set of dense passes over its query-train pairs: a
+    Gram-matrix estimate of the squared distances, a bound on its rounding
+    error per pair, one ``partition`` for each query's k-th smallest
+    estimate-plus-bound, and one test that keeps the points whose
+    estimate-minus-bound does not exceed it. The kept points are a short
+    candidate list that holds the k nearest and every point tied with the
+    k-th, since the bound covers the estimate's error with room to spare.
+    The rest works on that list alone. Each candidate gets an exact
+    distance, computed the way ``np.linalg.norm(z_train - q, axis=1)`` does
+    it (square root of the summed squares along each row), so the values
+    have the same bits. One ``np.lexsort`` by (query, distance) orders the
+    list. It is stable, and ``np.flatnonzero`` lists each query's candidates
+    by ascending index, so equal distances keep index order and each
+    query's first k entries are its neighbors.
     """
+    n_train = len(z_train)
     center = z_train.mean(axis=0)
-    a = z_query - center
     b = z_train - center
-    sa = np.einsum("qc,qc->q", a, a)[:, None]
     sb = np.einsum("nc,nc->n", b, b)
-    approx = sa + sb - 2.0 * (a @ b.T)
-    # about twice the worst |approx - exact squared distance| from rounding
-    # in the centering, the products and both sums (the floor covers
-    # underflow); the room over also keeps every point whose distance only
-    # ties the k-th one after the square root
-    tol = (4 * z_train.shape[1] + 32) * (_EPS * (sa + sb) + _TINY)
-    upper = np.partition(approx + tol, k - 1, axis=1)[:, k - 1, None]
-    # negated so that a NaN estimate (overflow) keeps its point
-    qi, ti = np.nonzero(~(approx - tol > upper))
-    d = np.full(approx.shape, np.inf)
-    rows = max(1, _KNN_CHUNK_ELEMENTS // z_train.shape[1])
-    for s in range(0, len(qi), rows):
-        i, j = qi[s:s + rows], ti[s:s + rows]
-        diff = z_train[j] - z_query[i]
-        d[i, j] = np.sqrt(np.add.reduce(diff * diff, axis=1))
-    kth = np.partition(d, k - 1, axis=1)[:, k - 1, None]
-    near = d < kth
-    tie = d == kth
-    need = k - near.sum(axis=1, keepdims=True)
-    near |= tie & (np.cumsum(tie, axis=1) <= need)
-    return near
+    scale = 4 * z_train.shape[1] + 32
+    step = max(1, _KNN_CHUNK_ELEMENTS // n_train)
+    recheck = max(1, _KNN_CHUNK_ELEMENTS // z_train.shape[1])
+    for start in range(0, len(z_query), step):
+        z = z_query[start:start + step]
+        a = z - center
+        approx = a @ b.T
+        approx *= -2.0
+        tol = np.einsum("qc,qc->q", a, a)[:, None] + sb
+        approx += tol  # the bits of sa + sb - 2 a.b
+        # about twice the worst |approx - exact squared distance| from
+        # rounding in the centering, the products and both sums (the floor
+        # covers underflow); the room over also keeps every point whose
+        # distance only ties the k-th one after the square root
+        tol *= _EPS
+        tol += _TINY
+        tol *= scale
+        upper = approx + tol
+        upper.partition(k - 1, axis=1)
+        approx -= tol
+        # negated so that a NaN estimate (overflow) keeps its point; every
+        # query keeps at least the k points at or below its k-th bound
+        far = approx > upper[:, k - 1, None]
+        qi, ti = np.divmod(np.flatnonzero(~far), n_train)
+        d = np.empty(len(qi))
+        for s in range(0, len(qi), recheck):
+            diff = z_train[ti[s:s + recheck]] - z[qi[s:s + recheck]]
+            d[s:s + recheck] = np.sqrt(np.add.reduce(diff * diff, axis=1))
+        first = np.searchsorted(qi, np.arange(len(z)))
+        order = np.lexsort((d, qi))
+        yield slice(start, start + step), ti[order[first[:, None] + np.arange(k)]]
 
 
 def _knn_scorer(task, est, train, metric_name):
@@ -197,13 +217,15 @@ class Supervision(NamedTuple):
     :data:`~mlearn.tuples.ARITY`) split stratified on y, tuples do not."""
     y_name: str | None  # what a training fold needs two distinct values of
     scorer: Callable  # (task, fitted estimator, train rows, metric) -> rows -> score
+    metrics: tuple = METRIC_NAMES  # the metric names that can score it
 
 
 SUPERVISION = {
     "labels": Supervision("class", _knn_scorer),
     "chunks": Supervision("class", _knn_scorer),
     "pairs": Supervision("pair label", _pair_scorer),
-    "quads": Supervision(None, _quad_scorer),
+    # ROC-AUC is undefined on the single true class of quadruplets
+    "quads": Supervision(None, _quad_scorer, ("accuracy", "f1")),
 }
 
 
@@ -217,13 +239,19 @@ def _supervision(task) -> str:
 
 
 def cross_validate(task, k: int, seed: int, metric_name: str = "accuracy") -> CvResult:
-    """Per-fold fit and evaluation; no test-fold information reaches a fit."""
+    """Per-fold fit and evaluation; no test-fold information reaches a fit.
+    The metric name is checked against the task's kind before any fit."""
     name = _supervision(task)
+    kind = SUPERVISION[name]
+    if metric_name not in kind.metrics:
+        raise ValidationError(
+            f"metric {metric_name!r} cannot score {name} tasks; "
+            f"expected one of {kind.metrics}"
+        )
     x, y = validate_supervision(name, task.x, task.y)
     task = replace(task, x=x, y=y)
     folds = kfold_split(len(x), k, seed,
                         stratify_labels=y if ARITY[name] is None else None)
-    kind = SUPERVISION[name]
     test_scores, train_scores, models = [], [], []
     for fold, (train, test) in enumerate(folds):
         y_train = None if y is None else y[train]

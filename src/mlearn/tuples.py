@@ -35,11 +35,16 @@ ARITY = {"labels": None, "chunks": None, "pairs": 2, "quads": 4}
 
 def validate_supervision(kind: str, x, y, n_features: int | None = None):
     """(x, y) as arrays, checked for the supervision kind: points with a
-    1-D y of one entry per row, labeled pairs, or quadruplets without y."""
+    1-D y of one entry per row and no NaN, labeled pairs, or quadruplets
+    without y."""
     arity = ARITY[kind]
     if arity is None:
         x = _as_features(x, n_features)
-        return x, _as_labels(y, len(x))
+        y = _as_labels(y, len(x))
+        # NaN equals no label, itself included, so it can name no class
+        if y.dtype.kind in "fc" and np.isnan(y).any():
+            raise ValidationError("labels contain NaN")
+        return x, y
     if kind == "pairs" and y is None:
         raise ValidationError("pairs need labels: one +1 or -1 per pair")
     x = validate_tuples(x, arity, n_features, labels=y)

@@ -17,6 +17,7 @@ Y = np.repeat([0, 1, 2], 6)
 PAIRS, PAIR_Y = ml.pairs_from_labels(X, Y, 2, 0)
 QUADS = ml.quadruplets_from_labels(X, Y, 2, 0)
 MODEL = ml.from_components(np.eye(3))
+Y_NAN = np.where(np.arange(len(Y)) == 0, math.nan, Y)
 
 # what each kind fits on: (learner, x, y)
 KINDS = {
@@ -28,9 +29,11 @@ KINDS = {
 
 
 def _bad_y(kind, y):
-    """A 2-D y and a y of the wrong length for the kind."""
+    """A 2-D y, a y of the wrong length and a y with a NaN for the kind."""
     y = np.ones(len(KINDS[kind][1])) if y is None else y
-    return {"2-D y": y[:, None], "short y": y[:-1]}
+    nan_y = y.astype(float)
+    nan_y[0] = math.nan
+    return {"2-D y": y[:, None], "short y": y[:-1], "NaN y": nan_y}
 
 
 FIT = ["fit", "--data", "{data}", "--label-col", "y", "--out", "{out}"]
@@ -63,6 +66,9 @@ CASES = {
     "sampler short y": (lambda: ml.pairs_from_labels(X, Y[:-1], 2, 0), None),
     "knn_predict 2-D y": (lambda: ml.knn_predict(X, Y[:, None], X, 3, MODEL), None),
     "knn_predict short y": (lambda: ml.knn_predict(X, Y[:-1], X, 3, MODEL), None),
+    "knn_predict NaN y": (lambda: ml.knn_predict(X, Y_NAN, X, 3, MODEL), None),
+    "sampler NaN y": (lambda: ml.pairs_from_labels(X, Y_NAN, 2, 0), None),
+    "LFDA NaN y": (lambda: ml.LFDA(knn=1).fit(X, Y_NAN), None),
     "calibrate_threshold y=None": (
         lambda: ml.calibrate_threshold(MODEL, PAIRS, None),
         ["calibrate", "--model", "{model}", "--data", "{data}", "--label-col",
@@ -139,6 +145,8 @@ CASES.update({
     "quads cross_validate unknown metric": (
         lambda: ml.cross_validate(ml.SupervisedTask(QUADS, None, ml.LSML(max_iter=3)),
                                   3, 0, "bogus"), None),
+    "NaN label cell": (None, ["fit", "--algo", "nca", "--data", "{nan_label}",
+                              "--label-col", "y", "--out", "{out}"]),
     "empty file": (None, ["fit", "--algo", "nca", "--data", "{empty}",
                           "--label-col", "y", "--out", "{out}"]),
     "feature row of the wrong width": (
@@ -172,11 +180,11 @@ def test_bad_input_raises_validation_error(case):
 def files(tmp_path):
     paths = {name: tmp_path / name for name in
              ("data", "small", "pairs", "unlabeled", "quads", "model", "out",
-              "nan", "one_negative", "quads6", "empty", "ragged", "label_x",
-              "grid_text", "grid_list", "grid_scalar")}
-    def rows(x):
+              "nan", "nan_label", "one_negative", "quads6", "empty", "ragged",
+              "label_x", "grid_text", "grid_list", "grid_scalar")}
+    def rows(x, y=Y):
         return "f1,f2,f3,y\n" + "".join(",".join(map(repr, row.tolist())) +
-                                        f",{lab}\n" for row, lab in zip(x, Y))
+                                        f",{lab}\n" for row, lab in zip(x, y))
     paths["data"].write_text(rows(X))
     paths["small"].write_text("f1,f2,f3,y\n0,0,0,0\n1,0,0,1\n")
     paths["pairs"].write_text("i,j,label\n0,1,1\n6,7,1\n0,6,-1\n1,12,-1\n")
@@ -184,6 +192,7 @@ def files(tmp_path):
     paths["quads"].write_text("i,j,k,l\n0,1,0,6\n6,7,6,12\n")
     MODEL.save(paths["model"])
     paths["nan"].write_text(rows(X_NAN))
+    paths["nan_label"].write_text(rows(X, Y_NAN))
     paths["one_negative"].write_text(
         "i,j,label\n0,1,1\n6,7,1\n12,13,1\n2,3,1\n0,6,-1\n8,9,1\n")
     paths["quads6"].write_text("i,j,k,l\n" + "".join(

@@ -1,9 +1,11 @@
 import hashlib
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mlearn import (
     LMNN,
@@ -26,6 +28,7 @@ from mlearn import (
     roc_auc_score,
     score,
 )
+from mlearn import modelsel
 from mlearn.exceptions import ValidationError
 
 
@@ -355,6 +358,60 @@ def _knn_predict_oracle(train_x, train_y, test_x, knn_k, model):
     return np.array(out)
 
 
+@st.composite
+def knn_cases(draw):
+    """Rounded coordinates with duplicated training rows (distance and vote
+    ties), int or string labels, any k, maybe one far outlier that loosens
+    the pruning bound, and a small chunk size with query counts on both
+    sides of it."""
+    chunk = draw(st.sampled_from([2 ** 5, 2 ** 7, 2 ** 9]))
+    r = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n, d = draw(st.integers(1, 30)), draw(st.integers(1, 4))
+    pool = np.round(r.standard_normal((draw(st.integers(1, n)), d)))
+    train_x = pool[r.integers(0, len(pool), n)]
+    if draw(st.booleans()):
+        train_x[r.integers(0, n)] *= 1e8
+    step = max(1, chunk // n)
+    n_query = draw(st.sampled_from([1, step - 1, step, step + 1, 2 * step + 1]))
+    test_x = np.round(r.standard_normal((n_query, d)))
+    y = r.integers(0, 4, n) * 3 - 2
+    if draw(st.booleans()):
+        y = np.array(["a", "bb", "c", "dddd"])[(y + 2) // 3]
+    l = np.round(2.0 * r.standard_normal((int(r.integers(1, d + 1)), d))) / 2.0
+    args = train_x, y, test_x, draw(st.integers(1, n)), from_components(l)
+    return chunk, args
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=knn_cases())
+def test_knn_predict_equals_the_per_query_loop(case):
+    chunk, args = case
+    with mock.patch.object(modelsel, "_KNN_CHUNK_ELEMENTS", chunk):
+        got = knn_predict(*args)
+    want = _knn_predict_oracle(*args)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def test_knn_peak_memory_with_a_far_outlier():
+    # the outlier pulls the centre and widens every pair's bound
+    r = np.random.default_rng(2)
+    train_x = r.standard_normal((2000, 20))
+    train_x[0] *= 1e8
+    test_x = r.standard_normal((5000, 20))
+    y = r.integers(0, 3, 2000)
+    model = from_components(np.eye(20))
+    tracemalloc.start()
+    try:
+        got = knn_predict(train_x, y, test_x, 3, model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert np.array_equal(got[:200], _knn_predict_oracle(train_x, y, test_x[:200],
+                                                         3, model))
+
+
 class _IdentityPairEstimator(MMC):
     """Dummy pair learner that always returns the identity metric."""
 
@@ -465,6 +522,35 @@ class TestCrossValidate:
     def test_unknown_task_rejected(self):
         with pytest.raises(ValidationError):
             cross_validate(object(), 3, seed=0)
+
+    @pytest.mark.parametrize("kind, metric", [("quads", "roc_auc"),
+                                              ("quads", "bogus"),
+                                              ("labels", "bogus"),
+                                              ("pairs", "bogus")])
+    def test_metric_is_checked_before_any_fit(self, kind, metric):
+        make, x, y = {
+            "labels": (NCA, *supervised_data()),
+            "pairs": (MMC, *_separable_pairs()),
+            "quads": (LSML, np.random.default_rng(3).standard_normal((9, 4, 2)),
+                      None),
+        }[kind]
+        task = SupervisedTask(x, y, _counting_fits(make)(max_iter=2))
+        with pytest.raises(ValidationError, match="metric"):
+            cross_validate(task, 3, seed=0, metric_name=metric)
+        with pytest.raises(ValidationError, match="metric"):
+            grid_search(task, {"max_iter": [2, 3]}, 3, seed=0, metric_name=metric)
+        assert type(task.estimator).fits == 0
+
+
+def _counting_fits(cls):
+    """A subclass of the learner cls that counts its fits, clones included."""
+    class Counting(cls):
+        fits = 0
+
+        def fit(self, *args):
+            type(self).fits += 1
+            return super().fit(*args)
+    return Counting
 
 
 def _separable_pairs(seed=0, n=18):
