@@ -10,11 +10,15 @@ Every distance goes through one batched kernel, :func:`_distances`, so that
 ``score_pairs``, ``get_metric`` (a batch of one) and every predict method
 agree bit for bit, which makes serialization round trips exactly
 reproducible. The kernel must give a row the same bits whatever batch it sits
-in. It uses ``np.einsum`` without ``optimize``, which contracts each output
-element over the feature axis in a fixed order that does not depend on the
-number of rows. A BLAS product such as ``(a - b) @ L.T`` does not: OpenBLAS
-picks its blocking and kernels from the matrix shape, so a row can round
-differently alone than inside a larger batch.
+in. A flat BLAS product such as ``(a - b) @ L.T`` does not: OpenBLAS picks
+its blocking, kernels and thread split from the matrix shape, so a row can
+round differently alone than inside a larger batch. The kernel therefore
+makes every BLAS call with one shape: the difference rows are cut into
+zero-padded blocks of ``_BLOCK`` rows and mapped by one stacked ``matmul``,
+a (``_BLOCK``, d) @ (d, c) product per block. With the shape fixed, BLAS runs
+the same code for every block, and a row's dot products do not read the
+other rows of its block, so its bits depend on neither its neighbours nor its
+place in the block.
 """
 
 from __future__ import annotations
@@ -40,10 +44,41 @@ class FitReport:
     objective_trace: tuple = field(default=(0.0,))
 
 
+# rows per fixed-shape product (see _distances for why a multiple of 16)
+_BLOCK = 64
+# rows per pass through the reused difference buffer (a multiple of _BLOCK),
+# so the kernel's memory does not grow with the number of pairs
+_CHUNK = 4096
+
+
 def _distances(components: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Non-squared learned distance between rows of ``a`` and ``b`` (n, d)."""
-    z = np.einsum("nd,cd->nc", a - b, components)
-    return np.sqrt(np.einsum("nc,nc->n", z, z))
+    """Non-squared learned distance between rows of ``a`` and ``b`` (n, d).
+
+    Chunks of up to ``_CHUNK`` rows are subtracted into one reused buffer
+    whose last ``_BLOCK``-row block is zero-padded, mapped by one stacked
+    (``_BLOCK``, d) @ (d, c) ``matmul`` and reduced to squared norms by
+    ``einsum`` over each row alone. Every BLAS call has the same shape and
+    layout, so a row's distance has the same bits in any batch and at any
+    position (see the module docstring). ``_BLOCK`` is a multiple of 16,
+    which every OpenBLAS dgemm row unroll divides, so all rows of a block go
+    through the same micro-kernel and none falls to an edge kernel. numpy
+    hands c = 1 to gemv and d = 1 to its own loop; those are fixed-shape too.
+    """
+    n, d = a.shape
+    lt = np.ascontiguousarray(components.T)
+    rows = min(_CHUNK, -(-n // _BLOCK) * _BLOCK)
+    diff = np.empty((rows, d))
+    z = np.empty((rows // _BLOCK, _BLOCK, lt.shape[1]))
+    out = np.empty(n)
+    for start in range(0, n, _CHUNK):
+        m = min(_CHUNK, n - start)
+        blocks = -(-m // _BLOCK)
+        np.subtract(a[start:start + m], b[start:start + m], out=diff[:m])
+        diff[m:blocks * _BLOCK] = 0.0
+        zb = np.matmul(diff[:blocks * _BLOCK].reshape(blocks, _BLOCK, d), lt,
+                       out=z[:blocks]).reshape(blocks * _BLOCK, -1)[:m]
+        np.einsum("nc,nc->n", zb, zb, out=out[start:start + m])
+    return np.sqrt(out, out=out)
 
 
 def _valid_threshold(threshold) -> float:
@@ -67,10 +102,9 @@ class MahalanobisModel:
     fit_report: FitReport = field(default_factory=FitReport)
 
     def __post_init__(self):
-        # force C layout: transform and the distance kernel accumulate in a
-        # layout-dependent order, and a JSON round trip always loads
-        # C-contiguous, so mixed layouts would break bit-exact save/load
-        # prediction equality
+        # force C layout: transform accumulates in a layout-dependent order,
+        # and a JSON round trip always loads C-contiguous, so mixed layouts
+        # would break bit-exact save/load equality of transformed points
         l = np.ascontiguousarray(np.asarray(self.components, dtype=float))
         if l.ndim != 2 or l.size == 0:
             raise ValidationError("components must be a non-empty 2-D matrix")

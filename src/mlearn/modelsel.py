@@ -122,6 +122,8 @@ def knn_predict(train_x, train_y, test_x, knn_k: int, model):
         key = np.arange(len(near))[:, None] * len(labels) + codes[near]
         votes = np.bincount(key.ravel(), minlength=len(near) * len(labels))
         pred[rows] = votes.reshape(len(near), len(labels)).argmax(axis=1)
+    if labels.dtype.kind in "biuf":
+        return labels[pred]
     # built from the label scalars, so a string result is only as wide as
     # its longest predicted label
     return np.array(list(labels[pred]))

@@ -670,7 +670,7 @@ def _digest(text: str) -> str:
 
 # command -> sha256 prefix of its stdout (fit: of the model file it writes)
 _PINNED_STDOUT = {
-    "fit": "22020b67777662a2", "score-pairs": "e8d520c6e71059af",
+    "fit": "22020b67777662a2", "score-pairs": "5fa31bba4ed3bcd1",
     "predict-pairs": "24a80af80adb9d19", "predict-triplets": "e9913a59810ba359",
     "predict-quads": "7c78d32d064a325e", "transform": "74ace33580e70dc8",
     "calibrate": "9fd4818bd3d00f4a", "cv-nca": "ccc564df813f2b1c",

@@ -1,7 +1,18 @@
+import hashlib
+import os
+import pathlib
+import subprocess
+import sys
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import mlearn
 from mlearn import FitReport, MahalanobisModel, from_components
+from mlearn import model as model_module
 from mlearn.exceptions import DimensionError, ValidationError
 
 
@@ -271,6 +282,83 @@ class TestBatchStableDistances:
         m = from_components(np.eye(2))
         with pytest.raises(ValidationError, match="arity"):
             getattr(m, method)(np.zeros((3, arity + 1, 2)))
+
+
+_BLOCK = model_module._BLOCK
+
+
+@st.composite
+def kernel_cases(draw):
+    """A model with 1 <= c <= d <= 40, n pairs up to about three chunks of
+    two blocks each (with counts on both sides of every block and chunk
+    boundary), values scaled by 10^e for |e| <= 100, a row to check, and
+    triplets and quadruplets of the same size."""
+    r = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d = draw(st.integers(1, 40))
+    c = draw(st.integers(1, d))
+    edges = [k * _BLOCK + e for k in range(1, 7) for e in (-1, 0, 1)]
+    n = draw(st.one_of(st.integers(0, 6 * _BLOCK + 2), st.sampled_from(edges)))
+    scale = 10.0 ** draw(st.integers(-100, 100))
+    model = from_components(r.standard_normal((c, d)))
+    t = scale * r.standard_normal((n, 4, d))
+    t[: n // 3, 2:] = t[: n // 3, :2]  # exact ties, which must predict -1
+    return model, t, draw(st.integers(0, max(n - 1, 0)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=kernel_cases())
+def test_kernel_rows_do_not_depend_on_their_batch(case):
+    model, t, i = case
+    with mock.patch.object(model_module, "_CHUNK", 2 * _BLOCK):
+        near = model.score_pairs(t[:, [0, 1]])
+        assert near.shape == (len(t),)
+        if len(t):
+            assert near[i] == model.get_metric()(*t[i, :2])
+            assert near[i] == model.score_pairs(t[i:i + 1, :2])[0]
+        triplet_far = model.score_pairs(t[:, [0, 2]])
+        assert np.array_equal(model.predict_triplets(t[:, :3]),
+                              np.where(near < triplet_far, 1, -1))
+        quad_far = model.score_pairs(t[:, [2, 3]])
+        assert np.array_equal(model.predict_quadruplets(t),
+                              np.where(near < quad_far, 1, -1))
+
+
+def _kernel_digest() -> str:
+    """sha256 of score_pairs over fixed models and pairs; the shapes cover
+    c=1, d=1 and more than one chunk."""
+    r = np.random.default_rng(11)
+    h = hashlib.sha256()
+    for c, d, n in [(1, 1, 300), (1, 7, 300), (3, 3, 5000), (7, 7, 9000),
+                    (5, 20, 300), (20, 20, 9000), (40, 40, 300)]:
+        model = from_components(r.standard_normal((c, d)))
+        h.update(model.score_pairs(r.standard_normal((n, 2, d))).tobytes())
+    return h.hexdigest()
+
+
+def test_kernel_bits_do_not_depend_on_the_blas_thread_count():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    paths = [str(pathlib.Path(mlearn.__file__).parents[1]),
+             str(pathlib.Path(__file__).parent)]
+    code = ("import sys; sys.path[:0] = " + repr(paths) + "; "
+            "import test_model; print(test_model._kernel_digest())")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == _kernel_digest()
+
+
+def test_score_pairs_memory_does_not_grow_with_the_pairs():
+    pairs = np.random.default_rng(4).standard_normal((100_000, 2, 20))
+    model = from_components(np.random.default_rng(5).standard_normal((20, 20)))
+    tracemalloc.start()
+    try:
+        model.score_pairs(pairs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the input's finiteness mask (4 MB) and the result (0.8 MB); two n x d
+    # difference blocks would be 32 MB
+    assert peak < 6 * 2 ** 20
 
 
 class TestPersistence:

@@ -281,6 +281,23 @@ class TestKnnPredict:
             knn_predict(np.zeros((3, 2)), np.array([0, 1, 1]), [[0.0, 0.0]], 0,
                         from_components(np.eye(2)))
 
+    @pytest.mark.parametrize("y, dtype", [
+        (np.array([3, 7, 7]), np.int64),
+        (np.array([3, 7, 7], dtype=np.int32), np.int32),
+        (np.array([3, 7, 7], dtype=np.uint8), np.uint8),
+        (np.array([0.5, 1.5, 1.5]), np.float64),
+        (np.array([True, False, False]), np.bool_),
+        (np.array(["a", "bbbb", "bbbb"]), "<U1"),
+        (np.array(["a", "bbbb", "bbbb"], dtype=object), "<U1"),
+    ], ids=["int64", "int32", "uint8", "float", "bool", "str", "object"])
+    def test_result_dtype_follows_the_predicted_labels(self, y, dtype):
+        # numeric labels keep their dtype; a string result is only as wide
+        # as its longest predicted label, whatever the training labels hold
+        x = np.array([[0.0], [1.0], [10.0]])
+        got = knn_predict(x, y, [[0.1], [-3.0]], 1, from_components(np.eye(1)))
+        assert got.dtype == np.dtype(dtype)
+        assert got.tolist() == [y[0], y[0]]
+
     @pytest.mark.parametrize("labels", ["int", "str"])
     def test_matches_per_query_loop(self, labels):
         for seed in range(40):
