@@ -124,6 +124,9 @@ def knn_predict(train_x, train_y, test_x, knn_k: int, model):
         pred[rows] = votes.reshape(len(near), len(labels)).argmax(axis=1)
     if labels.dtype.kind in "biuf":
         return labels[pred]
+    if not len(pred):
+        # no label to build from: the type a query given the first label gets
+        return np.array(list(labels[:1]))[:0]
     # built from the label scalars, so a string result is only as wide as
     # its longest predicted label
     return np.array(list(labels[pred]))

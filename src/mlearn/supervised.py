@@ -50,13 +50,21 @@ def pairwise_sq_dists(z: np.ndarray) -> np.ndarray:
 
     The rows are centred first: the Gram formula |a|^2 + |b|^2 - 2 a.b
     cancels catastrophically when the rows sit far from the origin, and
-    distances do not depend on a common offset.
+    distances do not depend on a common offset. The pass holds two n x n
+    arrays, the Gram matrix and the result, and finishes both in place;
+    the operations and their order are those of the one-line formula
+    ``max((|a|^2 + |b|^2) - 2 (z @ z.T), 0)``, so the bits are too.
     """
     z = z - z.mean(axis=0)
     sq = np.sum(z * z, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (z @ z.T)
+    # z @ z.T, not a product with a contiguous copy of z.T: numpy hands the
+    # former to syrk, whose result is exactly symmetric
+    g = z @ z.T
+    g *= 2.0
+    d2 = np.add(sq[:, None], sq[None, :])
+    d2 -= g
     np.fill_diagonal(d2, 0.0)
-    return np.maximum(d2, 0.0)
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def _off_diagonal(a: np.ndarray) -> np.ndarray:
@@ -68,7 +76,7 @@ def _off_diagonal(a: np.ndarray) -> np.ndarray:
 _LOG_TINY = float(np.log(np.finfo(float).tiny))
 
 
-def _exp_flushed(a: np.ndarray) -> np.ndarray:
+def _exp_flushed(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """np.exp(a) where the result is a normal float, exactly 0 where it is not.
 
     numpy's vector exp is one to two orders of magnitude slower on
@@ -76,11 +84,13 @@ def _exp_flushed(a: np.ndarray) -> np.ndarray:
     is subnormal. Lanes below log(tiny) (their result is subnormal or 0,
     -inf included) reach exp as 0 and are zeroed afterwards, so exp never
     sees them; every other lane, NaN included, keeps np.exp's bits.
+    The result goes to ``out`` when given (``out=a`` overwrites a), else
+    to a new array.
     """
     # masks multiply rather than select: np.where on a scattered mask costs
     # several times the exp it saves
     keep = a >= _LOG_TINY
-    e = np.maximum(a, _LOG_TINY)
+    e = np.maximum(a, _LOG_TINY, out=out)
     e *= keep
     np.exp(e, out=e)
     e *= keep
@@ -115,19 +125,22 @@ def nca_objective(l: np.ndarray, x: np.ndarray, y: np.ndarray, same=None):
     if same is None:
         same = _same_class(y)
     z = x @ l.T
-    d2 = pairwise_sq_dists(z)
-    logits = -d2
+    # one n x n buffer turns from distances to logits to probabilities
+    logits = pairwise_sq_dists(z)
+    np.negative(logits, out=logits)
     np.fill_diagonal(logits, -np.inf)
     logits -= logits.max(axis=1, keepdims=True)
     # each row keeps its largest weight at exp(0) = 1, so dropping the
     # subnormal weights moves no p by more than n * tiny
-    p = _exp_flushed(logits)
+    p = _exp_flushed(logits, out=logits)
     p /= p.sum(axis=1, keepdims=True)
     np.fill_diagonal(p, 0.0)
-    p_i = np.sum(p * same, axis=1)
+    p_same = p * same
+    p_i = p_same.sum(axis=1)
 
     def grad():
-        w = p * p_i[:, None] - p * same
+        w = p * p_i[:, None]
+        w -= p_same
         return 2.0 * l @ weighted_outer_sum(x, w)
     return float(p_i.sum()), grad
 
@@ -184,9 +197,21 @@ def lmnn_targets(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
     return targets
 
 
+def _lmnn_pull_outer(x: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The pull term's scatter sum: ``weighted_outer_sum`` over the
+    target-neighbor counts. It does not depend on the map, so a fit
+    computes it once."""
+    n = len(x)
+    rows = np.arange(n)
+    w_pull = np.zeros((n, n))
+    for t in targets.T:
+        w_pull[rows, t] += 1.0
+    return weighted_outer_sum(x, w_pull)
+
+
 def lmnn_objective(l: np.ndarray, x: np.ndarray, y: np.ndarray,
                    targets: np.ndarray, push_weight: float, margin: float,
-                   differ=None):
+                   differ=None, pull_outer=None):
     """Pull + hinge-push loss: (f, grad) with grad() -> (sub)gradient at l.
 
     The loss sums every hinge term, so it is a deterministic function of l;
@@ -194,12 +219,17 @@ def lmnn_objective(l: np.ndarray, x: np.ndarray, y: np.ndarray,
 
     The terms are gathered one target slot at a time: slot s pairs every
     point i with its target ``targets[i, s]`` and weighs the hinge against
-    all n points at once, so memory stays O(n^2) and no (n, k, n) block is
-    built. The pull and push weights are integer counts, so the gradient is
-    exactly the one a per-point loop gives; only the summation order of the
-    loss differs (last-bit changes). The closure keeps one boolean impostor
-    mask per target slot (k n^2 bytes) and rebuilds the weights from them.
-    ``differ`` is the n x n mask ``y_i != y_j``; a fit builds it once.
+    all n points at once, in one n x n buffer that every slot reuses, so no
+    (n, k, n) block is built. Multiplying h by its active mask (h > 0 and a
+    different class) leaves exactly 0 (or -0) on every inactive lane, so
+    one unmasked sum adds the active terms; numpy's masked sum is several
+    times slower. The pull and push weights are integer counts, so the
+    gradient is exactly the one a per-point loop gives; only the summation
+    order of the loss differs (last-bit changes). The closure keeps one
+    boolean impostor mask per target slot (k n^2 bytes) and rebuilds the
+    push weights from them. ``differ`` is the n x n mask
+    ``y_i != y_j`` and ``pull_outer`` is ``_lmnn_pull_outer(x, targets)``;
+    a fit builds both once.
     """
     if differ is None:
         differ = y[:, None] != y[None, :]
@@ -209,23 +239,25 @@ def lmnn_objective(l: np.ndarray, x: np.ndarray, y: np.ndarray,
     pull = 0.0
     push = 0.0
     masks = []
+    h = np.empty_like(d2)
     for t in targets.T:
         dt = d2[rows, t]
         pull += float(np.sum(dt))
-        h = margin + dt[:, None] - d2
-        active = differ & (h > 0.0)
-        push += float(np.sum(h, where=active))
+        np.subtract(margin + dt[:, None], d2, out=h)
+        active = h > 0.0
+        active &= differ
+        h *= active
+        push += float(h.sum())
         masks.append(active)
 
     def grad():
+        outer = _lmnn_pull_outer(x, targets) if pull_outer is None else pull_outer
         n = len(x)
-        w_pull = np.zeros((n, n))
         w_push = np.zeros((n, n))
         for t, active in zip(targets.T, masks):
-            w_pull[rows, t] += 1.0
-            w_push[rows, t] += active.sum(axis=1)
+            w_push[rows, t] += np.count_nonzero(active, axis=1)
             w_push -= active
-        g = (1.0 - push_weight) * weighted_outer_sum(x, w_pull) \
+        g = (1.0 - push_weight) * outer \
             + push_weight * weighted_outer_sum(x, w_push)
         return 2.0 * l @ g
     return (1.0 - push_weight) * pull + push_weight * push, grad
@@ -257,9 +289,10 @@ class LMNN(MahalanobisEstimator):
         m = _resolve_components(self.n_components, x.shape[1])
         l0 = _init_transform(self.init, m, x.shape[1], self.seed)
         differ = y[:, None] != y[None, :]
+        pull_outer = _lmnn_pull_outer(x, targets)
         l, report = backtracking_solve(
             lambda l_: lmnn_objective(l_, x, y, targets, self.push_weight,
-                                      self.margin, differ),
+                                      self.margin, differ, pull_outer),
             l0, max_iter=self.max_iter, tol=self.tol,
         )
         self._set_model(MahalanobisModel(l, algorithm="lmnn", fit_report=report))
@@ -272,18 +305,23 @@ def mlkr_objective(l: np.ndarray, x: np.ndarray, y: np.ndarray):
     """Leave-one-out Nadaraya-Watson squared error: (f, grad) with grad() ->
     gradient at l."""
     z = x @ l.T
-    d2 = pairwise_sq_dists(z)
-    np.fill_diagonal(d2, np.inf)
+    # one n x n buffer turns from distances to kernel weights
+    k = pairwise_sq_dists(z)
+    np.fill_diagonal(k, np.inf)
     # each row is scaled by exp(its smallest distance), which cancels in
     # k / s: the nearest neighbour weighs 1, so s >= 1 and a row never
     # underflows whole, however far apart the points are
-    k = _exp_flushed(d2.min(axis=1, keepdims=True) - d2)
+    np.subtract(k.min(axis=1, keepdims=True), k, out=k)
+    _exp_flushed(k, out=k)
     s = k.sum(axis=1)
     yhat = (k @ y) / s
     r = yhat - y
 
     def grad():
-        w = -2.0 * (r / s)[:, None] * (y[None, :] - yhat[:, None]) * k
+        # ((-2 r / s)_i (y_j - yhat_i)) k_ij, left to right in one buffer
+        w = np.subtract(y[None, :], yhat[:, None])
+        w *= -2.0 * (r / s)[:, None]
+        w *= k
         return 2.0 * l @ weighted_outer_sum(x, w)
     return float(np.sum(r * r)), grad
 

@@ -35,15 +35,23 @@ ARITY = {"labels": None, "chunks": None, "pairs": 2, "quads": 4}
 
 def validate_supervision(kind: str, x, y, n_features: int | None = None):
     """(x, y) as arrays, checked for the supervision kind: points with a
-    1-D y of one entry per row and no NaN, labeled pairs, or quadruplets
-    without y."""
+    1-D y of one entry per row, no NaN and values that can be ordered,
+    labeled pairs, or quadruplets without y."""
     arity = ARITY[kind]
     if arity is None:
         x = _as_features(x, n_features)
         y = _as_labels(y, len(x))
         # NaN equals no label, itself included, so it can name no class
-        if y.dtype.kind in "fc" and np.isnan(y).any():
+        # (in an object array it also breaks np.unique's sort)
+        if y.dtype.kind in "fcO" and np.any(y != y):
             raise ValidationError("labels contain NaN")
+        # classes are found by np.unique, which sorts: an object array
+        # such as [3, 'b'] has no order
+        if y.dtype == object:
+            try:
+                np.unique(y)
+            except TypeError as e:
+                raise ValidationError(f"labels cannot be ordered: {e}") from None
         return x, y
     if kind == "pairs" and y is None:
         raise ValidationError("pairs need labels: one +1 or -1 per pair")
@@ -51,11 +59,26 @@ def validate_supervision(kind: str, x, y, n_features: int | None = None):
     return x, None if y is None else np.asarray(y)
 
 
+# values per finiteness test. The mask of one chunk (256 KiB) is above
+# glibc's initial 128 KiB mmap threshold, so it is mapped and unmapped like
+# the whole-input mask was; a 64 KiB mask, reused from the heap, left that
+# threshold low and raised the peak RSS of a 100k-pair serving run by 5 MB
+_FINITE_CHUNK = 1 << 18
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """np.isfinite(a).all(), tested in chunks of whole rows of at most
+    ``_FINITE_CHUNK`` values (one row if a row is longer), so the mask does
+    not grow with the number of rows."""
+    step = max(1, _FINITE_CHUNK * len(a) // max(1, a.size))
+    return all(np.isfinite(a[i:i + step]).all() for i in range(0, len(a), step))
+
+
 def _as_features(x, n_features: int | None = None) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise DimensionError(f"expected a 2-D feature matrix, got ndim={x.ndim}")
-    if not np.all(np.isfinite(x)):
+    if not _all_finite(x):
         raise ValidationError("feature matrix contains non-finite entries")
     if n_features is not None and x.shape[1] != n_features:
         raise DimensionError(
@@ -89,7 +112,7 @@ def validate_tuples(tuples, expected_t: int, n_features: int | None = None,
         raise DimensionError(
             f"width mismatch: expected {n_features} features, got {tuples.shape[2]}"
         )
-    if not np.all(np.isfinite(tuples)):
+    if not _all_finite(tuples):
         raise ValidationError("tuple array contains non-finite entries")
     if labels is not None:
         if expected_t != 2:

@@ -18,6 +18,9 @@ PAIRS, PAIR_Y = ml.pairs_from_labels(X, Y, 2, 0)
 QUADS = ml.quadruplets_from_labels(X, Y, 2, 0)
 MODEL = ml.from_components(np.eye(3))
 Y_NAN = np.where(np.arange(len(Y)) == 0, math.nan, Y)
+# object labels of mixed types: np.unique cannot sort them
+Y_MIXED = np.array([3, "b", "c"], dtype=object)[Y]
+Y_OBJECT_NAN = Y_NAN.astype(object)
 
 # what each kind fits on: (learner, x, y)
 KINDS = {
@@ -69,6 +72,18 @@ CASES = {
     "knn_predict NaN y": (lambda: ml.knn_predict(X, Y_NAN, X, 3, MODEL), None),
     "sampler NaN y": (lambda: ml.pairs_from_labels(X, Y_NAN, 2, 0), None),
     "LFDA NaN y": (lambda: ml.LFDA(knn=1).fit(X, Y_NAN), None),
+    "NCA mixed-type y": (lambda: ml.NCA(max_iter=2).fit(X, Y_MIXED), None),
+    "RCA mixed-type chunk ids": (lambda: ml.RCA().fit(X, Y_MIXED), None),
+    "cross_validate mixed-type y": (
+        lambda: ml.cross_validate(ml.SupervisedTask(X, Y_MIXED, ml.NCA(max_iter=2)),
+                                  3, 0), None),
+    "knn_predict mixed-type y": (
+        lambda: ml.knn_predict(X, Y_MIXED, X, 3, MODEL), None),
+    "sampler mixed-type y": (
+        lambda: ml.triplets_from_labels(X, Y_MIXED, 2, 0), None),
+    "NCA object NaN y": (lambda: ml.NCA(max_iter=2).fit(X, Y_OBJECT_NAN), None),
+    "knn_predict object NaN y": (
+        lambda: ml.knn_predict(X, Y_OBJECT_NAN, X, 3, MODEL), None),
     "calibrate_threshold y=None": (
         lambda: ml.calibrate_threshold(MODEL, PAIRS, None),
         ["calibrate", "--model", "{model}", "--data", "{data}", "--label-col",

@@ -297,6 +297,9 @@ class TestKnnPredict:
         got = knn_predict(x, y, [[0.1], [-3.0]], 1, from_components(np.eye(1)))
         assert got.dtype == np.dtype(dtype)
         assert got.tolist() == [y[0], y[0]]
+        # no query: an empty result of the type one query predicting y[0] gets
+        none = knn_predict(x, y, np.empty((0, 1)), 1, from_components(np.eye(1)))
+        assert none.dtype == np.dtype(dtype) and none.shape == (0,)
 
     @pytest.mark.parametrize("labels", ["int", "str"])
     def test_matches_per_query_loop(self, labels):
@@ -372,6 +375,9 @@ def _knn_predict_oracle(train_x, train_y, test_x, knn_k, model):
         nearest = np.argsort(d, kind="stable")[:knn_k]
         votes, counts = np.unique(np.asarray(train_y)[nearest], return_counts=True)
         out.append(votes[np.argmax(counts == counts.max())])
+    if not out:
+        # no query: the type one query predicting the smallest label gets
+        return np.array([np.unique(np.asarray(train_y))[0]])[:0]
     return np.array(out)
 
 

@@ -66,6 +66,13 @@ class TestExpFlushed:
         assert got.shape == a.shape
         assert np.array_equal(a, before, equal_nan=True)
 
+    def test_in_place_gives_the_same_bits(self):
+        a = np.resize(self._arguments(), (200, 200))
+        want = _exp_flushed(a)
+        got = _exp_flushed(a, out=a)
+        assert got is a
+        assert got.tobytes() == want.tobytes()
+
 
 def test_mlkr_sees_its_objective_far_beyond_the_kernel_width():
     # integer features keep exact distance ties between neighbors, so the

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mlearn
 from mlearn import (
@@ -23,9 +24,12 @@ from mlearn import (
 from mlearn.exceptions import ValidationError
 from mlearn.linalg import gen_sym_eig
 from mlearn.supervised import (
+    _exp_flushed,
     _init_transform,
     _lfda_scatters,
+    _lmnn_pull_outer,
     _local_scaling,
+    _same_class,
     lmnn_objective,
     lmnn_targets,
     mlkr_objective,
@@ -201,6 +205,24 @@ class TestLMNN:
         assert peak < 8 * n * n * 8
 
 
+@pytest.mark.parametrize("objective", ["nca", "mlkr"])
+def test_value_call_holds_two_n_by_n_arrays(objective):
+    n = 800
+    y = np.arange(n) % 4
+    x = np.random.default_rng(3).standard_normal((n, 5)) + y[:, None]
+    call = {"nca": lambda: nca_objective(np.eye(5), x, y),
+            "mlkr": lambda: mlkr_objective(np.eye(5), x, y.astype(float))}
+    tracemalloc.start()
+    try:
+        call[objective]()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the Gram matrix and the distances, which then become the weights in
+    # place, plus n^2-byte masks; a fresh array per step peaks above 3
+    assert peak < 2.5 * n * n * 8
+
+
 def tie_heavy_data(seed, n=24, d=4):
     """Small-integer points in three classes: many exact distance ties."""
     r = np.random.default_rng(seed)
@@ -245,6 +267,89 @@ def _lmnn_objective_oracle(l, x, y, targets, push_weight, margin):
     g = (1.0 - push_weight) * weighted_outer_sum(x, w_pull) \
         + push_weight * weighted_outer_sum(x, w_push)
     return f, 2.0 * l @ g
+
+
+def _pairwise_sq_dists_oracle(z):
+    """The one-line Gram formula the in-place distance pass replaced."""
+    z = z - z.mean(axis=0)
+    sq = np.sum(z * z, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (z @ z.T)
+    np.fill_diagonal(d2, 0.0)
+    return np.maximum(d2, 0.0)
+
+
+def _nca_objective_oracle(l, x, y):
+    """NCA with a fresh array per step, as before the in-place passes."""
+    same = _same_class(y)
+    d2 = _pairwise_sq_dists_oracle(x @ l.T)
+    logits = -d2
+    np.fill_diagonal(logits, -np.inf)
+    logits -= logits.max(axis=1, keepdims=True)
+    p = _exp_flushed(logits)
+    p /= p.sum(axis=1, keepdims=True)
+    np.fill_diagonal(p, 0.0)
+    p_i = np.sum(p * same, axis=1)
+    w = p * p_i[:, None] - p * same
+    return float(p_i.sum()), 2.0 * l @ weighted_outer_sum(x, w)
+
+
+def _mlkr_objective_oracle(l, x, y):
+    """MLKR with a fresh array per step, as before the in-place passes."""
+    d2 = _pairwise_sq_dists_oracle(x @ l.T)
+    np.fill_diagonal(d2, np.inf)
+    k = _exp_flushed(d2.min(axis=1, keepdims=True) - d2)
+    s = k.sum(axis=1)
+    yhat = (k @ y) / s
+    r = yhat - y
+    w = -2.0 * (r / s)[:, None] * (y[None, :] - yhat[:, None]) * k
+    return float(np.sum(r * r)), 2.0 * l @ weighted_outer_sum(x, w)
+
+
+@st.composite
+def objective_cases(draw):
+    """(l, x, y): tie-heavy small integers or normal draws scaled by 1e-6,
+    1 or 1e6, three classes of at least 3 points, and maps with fewer
+    rows than columns or rounded to halves (exact distance ties, hinges
+    at exactly 0)."""
+    r = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n, d = draw(st.integers(9, 30)), draw(st.integers(1, 5))
+    m = draw(st.integers(1, d))
+    if draw(st.booleans()):
+        x = r.integers(-2, 3, size=(n, d)).astype(float)
+    else:
+        x = r.standard_normal((n, d)) * draw(st.sampled_from([1e-6, 1.0, 1e6]))
+    l = r.standard_normal((m, d))
+    if draw(st.booleans()):
+        l = np.round(2.0 * l) / 2.0
+    return l, x, np.arange(n) % 3
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=objective_cases())
+def test_in_place_passes_give_the_oracle_bits(case):
+    l, x, y = case
+    z = x @ l.T
+    assert _same_bits(pairwise_sq_dists(z), _pairwise_sq_dists_oracle(z))
+    f, grad = nca_objective(l, x, y)
+    f_ref, g_ref = _nca_objective_oracle(l, x, y)
+    assert _same_bits(f, f_ref) and _same_bits(grad(), g_ref)
+    # a target with ties: y + the first feature
+    t = y + x[:, 0]
+    f, grad = mlkr_objective(l, x, t)
+    f_ref, g_ref = _mlkr_objective_oracle(l, x, t)
+    assert _same_bits(f, f_ref) and _same_bits(grad(), g_ref)
+    # LMNN's loss adds its hinges in another order: 1e-14 relative
+    targets = lmnn_targets(x, y, 2)
+    f_ref, g_ref = _lmnn_objective_oracle(l, x, y, targets, 0.3, 1.0)
+    for pull in (None, _lmnn_pull_outer(x, targets)):
+        f, grad = lmnn_objective(l, x, y, targets, 0.3, 1.0, pull_outer=pull)
+        assert _same_bits(grad(), g_ref)
+        assert abs(f - f_ref) <= 1e-14 * abs(f_ref)
 
 
 class TestMLKR:

@@ -12,6 +12,7 @@ from mlearn import (
     triplets_from_labels,
     validate_tuples,
 )
+from mlearn import tuples
 from mlearn.exceptions import DimensionError, ValidationError
 from mlearn.rng import SplitMix64, below
 from mlearn.tuples import _pool_positions
@@ -116,6 +117,20 @@ class TestValidateTuples:
         t[0, 0, 0] = np.inf
         with pytest.raises(ValidationError, match="non-finite"):
             validate_tuples(t, 2)
+
+    @pytest.mark.parametrize("chunk", [5, 12, 1 << 18])
+    def test_any_non_finite_value_found_in_chunks(self, chunk, monkeypatch):
+        # rows of 6 values: a chunk shorter than a row, two rows, the input
+        monkeypatch.setattr(tuples, "_FINITE_CHUNK", chunk)
+        t = np.zeros((9, 2, 3))
+        validate_tuples(t, 2)
+        for flat in range(t.size):
+            for bad in (np.nan, -np.inf):
+                u = t.copy()
+                u.flat[flat] = bad
+                with pytest.raises(ValidationError, match="non-finite"):
+                    validate_tuples(u, 2)
+        validate_tuples(np.zeros((0, 2, 3)), 2)
 
     def test_zero_label_rejected(self, rng):
         with pytest.raises(ValidationError, match=r"\{\+1, -1\}"):
