@@ -6,19 +6,21 @@ distance after mapping through ``L``; equivalently the quadratic form under
 M = L^T L. Distances are always reported non-squared; squared distances are
 an internal detail of the solvers.
 
-Every distance goes through one batched kernel, :func:`_distances`, so that
-``score_pairs``, ``get_metric`` (a batch of one) and every predict method
-agree bit for bit, which makes serialization round trips exactly
-reproducible. The kernel must give a row the same bits whatever batch it sits
-in. A flat BLAS product such as ``(a - b) @ L.T`` does not: OpenBLAS picks
-its blocking, kernels and thread split from the matrix shape, so a row can
-round differently alone than inside a larger batch. The kernel therefore
-makes every BLAS call with one shape: the difference rows are cut into
-zero-padded blocks of ``_BLOCK`` rows and mapped by one stacked ``matmul``,
-a (``_BLOCK``, d) @ (d, c) product per block. With the shape fixed, BLAS runs
-the same code for every block, and a row's dot products do not read the
-other rows of its block, so its bits depend on neither its neighbours nor its
-place in the block.
+Every row mapped through ``L`` goes through one map kernel,
+:func:`_mapped_chunks`. ``transform`` maps points with it (and
+``knn_predict`` maps through ``transform``); :func:`_distances` maps
+difference rows with it, so that ``score_pairs``, ``get_metric`` (a batch of
+one), every predict method and ``calibrate_threshold`` agree bit for bit,
+which makes serialization round trips exactly reproducible. The kernel must
+give a row the same bits whatever batch it sits in. A flat BLAS product such
+as ``x @ L.T`` does not: OpenBLAS picks its blocking, kernels and thread
+split from the matrix shape, so a row can round differently alone than inside
+a larger batch. The kernel therefore makes every BLAS call with one shape:
+the rows are cut into zero-padded blocks of ``_BLOCK`` rows and mapped by one
+stacked ``matmul``, a (``_BLOCK``, d) @ (d, c) product per block. With the
+shape fixed, BLAS runs the same code for every block, and a row's dot
+products do not read the other rows of its block, so its bits depend on
+neither its neighbours nor its place in the block.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from .exceptions import DimensionError, ValidationError, check_at_least
 from .linalg import sym_eig
-from .tuples import _as_features, validate_tuples
+from .tuples import _as_features, _as_floats, validate_tuples
 
 
 @dataclass(frozen=True)
@@ -44,21 +46,24 @@ class FitReport:
     objective_trace: tuple = field(default=(0.0,))
 
 
-# rows per fixed-shape product (see _distances for why a multiple of 16)
+# rows per fixed-shape product (see _mapped_chunks for why a multiple of 16)
 _BLOCK = 64
-# rows per pass through the reused difference buffer (a multiple of _BLOCK),
-# so the kernel's memory does not grow with the number of pairs
+# rows per pass through the reused row buffer (a multiple of _BLOCK), so the
+# kernel's memory does not grow with the number of rows
 _CHUNK = 4096
 
 
-def _distances(components: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Non-squared learned distance between rows of ``a`` and ``b`` (n, d).
+def _mapped_chunks(components: np.ndarray, a: np.ndarray,
+                   b: np.ndarray | None = None):
+    """Yield ``(rows, z)`` per chunk: ``z`` holds ``a[rows] @ L.T``, or
+    ``(a - b)[rows] @ L.T`` when ``b`` is given, for a slice ``rows`` of up to
+    ``_CHUNK`` of the n rows of ``a`` (n, d).
 
-    Chunks of up to ``_CHUNK`` rows are subtracted into one reused buffer
-    whose last ``_BLOCK``-row block is zero-padded, mapped by one stacked
-    (``_BLOCK``, d) @ (d, c) ``matmul`` and reduced to squared norms by
-    ``einsum`` over each row alone. Every BLAS call has the same shape and
-    layout, so a row's distance has the same bits in any batch and at any
+    Each chunk is copied (or subtracted) into one reused buffer whose last
+    ``_BLOCK``-row block is zero-padded, and mapped by one stacked
+    (``_BLOCK``, d) @ (d, c) ``matmul`` into a reused output buffer, so ``z``
+    is only valid until the next chunk. Every BLAS call has the same shape
+    and layout, so a row's image has the same bits in any batch and at any
     position (see the module docstring). ``_BLOCK`` is a multiple of 16,
     which every OpenBLAS dgemm row unroll divides, so all rows of a block go
     through the same micro-kernel and none falls to an edge kernel. numpy
@@ -66,18 +71,29 @@ def _distances(components: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarr
     """
     n, d = a.shape
     lt = np.ascontiguousarray(components.T)
-    rows = min(_CHUNK, -(-n // _BLOCK) * _BLOCK)
-    diff = np.empty((rows, d))
-    z = np.empty((rows // _BLOCK, _BLOCK, lt.shape[1]))
-    out = np.empty(n)
+    size = min(_CHUNK, -(-n // _BLOCK) * _BLOCK)
+    buf = np.empty((size, d))
+    z = np.empty((size // _BLOCK, _BLOCK, lt.shape[1]))
     for start in range(0, n, _CHUNK):
-        m = min(_CHUNK, n - start)
+        rows = slice(start, min(start + _CHUNK, n))
+        m = rows.stop - start
         blocks = -(-m // _BLOCK)
-        np.subtract(a[start:start + m], b[start:start + m], out=diff[:m])
-        diff[m:blocks * _BLOCK] = 0.0
-        zb = np.matmul(diff[:blocks * _BLOCK].reshape(blocks, _BLOCK, d), lt,
-                       out=z[:blocks]).reshape(blocks * _BLOCK, -1)[:m]
-        np.einsum("nc,nc->n", zb, zb, out=out[start:start + m])
+        if b is None:
+            buf[:m] = a[rows]
+        else:
+            np.subtract(a[rows], b[rows], out=buf[:m])
+        buf[m:blocks * _BLOCK] = 0.0
+        yield rows, np.matmul(buf[:blocks * _BLOCK].reshape(blocks, _BLOCK, d), lt,
+                              out=z[:blocks]).reshape(blocks * _BLOCK, -1)[:m]
+
+
+def _distances(components: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Non-squared learned distance between rows of ``a`` and ``b`` (n, d):
+    the difference rows mapped by :func:`_mapped_chunks`, each reduced to
+    its squared norm by ``einsum`` over the row alone."""
+    out = np.empty(len(a))
+    for rows, z in _mapped_chunks(components, a, b):
+        np.einsum("nc,nc->n", z, z, out=out[rows])
     return np.sqrt(out, out=out)
 
 
@@ -102,10 +118,11 @@ class MahalanobisModel:
     fit_report: FitReport = field(default_factory=FitReport)
 
     def __post_init__(self):
-        # force C layout: transform accumulates in a layout-dependent order,
-        # and a JSON round trip always loads C-contiguous, so mixed layouts
-        # would break bit-exact save/load equality of transformed points
-        l = np.ascontiguousarray(np.asarray(self.components, dtype=float))
+        # force C layout: the map kernel copies L.T and does not care, but a
+        # caller's own flat product with the public components accumulates
+        # in a layout-dependent order, and a JSON round trip always loads
+        # C-contiguous; one layout keeps such products bit-exact across it
+        l = np.ascontiguousarray(_as_floats(self.components, "components"))
         if l.ndim != 2 or l.size == 0:
             raise ValidationError("components must be a non-empty 2-D matrix")
         if not np.all(np.isfinite(l)):
@@ -129,9 +146,14 @@ class MahalanobisModel:
     # -- core semantics -----------------------------------------------------
 
     def transform(self, x) -> np.ndarray:
-        """Map data into the learned space: returns X L^T."""
+        """Map data into the learned space: returns X L^T, each row
+        computed by the fixed-shape map kernel, so a row has the same bits
+        alone as inside any batch."""
         x = _as_features(x, self.n_features)
-        return x @ self.components.T
+        out = np.empty((len(x), self.n_components))
+        for rows, z in _mapped_chunks(self.components, x):
+            out[rows] = z
+        return out
 
     def score_pairs(self, pairs) -> np.ndarray:
         """Non-squared learned distance for each pair in an (n, 2, d) array."""
@@ -148,14 +170,14 @@ class MahalanobisModel:
         d = self.n_features
 
         def metric(x, y) -> float:
-            x = np.asarray(x, dtype=float)
-            y = np.asarray(y, dtype=float)
+            x, y = (_as_floats(v, "metric input") for v in (x, y))
             if x.shape != (d,) or y.shape != (d,):
                 raise DimensionError(
                     f"metric expects two vectors of length {d}, "
                     f"got shapes {x.shape} and {y.shape}"
                 )
-            return float(_distances(l, x[None], y[None])[0])
+            pair = validate_tuples(np.stack((x, y))[None], 2, d)
+            return float(_distances(l, pair[:, 0], pair[:, 1])[0])
 
         return metric
 
@@ -269,4 +291,4 @@ class MahalanobisModel:
 
 def from_components(l) -> MahalanobisModel:
     """Wrap a raw transformation matrix as an untagged model."""
-    return MahalanobisModel(components=np.asarray(l, dtype=float))
+    return MahalanobisModel(components=l)

@@ -115,7 +115,7 @@ def knn_predict(train_x, train_y, test_x, knn_k: int, model):
             f"knn_k={knn_k} exceeds the {len(train_x)} training samples"
         )
     z_train = model.transform(train_x)
-    z_test = model.transform(np.asarray(test_x, dtype=float))
+    z_test = model.transform(test_x)
     labels, codes = np.unique(train_y, return_inverse=True)
     pred = np.empty(len(z_test), dtype=np.intp)
     for rows, near in _k_nearest(z_train, z_test, knn_k):

@@ -45,24 +45,30 @@ def _resolve_components(n_components, n_features: int) -> int:
     return m
 
 
+# rows per block of pairwise_sq_dists' finishing pass
+_ROW_BLOCK = 64
+
+
 def pairwise_sq_dists(z: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of z (zero diagonal).
 
     The rows are centred first: the Gram formula |a|^2 + |b|^2 - 2 a.b
     cancels catastrophically when the rows sit far from the origin, and
-    distances do not depend on a common offset. The pass holds two n x n
-    arrays, the Gram matrix and the result, and finishes both in place;
-    the operations and their order are those of the one-line formula
+    distances do not depend on a common offset. The distances are finished
+    inside the Gram buffer, ``_ROW_BLOCK`` rows at a time, so the pass holds
+    one n x n array and a block-sized temporary; the operations and their
+    order are those of the one-line formula
     ``max((|a|^2 + |b|^2) - 2 (z @ z.T), 0)``, so the bits are too.
     """
     z = z - z.mean(axis=0)
     sq = np.sum(z * z, axis=1)
     # z @ z.T, not a product with a contiguous copy of z.T: numpy hands the
     # former to syrk, whose result is exactly symmetric
-    g = z @ z.T
-    g *= 2.0
-    d2 = np.add(sq[:, None], sq[None, :])
-    d2 -= g
+    d2 = z @ z.T
+    for start in range(0, len(z), _ROW_BLOCK):
+        block = d2[start:start + _ROW_BLOCK]
+        block *= 2.0
+        np.subtract(np.add(sq[start:start + _ROW_BLOCK, None], sq), block, out=block)
     np.fill_diagonal(d2, 0.0)
     return np.maximum(d2, 0.0, out=d2)
 

@@ -74,8 +74,20 @@ def _all_finite(a: np.ndarray) -> bool:
     return all(np.isfinite(a[i:i + step]).all() for i in range(0, len(a), step))
 
 
+def _as_floats(a, what: str) -> np.ndarray:
+    """a as a float array; anything numpy cannot read as one (strings,
+    ragged rows, mappings, complex values) is a :class:`ValidationError`."""
+    # numpy would drop a complex array's imaginary part with only a warning
+    if isinstance(a, np.ndarray) and a.dtype.kind == "c":
+        raise ValidationError(f"{what} must be real, got {a.dtype}")
+    try:
+        return np.asarray(a, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"{what} must be numeric: {e}") from None
+
+
 def _as_features(x, n_features: int | None = None) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
+    x = _as_floats(x, "feature matrix")
     if x.ndim != 2:
         raise DimensionError(f"expected a 2-D feature matrix, got ndim={x.ndim}")
     if not _all_finite(x):
@@ -100,7 +112,7 @@ def _as_labels(y, n: int) -> np.ndarray:
 def validate_tuples(tuples, expected_t: int, n_features: int | None = None,
                     labels=None) -> np.ndarray:
     """Check a tuple block against arity, width, finiteness and label rules."""
-    tuples = np.asarray(tuples, dtype=float)
+    tuples = _as_floats(tuples, "tuple array")
     if tuples.ndim != 3:
         raise DimensionError(f"tuple array must be 3-D, got ndim={tuples.ndim}")
     if tuples.shape[1] != expected_t:

@@ -54,6 +54,11 @@ def _weighted_gram(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (x * w[:, None]).T @ x
 
 
+def _quad_dists(diffs: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """sqrt(v^T m v) per row v of diffs, with negative forms clipped to 0."""
+    return np.sqrt(np.maximum(np.sum((diffs @ m) * diffs, axis=1), 0.0))
+
+
 # -- MMC ---------------------------------------------------------------------
 
 def mmc_diag_objective(w: np.ndarray, pos2: np.ndarray, neg2: np.ndarray):
@@ -77,7 +82,7 @@ def mmc_objective(m: np.ndarray, neg: np.ndarray):
     """Full-variant objective, the sum of dissimilar-pair distances under m:
     (f, grad) with grad() -> gradient at m; neg holds dissimilar pair
     differences row-wise."""
-    dist = np.sqrt(np.maximum(np.sum((neg @ m) * neg, axis=1), 0.0))
+    dist = _quad_dists(neg, m)
 
     def grad():
         safe = dist > 0.0
@@ -301,8 +306,8 @@ def lsml_objective(m: np.ndarray, diffs_close: np.ndarray, diffs_far: np.ndarray
     vals = np.maximum(r.eigenvalues, _EIG_FLOOR)
     logdet_m = float(np.sum(np.log(vals)))
     smooth = reg * (float(np.trace(m @ m0inv)) - (logdet_m - logdet_m0) - d)
-    d_close = np.sqrt(np.maximum(np.sum((diffs_close @ m) * diffs_close, axis=1), 0.0))
-    d_far = np.sqrt(np.maximum(np.sum((diffs_far @ m) * diffs_far, axis=1), 0.0))
+    d_close = _quad_dists(diffs_close, m)
+    d_far = _quad_dists(diffs_far, m)
     viol = np.maximum(d_close - d_far, 0.0)
 
     def grad():

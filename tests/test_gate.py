@@ -123,6 +123,26 @@ CASES.update({
                          ["fit", "--algo", "nca", "--data", "{nan}",
                           "--label-col", "y", "--out", "{out}"]),
     "score_pairs 2-D block": (lambda: MODEL.score_pairs(X), None),
+    "transform strings": (lambda: MODEL.transform([["a", "b", "c"]]), None),
+    "transform dict": (lambda: MODEL.transform({"a": 1}), None),
+    "transform ragged rows": (lambda: MODEL.transform([[0, 0, 0], [0, 0]]), None),
+    "transform complex array": (
+        lambda: MODEL.transform(np.array([[1j, 0, 0]])), None),
+    "score_pairs string": (lambda: MODEL.score_pairs([[["a", 0, 0], [0, 0, 0]]]),
+                           None),
+    "fit on strings": (lambda: ml.NCA(max_iter=2).fit(np.full(X.shape, "a"), Y),
+                       None),
+    "knn_predict string queries": (
+        lambda: ml.knn_predict(X, Y, [["a", "b", "c"]], 3, MODEL), None),
+    "knn_predict ragged queries": (
+        lambda: ml.knn_predict(X, Y, [[0, 0, 0], [0, 0]], 3, MODEL), None),
+    "get_metric NaN": (lambda: MODEL.get_metric()([math.nan, 0, 0], [0, 0, 0]),
+                       None),
+    "get_metric inf": (lambda: MODEL.get_metric()([0, 0, 0], [math.inf, 0, 0]),
+                       None),
+    "get_metric strings": (lambda: MODEL.get_metric()(["a", 0, 0], [0, 0, 0]),
+                           None),
+    "from_components strings": (lambda: ml.from_components([["a", "b"]]), None),
     "sampler on one class": (
         lambda: ml.pairs_from_labels(X, np.zeros(len(X), int), 2, 0), None),
     "cross_validate degenerate fold": (

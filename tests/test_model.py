@@ -309,7 +309,25 @@ def kernel_cases(draw):
 @given(case=kernel_cases())
 def test_kernel_rows_do_not_depend_on_their_batch(case):
     model, t, i = case
+    x = t[:, 0]
+    # the drawn row, the ends, and both sides of every block and chunk edge
+    edges = {0, i, len(t) - 1} | {k * _BLOCK + e for k in range(1, 7) for e in (-1, 0)}
+    rows = sorted(j for j in edges if 0 <= j < len(t))
     with mock.patch.object(model_module, "_CHUNK", 2 * _BLOCK):
+        z = model.transform(x)
+        assert z.shape == (len(t), model.n_components)
+        for j in rows:
+            assert np.array_equal(z[j], model.transform(x[j:j + 1])[0])
+        if len(t):
+            # two training points of two labels mirrored about each query:
+            # near-ties, which a query's bits decide
+            step = 1e-3 * t[:, 1]
+            train = np.concatenate([x + step, x - step])
+            labels = np.repeat([0, 1], len(t))
+            pred = mlearn.knn_predict(train, labels, x, 1, model)
+            for j in rows:
+                assert pred[j] == mlearn.knn_predict(train, labels, x[j:j + 1], 1,
+                                                     model)[0]
         near = model.score_pairs(t[:, [0, 1]])
         assert near.shape == (len(t),)
         if len(t):
@@ -324,14 +342,16 @@ def test_kernel_rows_do_not_depend_on_their_batch(case):
 
 
 def _kernel_digest() -> str:
-    """sha256 of score_pairs over fixed models and pairs; the shapes cover
-    c=1, d=1 and more than one chunk."""
+    """sha256 of score_pairs and transform over fixed models and data; the
+    shapes cover c=1, d=1 and more than one chunk."""
     r = np.random.default_rng(11)
     h = hashlib.sha256()
     for c, d, n in [(1, 1, 300), (1, 7, 300), (3, 3, 5000), (7, 7, 9000),
                     (5, 20, 300), (20, 20, 9000), (40, 40, 300)]:
         model = from_components(r.standard_normal((c, d)))
-        h.update(model.score_pairs(r.standard_normal((n, 2, d))).tobytes())
+        pairs = r.standard_normal((n, 2, d))
+        h.update(model.score_pairs(pairs).tobytes())
+        h.update(model.transform(pairs[:, 0]).tobytes())
     return h.hexdigest()
 
 

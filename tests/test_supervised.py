@@ -218,8 +218,9 @@ def test_value_call_holds_two_n_by_n_arrays(objective):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the Gram matrix and the distances, which then become the weights in
-    # place, plus n^2-byte masks; a fresh array per step peaks above 3
+    # the distances, built in the Gram buffer, which then become the
+    # weights in place, plus NCA's p * same and n^2-byte masks; a fresh
+    # array per step peaks above 3
     assert peak < 2.5 * n * n * 8
 
 
@@ -327,6 +328,27 @@ def objective_cases(draw):
 def _same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 200, 300, 800])
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_blocked_distance_pass_gives_the_oracle_bits(n, scale):
+    z = np.random.default_rng(n).standard_normal((n, 20)) * scale + scale
+    assert _same_bits(pairwise_sq_dists(z), _pairwise_sq_dists_oracle(z))
+
+
+def test_distance_pass_holds_one_n_by_n_array():
+    n = 800
+    z = np.random.default_rng(2).standard_normal((n, 20))
+    tracemalloc.start()
+    try:
+        pairwise_sq_dists(z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the Gram buffer, which becomes the result, and one block of rows; a
+    # second n x n array for the distances would peak at about 2
+    assert peak < 1.25 * n * n * 8
 
 
 @settings(max_examples=80, deadline=None)
