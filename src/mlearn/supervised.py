@@ -74,9 +74,14 @@ def pairwise_sq_dists(z: np.ndarray) -> np.ndarray:
 
 
 def _off_diagonal(a: np.ndarray) -> np.ndarray:
-    """Each row of a square matrix without its diagonal entry: shape (m, m - 1)."""
+    """Each row of a square matrix without its diagonal entry: shape (m, m - 1).
+
+    Past the first entry the flat matrix splits into rows of m + 1, each
+    ending on a diagonal entry; the copy drops that column (no m x m mask).
+    The result is always a new array, which callers may overwrite.
+    """
     m = len(a)
-    return a[~np.eye(m, dtype=bool)].reshape(m, m - 1)
+    return a.reshape(-1)[1:].reshape(m - 1, m + 1)[:, :-1].copy().reshape(m, m - 1)
 
 
 _LOG_TINY = float(np.log(np.finfo(float).tiny))
@@ -141,12 +146,16 @@ def nca_objective(l: np.ndarray, x: np.ndarray, y: np.ndarray, same=None):
     p = _exp_flushed(logits, out=logits)
     p /= p.sum(axis=1, keepdims=True)
     np.fill_diagonal(p, 0.0)
-    p_same = p * same
-    p_i = p_same.sum(axis=1)
+    # row sums of p * same a block of rows at a time: the value call holds
+    # no second n x n array, and grad() forms the product when it needs it
+    p_i = np.empty(len(p))
+    for start in range(0, len(p), _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        np.sum(p[rows] * same[rows], axis=1, out=p_i[rows])
 
     def grad():
         w = p * p_i[:, None]
-        w -= p_same
+        w -= p * same
         return 2.0 * l @ weighted_outer_sum(x, w)
     return float(p_i.sum()), grad
 
@@ -381,14 +390,19 @@ def _local_scaling(d2: np.ndarray, knn: int) -> np.ndarray:
     when the whole class is one point. Neighbors closer than 1e-6 of the
     class diameter count as coinciding: the Gram formula leaves a few
     eps * diameter^2 of rounding in d2, so it cannot tell them apart.
+
+    The knn-th value is selected (O(m^2), no O(m^2 log m) row sort; NaN
+    goes last as in a sort); only rows whose knn-th neighbor coincides are
+    sorted.
     """
     kn = min(knn, len(d2) - 1)
-    ranked = np.sort(_off_diagonal(d2), axis=1, kind="stable")
-    s2 = ranked[:, kn - 1].copy()
-    tol = 1e-12 * ranked[:, -1].max()
+    off = _off_diagonal(d2)
+    off.partition(kn - 1, axis=1)
+    s2 = off[:, kn - 1]
+    tol = 1e-12 * off.max()
     coincide = s2 <= tol
     if coincide.any():
-        rows = ranked[coincide]
+        rows = np.sort(off[coincide], axis=1)
         nearest = rows[np.arange(len(rows)), np.argmax(rows > tol, axis=1)]
         s2[coincide] = np.where(nearest > tol, nearest, 1.0)
     return np.sqrt(s2)

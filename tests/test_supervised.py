@@ -29,6 +29,7 @@ from mlearn.supervised import (
     _lfda_scatters,
     _lmnn_pull_outer,
     _local_scaling,
+    _off_diagonal,
     _same_class,
     lmnn_objective,
     lmnn_targets,
@@ -219,9 +220,24 @@ def test_value_call_holds_two_n_by_n_arrays(objective):
     finally:
         tracemalloc.stop()
     # the distances, built in the Gram buffer, which then become the
-    # weights in place, plus NCA's p * same and n^2-byte masks; a fresh
-    # array per step peaks above 3
+    # weights in place, plus n^2-byte masks; a fresh array per step peaks
+    # above 3
     assert peak < 2.5 * n * n * 8
+
+
+def test_nca_value_call_holds_one_n_by_n_array():
+    n = 800
+    y = np.arange(n) % 4
+    x = np.random.default_rng(3).standard_normal((n, 5)) + y[:, None]
+    tracemalloc.start()
+    try:
+        nca_objective(np.eye(5), x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the probabilities and n^2-byte masks; keeping p * same for grad()
+    # as well peaks at about 2
+    assert peak < 1.3 * n * n * 8
 
 
 def tie_heavy_data(seed, n=24, d=4):
@@ -349,6 +365,17 @@ def test_distance_pass_holds_one_n_by_n_array():
     # the Gram buffer, which becomes the result, and one block of rows; a
     # second n x n array for the distances would peak at about 2
     assert peak < 1.25 * n * n * 8
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 200])
+def test_blocked_nca_row_sums_give_the_oracle_bits(n):
+    r = np.random.default_rng(n)
+    y = np.arange(n) % 3
+    x = r.standard_normal((n, 5)) + y[:, None]
+    l = r.standard_normal((3, 5))
+    f, grad = nca_objective(l, x, y)
+    f_ref, g_ref = _nca_objective_oracle(l, x, y)
+    assert _same_bits(f, f_ref) and _same_bits(grad(), g_ref)
 
 
 @settings(max_examples=80, deadline=None)
@@ -561,6 +588,64 @@ def _lfda_scatters_oracle(x, y, knn):
             sw += 0.5 * w_within[i, j] * np.outer(diff, diff)
             sb += 0.5 * w_between[i, j] * np.outer(diff, diff)
     return sb, sw
+
+
+def _off_diagonal_oracle(a):
+    """The boolean-mask gather the strided copy replaced."""
+    m = len(a)
+    return a[~np.eye(m, dtype=bool)].reshape(m, m - 1)
+
+
+def _local_scaling_oracle(d2, knn):
+    """The stable full row sort the selection replaced."""
+    kn = min(knn, len(d2) - 1)
+    ranked = np.sort(_off_diagonal_oracle(d2), axis=1, kind="stable")
+    s2 = ranked[:, kn - 1].copy()
+    tol = 1e-12 * ranked[:, -1].max()
+    coincide = s2 <= tol
+    if coincide.any():
+        rows = ranked[coincide]
+        nearest = rows[np.arange(len(rows)), np.argmax(rows > tol, axis=1)]
+        s2[coincide] = np.where(nearest > tol, nearest, 1.0)
+    return np.sqrt(s2)
+
+
+@st.composite
+def class_blocks(draw):
+    """(x, knn) for one class: tie-heavy small integers or normal draws
+    scaled by 1e-6, 1, 1e6 or 1e200 (whose Gram distances overflow to inf
+    and NaN), classes of 2 likely, some rows repeated, knn up to past the
+    class size."""
+    r = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = 2 if draw(st.integers(0, 3)) == 0 else draw(st.integers(3, 40))
+    d = draw(st.integers(1, 4))
+    scale = draw(st.sampled_from([None, 1e-6, 1.0, 1e6, 1e200]))
+    if scale is None:
+        x = r.integers(-2, 3, size=(m, d)).astype(float)
+    else:
+        x = r.standard_normal((m, d)) * scale
+    repeats = draw(st.integers(0, m - 1))
+    x[r.integers(0, m, size=repeats)] = x[r.integers(0, m, size=repeats)]
+    return x, draw(st.integers(1, m + 2))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=class_blocks())
+def test_selected_local_scale_gives_the_sorted_bits(case):
+    x, knn = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = pairwise_sq_dists(x)
+    d2_in = d2.copy()
+    off = _off_diagonal(d2)
+    assert np.array_equal(off, _off_diagonal_oracle(d2), equal_nan=True)
+    # a copy, as the gather was: _local_scaling partitions it in place
+    assert not np.shares_memory(off, d2)
+    # a non-contiguous, non-symmetric view
+    a = np.arange(float(len(d2) ** 2)).reshape(len(d2), -1).T
+    assert np.array_equal(_off_diagonal(a), _off_diagonal_oracle(a))
+    assert np.array_equal(_local_scaling(d2, knn),
+                          _local_scaling_oracle(d2, knn), equal_nan=True)
+    assert np.array_equal(d2, d2_in, equal_nan=True)
 
 
 class TestRCA:
