@@ -42,7 +42,9 @@ def calibrate_threshold(model, pairs, y, metric: str = "accuracy") -> Calibratio
 
     Does not mutate the model; the caller stores the threshold where needed.
     """
-    pairs, y = validate_supervision("pairs", pairs, y, model.n_features)
+    # the distance kernel checks finiteness on the chunk it holds
+    pairs, y = validate_supervision("pairs", pairs, y, model.n_features,
+                                    check_finite=False)
     if len(pairs) == 0:
         raise ValidationError("cannot calibrate on an empty pair set")
     if metric not in ("accuracy", "f1"):

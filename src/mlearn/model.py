@@ -11,7 +11,8 @@ Every row mapped through ``L`` goes through one map kernel,
 ``knn_predict`` maps through ``transform``); :func:`_distances` maps
 difference rows with it, so that ``score_pairs``, ``get_metric`` (a batch of
 one), every predict method and ``calibrate_threshold`` agree bit for bit,
-which makes serialization round trips exactly reproducible. The kernel must
+which makes serialization round trips exactly reproducible. The kernel is
+also where serving input is judged finite, on the chunk it holds. It must
 give a row the same bits whatever batch it sits in. A flat BLAS product such
 as ``x @ L.T`` does not: OpenBLAS picks its blocking, kernels and thread
 split from the matrix shape, so a row can round differently alone than inside
@@ -54,10 +55,23 @@ _CHUNK = 4096
 
 
 def _mapped_chunks(components: np.ndarray, a: np.ndarray,
-                   b: np.ndarray | None = None):
+                   b: np.ndarray | None = None, what: str = "tuple array"):
     """Yield ``(rows, z)`` per chunk: ``z`` holds ``a[rows] @ L.T``, or
     ``(a - b)[rows] @ L.T`` when ``b`` is given, for a slice ``rows`` of up to
     ``_CHUNK`` of the n rows of ``a`` (n, d).
+
+    The kernel is also the serving methods' finiteness check, so their input
+    is read once. A non-finite entry of ``a`` or ``b`` always makes the
+    chunk's buffer non-finite (``nan - x`` and ``inf - inf`` are NaN,
+    ``inf - x`` is inf), so the buffer, which is in cache, is tested. Only a
+    non-finite buffer leads to a scan of the chunk's input rows; if one of
+    them is not finite, ``ValidationError("<what> contains non-finite
+    entries")`` is raised, the text of the gate's own check. Otherwise the
+    buffer overflowed from finite input, and the chunk maps as it is. Only
+    the subtract runs under ``np.errstate(invalid="ignore")``, which silences
+    ``inf - inf`` alone: a finite subtract never sets ``invalid``, so finite
+    input keeps its values and warnings (an overflowing difference still
+    gives inf with numpy's overflow warning).
 
     Each chunk is copied (or subtracted) into one reused buffer whose last
     ``_BLOCK``-row block is zero-padded, and mapped by one stacked
@@ -81,7 +95,12 @@ def _mapped_chunks(components: np.ndarray, a: np.ndarray,
         if b is None:
             buf[:m] = a[rows]
         else:
-            np.subtract(a[rows], b[rows], out=buf[:m])
+            with np.errstate(invalid="ignore"):
+                np.subtract(a[rows], b[rows], out=buf[:m])
+        if not np.isfinite(buf[:m]).all() and (
+                b is None or not np.isfinite(a[rows]).all()
+                or not np.isfinite(b[rows]).all()):
+            raise ValidationError(f"{what} contains non-finite entries")
         buf[m:blocks * _BLOCK] = 0.0
         yield rows, np.matmul(buf[:blocks * _BLOCK].reshape(blocks, _BLOCK, d), lt,
                               out=z[:blocks]).reshape(blocks * _BLOCK, -1)[:m]
@@ -149,15 +168,15 @@ class MahalanobisModel:
         """Map data into the learned space: returns X L^T, each row
         computed by the fixed-shape map kernel, so a row has the same bits
         alone as inside any batch."""
-        x = _as_features(x, self.n_features)
+        x = _as_features(x, self.n_features, check_finite=False)
         out = np.empty((len(x), self.n_components))
-        for rows, z in _mapped_chunks(self.components, x):
+        for rows, z in _mapped_chunks(self.components, x, what="feature matrix"):
             out[rows] = z
         return out
 
     def score_pairs(self, pairs) -> np.ndarray:
         """Non-squared learned distance for each pair in an (n, 2, d) array."""
-        pairs = validate_tuples(pairs, 2, self.n_features)
+        pairs = validate_tuples(pairs, 2, self.n_features, check_finite=False)
         return _distances(self.components, pairs[:, 0], pairs[:, 1])
 
     def get_metric(self):
@@ -170,14 +189,13 @@ class MahalanobisModel:
         d = self.n_features
 
         def metric(x, y) -> float:
-            x, y = (_as_floats(v, "metric input") for v in (x, y))
+            x, y = _as_floats(x, "metric input"), _as_floats(y, "metric input")
             if x.shape != (d,) or y.shape != (d,):
                 raise DimensionError(
                     f"metric expects two vectors of length {d}, "
                     f"got shapes {x.shape} and {y.shape}"
                 )
-            pair = validate_tuples(np.stack((x, y))[None], 2, d)
-            return float(_distances(l, pair[:, 0], pair[:, 1])[0])
+            return float(_distances(l, x[None], y[None])[0])
 
         return metric
 
@@ -191,7 +209,8 @@ class MahalanobisModel:
     def predict_pairs(self, pairs) -> np.ndarray:
         """+1 (similar) where distance <= threshold, else -1; ties are +1."""
         self._check_threshold()
-        return self._predict(validate_tuples(pairs, 2, self.n_features))
+        return self._predict(validate_tuples(pairs, 2, self.n_features,
+                                             check_finite=False))
 
     def decision_function_pairs(self, pairs) -> np.ndarray:
         """Continuous similarity score: the negated distance per pair."""
@@ -199,11 +218,13 @@ class MahalanobisModel:
 
     def predict_triplets(self, triplets) -> np.ndarray:
         """+1 where the anchor is strictly closer to the second point."""
-        return self._predict(validate_tuples(triplets, 3, self.n_features))
+        return self._predict(validate_tuples(triplets, 3, self.n_features,
+                                             check_finite=False))
 
     def predict_quadruplets(self, quads) -> np.ndarray:
         """+1 where the first pair is strictly closer than the second pair."""
-        return self._predict(validate_tuples(quads, 4, self.n_features))
+        return self._predict(validate_tuples(quads, 4, self.n_features,
+                                             check_finite=False))
 
     def _check_threshold(self) -> None:
         if self.threshold is None:
@@ -212,7 +233,8 @@ class MahalanobisModel:
             )
 
     def _predict(self, t: np.ndarray) -> np.ndarray:
-        """+1/-1 per tuple of a block that validate_tuples already accepted."""
+        """+1/-1 per tuple of a block whose shape validate_tuples accepted;
+        the distance kernel checks its finiteness."""
         l = self.components
         if t.shape[1] == 2:
             return np.where(_distances(l, t[:, 0], t[:, 1]) <= self.threshold, 1, -1)

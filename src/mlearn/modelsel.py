@@ -16,6 +16,7 @@ point may appear on both sides of a fold boundary.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
@@ -108,7 +109,9 @@ def knn_predict(train_x, train_y, test_x, knn_k: int, model):
     label value. Queries run in chunks of at most ``_KNN_CHUNK_ELEMENTS``
     query-train pairs, so memory does not grow with the number of queries.
     """
-    train_x, train_y = validate_supervision("labels", train_x, train_y)
+    # finiteness is judged where transform maps the rows
+    train_x, train_y = validate_supervision("labels", train_x, train_y,
+                                            check_finite=False)
     check_at_least("knn_k", knn_k, 1)
     if knn_k > len(train_x):
         raise ValidationError(
@@ -137,14 +140,33 @@ def _k_nearest(z_train, z_query, k: int):
     indices of query ``rows[i]``'s k nearest training points in (distance,
     index) order, the prefix a per-query stable argsort gives.
 
-    Each chunk makes one set of dense passes over its query-train pairs: a
-    Gram-matrix estimate of the squared distances, a bound on its rounding
-    error per pair, one ``partition`` for each query's k-th smallest
-    estimate-plus-bound, and one test that keeps the points whose
-    estimate-minus-bound does not exceed it. The kept points are a short
-    candidate list that holds the k nearest and every point tied with the
-    k-th, since the bound covers the estimate's error with room to spare.
-    The rest works on that list alone. Each candidate gets an exact
+    Each chunk makes one set of dense passes over its query-train pairs to
+    find a short candidate list that holds the k nearest and every point
+    tied with the k-th. Queries ``a`` and training points ``b`` are centred
+    on the training mean, with squared norms ``sa`` and ``sb``. For a query,
+    the squared distance to point j less the row constant ``sa`` is
+    estimated as ``p_j + sb_j``, where ``p = (-2a) @ b.T`` is one product
+    (scaling by -2 is exact, so ``p`` has the bits of ``-2 a.b``). The
+    tolerance is ``t_j = ta + tb_j``, the outer sum of ``ta = s sa + f`` and
+    ``tb = s sb`` with ``s = (4c + 32) eps`` for c columns and an underflow
+    floor ``f = (4c + 32) tiny``. The row constant ``ta`` moves to the
+    threshold: one ``partition`` finds ``u``, the k-th smallest upper
+    estimate ``p_j + (sb_j + tb_j)``, and point j is kept when its lower
+    estimate ``p_j + (sb_j - tb_j)`` is at most ``u + 2 ta``, compared
+    straight into ``flatnonzero``.
+
+    Why that keeps every point it must, in units of ``eps (sa + sb_j)``:
+    rounding in the centring, the product and the norms puts ``p_j + sb_j``
+    within ``c + 2`` of its exact value (``|2 a.b| <= sa + sb``). The sums
+    that form the two estimates and the threshold add at most 2.5. A point
+    whose exact distance exceeds the k-th's but whose computed distance
+    ties it (exact squared distances within a relative ``c + 4`` eps, and a
+    squared distance is at most ``2 (sa + sb_j)``) needs ``2c + 8`` more.
+    The total, ``3c + 12.5``, is below ``4c + 32``. Where a chunk's norms
+    could overflow these sums, or are not finite, every point of the chunk
+    is a candidate.
+
+    The rest works on the candidate list alone. Each candidate gets an exact
     distance, computed the way ``np.linalg.norm(z_train - q, axis=1)`` does
     it (square root of the summed squares along each row), so the values
     have the same bits. One ``np.lexsort`` by (query, distance) orders the
@@ -152,34 +174,31 @@ def _k_nearest(z_train, z_query, k: int):
     by ascending index, so equal distances keep index order and each
     query's first k entries are its neighbors.
     """
-    n_train = len(z_train)
+    n_train, c = z_train.shape
     center = z_train.mean(axis=0)
     b = z_train - center
     sb = np.einsum("nc,nc->n", b, b)
-    scale = 4 * z_train.shape[1] + 32
+    rel = (4 * c + 32) * _EPS
+    floor = (4 * c + 32) * _TINY
+    tb = rel * sb
+    hi, lo = sb + tb, sb - tb
+    sb_max = float(sb.max())
     step = max(1, _KNN_CHUNK_ELEMENTS // n_train)
-    recheck = max(1, _KNN_CHUNK_ELEMENTS // z_train.shape[1])
+    recheck = max(1, _KNN_CHUNK_ELEMENTS // c)
     for start in range(0, len(z_query), step):
         z = z_query[start:start + step]
         a = z - center
-        approx = a @ b.T
-        approx *= -2.0
-        tol = np.einsum("qc,qc->q", a, a)[:, None] + sb
-        approx += tol  # the bits of sa + sb - 2 a.b
-        # about twice the worst |approx - exact squared distance| from
-        # rounding in the centering, the products and both sums (the floor
-        # covers underflow); the room over also keeps every point whose
-        # distance only ties the k-th one after the square root
-        tol *= _EPS
-        tol += _TINY
-        tol *= scale
-        upper = approx + tol
-        upper.partition(k - 1, axis=1)
-        approx -= tol
-        # negated so that a NaN estimate (overflow) keeps its point; every
-        # query keeps at least the k points at or below its k-th bound
-        far = approx > upper[:, k - 1, None]
-        qi, ti = np.divmod(np.flatnonzero(~far), n_train)
+        sa = np.einsum("qc,qc->q", a, a)
+        if math.isfinite(4.0 * (float(sa.max()) + sb_max)):
+            p = (-2.0 * a) @ b.T
+            upper = p + hi
+            upper.partition(k - 1, axis=1)
+            bound = upper[:, k - 1] + 2.0 * (rel * sa + floor)
+            p += lo
+            keep = np.flatnonzero(p <= bound[:, None])
+        else:
+            keep = np.arange(len(z) * n_train)
+        qi, ti = np.divmod(keep, n_train)
         d = np.empty(len(qi))
         for s in range(0, len(qi), recheck):
             diff = z_train[ti[s:s + recheck]] - z[qi[s:s + recheck]]

@@ -33,13 +33,15 @@ from .rng import SplitMix64, below
 ARITY = {"labels": None, "chunks": None, "pairs": 2, "quads": 4}
 
 
-def validate_supervision(kind: str, x, y, n_features: int | None = None):
+def validate_supervision(kind: str, x, y, n_features: int | None = None,
+                         check_finite: bool = True):
     """(x, y) as arrays, checked for the supervision kind: points with a
     1-D y of one entry per row, no NaN and values that can be ordered,
-    labeled pairs, or quadruplets without y."""
+    labeled pairs, or quadruplets without y. ``check_finite`` is passed on
+    to the data's check (see :func:`validate_tuples`)."""
     arity = ARITY[kind]
     if arity is None:
-        x = _as_features(x, n_features)
+        x = _as_features(x, n_features, check_finite)
         y = _as_labels(y, len(x))
         # NaN equals no label, itself included, so it can name no class
         # (in an object array it also breaks np.unique's sort)
@@ -55,7 +57,7 @@ def validate_supervision(kind: str, x, y, n_features: int | None = None):
         return x, y
     if kind == "pairs" and y is None:
         raise ValidationError("pairs need labels: one +1 or -1 per pair")
-    x = validate_tuples(x, arity, n_features, labels=y)
+    x = validate_tuples(x, arity, n_features, labels=y, check_finite=check_finite)
     return x, None if y is None else np.asarray(y)
 
 
@@ -86,11 +88,12 @@ def _as_floats(a, what: str) -> np.ndarray:
         raise ValidationError(f"{what} must be numeric: {e}") from None
 
 
-def _as_features(x, n_features: int | None = None) -> np.ndarray:
+def _as_features(x, n_features: int | None = None,
+                 check_finite: bool = True) -> np.ndarray:
     x = _as_floats(x, "feature matrix")
     if x.ndim != 2:
         raise DimensionError(f"expected a 2-D feature matrix, got ndim={x.ndim}")
-    if not _all_finite(x):
+    if check_finite and not _all_finite(x):
         raise ValidationError("feature matrix contains non-finite entries")
     if n_features is not None and x.shape[1] != n_features:
         raise DimensionError(
@@ -110,8 +113,15 @@ def _as_labels(y, n: int) -> np.ndarray:
 
 
 def validate_tuples(tuples, expected_t: int, n_features: int | None = None,
-                    labels=None) -> np.ndarray:
-    """Check a tuple block against arity, width, finiteness and label rules."""
+                    labels=None, check_finite: bool = True) -> np.ndarray:
+    """Check a tuple block against arity, width, finiteness and label rules.
+
+    Fits and samplers scan the whole block for non-finite entries here. The
+    serving methods pass ``check_finite=False``: their rows go through the
+    map kernel (``model._mapped_chunks``), which judges finiteness on the
+    chunk it holds in its buffer and raises the same error, so the block is
+    read once instead of twice.
+    """
     tuples = _as_floats(tuples, "tuple array")
     if tuples.ndim != 3:
         raise DimensionError(f"tuple array must be 3-D, got ndim={tuples.ndim}")
@@ -124,7 +134,7 @@ def validate_tuples(tuples, expected_t: int, n_features: int | None = None,
         raise DimensionError(
             f"width mismatch: expected {n_features} features, got {tuples.shape[2]}"
         )
-    if not _all_finite(tuples):
+    if check_finite and not _all_finite(tuples):
         raise ValidationError("tuple array contains non-finite entries")
     if labels is not None:
         if expected_t != 2:

@@ -196,6 +196,49 @@ CASES.update({
     "grid entry not a list": (None, CV + ["--algo", "nca", "--grid",
                                           "{grid_scalar}"]),
 })
+TRIPLETS = ml.triplets_from_labels(X, Y, 2, 0)
+THRESHOLD_MODEL = ml.MahalanobisModel(np.eye(3), threshold=1.0)
+# serving entry point -> (its valid input, the entry a non-finite value goes
+# to, the call); the serving methods judge finiteness in the map kernel, so
+# the entries sit in different columns, rows and kernel passes
+SERVING = {
+    "score_pairs": (PAIRS, (-1, 1, 2), MODEL.score_pairs),
+    "decision_function_pairs": (PAIRS, (0, 0, 0), MODEL.decision_function_pairs),
+    "predict_pairs": (PAIRS, (-1, 1, 2), THRESHOLD_MODEL.predict_pairs),
+    # the negative point is read only by the second distance pass
+    "predict_triplets": (TRIPLETS, (-1, 2, 0), MODEL.predict_triplets),
+    "predict_quadruplets": (QUADS, (-1, 3, 1), MODEL.predict_quadruplets),
+    "calibrate_threshold": (
+        PAIRS, (0, 1, 0), lambda p: ml.calibrate_threshold(MODEL, p, PAIR_Y)),
+    "transform": (X, (3, 1), MODEL.transform),
+    "knn_predict queries": (X, (5, 2), lambda q: ml.knn_predict(X, Y, q, 3, MODEL)),
+    "knn_predict training rows": (
+        X, (5, 2), lambda t: ml.knn_predict(t, Y, X, 3, MODEL)),
+}
+for _name, (_data, _index, _call) in SERVING.items():
+    for _what, _value in (("NaN", math.nan), ("inf", math.inf), ("-inf", -math.inf)):
+        _poisoned = _data.copy()
+        _poisoned[_index] = _value
+        CASES[f"{_name} {_what}"] = (lambda c=_call, a=_poisoned: c(a), None)
+    if _data.ndim == 3:
+        # inf - inf: the one subtract that sets numpy's invalid flag
+        _poisoned = _data.copy()
+        _poisoned[0, :, 0] = math.inf
+        CASES[f"{_name} inf in every point"] = (lambda c=_call, a=_poisoned: c(a),
+                                                None)
+SERVE = ["--model", "{model}", "--data", "{nan}", "--label-col", "y"]
+CASES.update({
+    "score-pairs NaN feature cell": (None, ["score-pairs", *SERVE, "--pairs",
+                                           "{nan_pairs}"]),
+    "predict pairs NaN feature cell": (
+        None, ["predict", "--model", "{model_thr}", *SERVE[2:], "--pairs",
+               "{nan_pairs}"]),
+    "predict quads NaN feature cell": (None, ["predict", *SERVE, "--quads",
+                                              "{nan_quads}"]),
+    "transform NaN feature cell": (None, ["transform", *SERVE]),
+    "calibrate NaN feature cell": (None, ["calibrate", *SERVE, "--pairs",
+                                          "{nan_pairs}", "--out", "{out}"]),
+})
 for _kind, (_est, _x, _y) in KINDS.items():
     for _what, _bad in _bad_y(_kind, _y).items():
         CASES[f"{_kind} fit {_what}"] = (
@@ -216,7 +259,8 @@ def files(tmp_path):
     paths = {name: tmp_path / name for name in
              ("data", "small", "pairs", "unlabeled", "quads", "model", "out",
               "nan", "nan_label", "one_negative", "quads6", "empty", "ragged",
-              "label_x", "grid_text", "grid_list", "grid_scalar")}
+              "label_x", "grid_text", "grid_list", "grid_scalar", "nan_pairs",
+              "nan_quads", "model_thr")}
     def rows(x, y=Y):
         return "f1,f2,f3,y\n" + "".join(",".join(map(repr, row.tolist())) +
                                         f",{lab}\n" for row, lab in zip(x, y))
@@ -226,7 +270,11 @@ def files(tmp_path):
     paths["unlabeled"].write_text("i,j\n0,1\n0,6\n")
     paths["quads"].write_text("i,j,k,l\n0,1,0,6\n6,7,6,12\n")
     MODEL.save(paths["model"])
+    THRESHOLD_MODEL.save(paths["model_thr"])
     paths["nan"].write_text(rows(X_NAN))
+    # tuples over row 3 of the nan file, whose second feature is NaN
+    paths["nan_pairs"].write_text("i,j,label\n0,1,1\n3,4,1\n0,6,-1\n")
+    paths["nan_quads"].write_text("i,j,k,l\n0,1,0,6\n6,7,12,3\n")
     paths["nan_label"].write_text(rows(X, Y_NAN))
     paths["one_negative"].write_text(
         "i,j,label\n0,1,1\n6,7,1\n12,13,1\n2,3,1\n0,6,-1\n8,9,1\n")
@@ -246,7 +294,12 @@ def files(tmp_path):
     FIT + ["--algo", "itml", "--pairs", "{pairs}", "--max-iter", "3"],
     FIT + ["--algo", "lsml", "--quads", "{quads}", "--max-iter", "3"],
     ["calibrate", "--model", "{model}", "--data", "{data}", "--label-col", "y",
-     "--pairs", "{pairs}"]])
+     "--pairs", "{pairs}"],
+    # the NaN feature-cell cases fail on the nan file alone
+    *[[a.replace("{nan}", "{data}") for a in CASES[case][1]] for case in (
+        "score-pairs NaN feature cell", "predict pairs NaN feature cell",
+        "predict quads NaN feature cell", "transform NaN feature cell",
+        "calibrate NaN feature cell")]])
 def test_the_files_are_valid_input(argv, files, capsys):
     assert main([a.format(**files) for a in argv]) == 0, capsys.readouterr().err
 
@@ -257,6 +310,25 @@ def test_bad_input_exits_2_with_one_error_line(case, files, capsys):
     err = capsys.readouterr().err
     assert code == 2, err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_serving_does_not_scan_its_input_before_the_kernel(monkeypatch):
+    # serving input is judged finite where the map kernel holds it; a
+    # second, input-wide scan at the gate must not come back
+    calls = []
+    all_finite = ml.tuples._all_finite
+
+    def counting(a):
+        calls.append(a.shape)
+        return all_finite(a)
+
+    monkeypatch.setattr(ml.tuples, "_all_finite", counting)
+    for _, (data, _, call) in SERVING.items():
+        call(data)
+    MODEL.get_metric()(X[0], X[1])
+    assert calls == []
+    ml.pairs_from_labels(X, Y, 2, 0)  # samplers and fits keep the scan
+    assert calls == [X.shape]
 
 
 @pytest.mark.filterwarnings("ignore::mlearn.ConvergenceWarning")

@@ -109,6 +109,38 @@ class TestScorePairs:
             assert f(x, z) <= f(x, y) + f(y, z) + 1e-9
 
 
+class TestNonFiniteInput:
+    """Serving judges finiteness in the map kernel, chunk by chunk."""
+
+    @pytest.mark.parametrize("row", [0, 4095, 4096, 9999])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_raises_in_any_chunk(self, row, value):
+        m = from_components(np.random.default_rng(1).standard_normal((2, 3)))
+        pairs = np.random.default_rng(2).standard_normal((10_000, 2, 3))
+        pairs[row, 1, 2] = value
+        with pytest.raises(ValidationError, match="^tuple array contains non-finite"):
+            m.score_pairs(pairs)
+        with pytest.raises(ValidationError,
+                           match="^feature matrix contains non-finite"):
+            m.transform(pairs[:, 1])
+
+    def test_overflowing_square_stays_inf_without_a_warning(self):
+        # the difference is finite; its squared norm overflows
+        m = from_components(np.eye(3))
+        pair = [[[1e200, 0, 0], [-1e200, 0, 0]]]
+        assert m.score_pairs(pair)[0] == np.inf
+        assert m.get_metric()(*pair[0]) == np.inf
+
+    def test_overflowing_difference_stays_inf_with_numpys_warning(self):
+        # one feature: with more, L's zeros would turn the inf row into NaN
+        m = from_components(np.eye(1))
+        pair = [[[1e308], [-1e308]]]
+        with pytest.warns(RuntimeWarning, match="overflow encountered in subtract"):
+            assert m.score_pairs(pair)[0] == np.inf
+        with pytest.warns(RuntimeWarning, match="overflow encountered in subtract"):
+            assert m.predict_quadruplets([pair[0] + [[0], [1]]])[0] == -1
+
+
 class TestGetMetric:
     def test_euclidean(self):
         f = from_components(np.eye(2)).get_metric()
@@ -376,9 +408,9 @@ def test_score_pairs_memory_does_not_grow_with_the_pairs():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the result (0.8 MB) and the kernel's two 4096-row buffers (1.3 MB);
-    # the finiteness check before them holds one 256 KiB chunk mask, where
-    # a whole-input mask would take 4 MB and two n x d difference blocks 32
+    # the result (0.8 MB), the kernel's two 4096-row buffers (1.3 MB) and
+    # the 80 KiB finiteness mask of one chunk, where a whole-input mask
+    # would take 4 MB and two n x d difference blocks 32
     assert peak < 2.5 * 2 ** 20
 
 

@@ -321,11 +321,13 @@ class TestKnnPredict:
                     assert got.dtype == want.dtype
                     assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("scale, offset", [(1e-160, 0.0), (1e-3, 1e6),
-                                               (1e150, 0.0)])
+    @pytest.mark.parametrize("scale, offset", [(1e-160, 0.0), (1e-162, 0.0),
+                                               (1e-3, 1e6), (1e150, 0.0)])
     def test_matches_per_query_loop_at_extreme_scales(self, scale, offset):
-        # the pruning bound must hold where squares underflow, where a large
-        # offset cancels and near overflow; three repeated points tie often
+        # the pruning bound must hold where squares underflow (at 1e-162 the
+        # squared norms are subnormal, and only the bound's floor covers
+        # their absolute rounding errors), where a large offset cancels and
+        # near overflow; three repeated points tie often
         for seed in range(10):
             r = np.random.default_rng(seed)
             base = np.round(r.standard_normal((3, 3)))
@@ -336,6 +338,26 @@ class TestKnnPredict:
             y = r.integers(0, 3, len(train_x))
             model = from_components(r.standard_normal((3, 3)))
             for k in (1, 3, 5):
+                assert np.array_equal(
+                    knn_predict(train_x, y, test_x, k, model),
+                    _knn_predict_oracle(train_x, y, test_x, k, model))
+
+    @pytest.mark.parametrize("far", [5.5e153, 1e160])
+    def test_matches_per_query_loop_where_the_bound_could_overflow(self, far):
+        # centred norms of about `far`: the pruning sums could overflow, so
+        # every point is a candidate. At 5.5e153 every distance is finite;
+        # at 1e160 half of them overflow to inf, with numpy's warnings, in
+        # the loop as in knn_predict, and tie in index order
+        r = np.random.default_rng(3)
+        side = np.repeat([[far], [-far]], 10, axis=0)
+        train_x = np.hstack([side, np.round(r.standard_normal((20, 2)), 1)])
+        test_x = np.hstack([side[::4], np.round(r.standard_normal((5, 2)), 1)])
+        y = r.integers(0, 3, len(train_x))
+        model = from_components(np.eye(3))
+        with warnings.catch_warnings():
+            if far > 1e154:
+                warnings.simplefilter("ignore", RuntimeWarning)
+            for k in (1, 3, 12):
                 assert np.array_equal(
                     knn_predict(train_x, y, test_x, k, model),
                     _knn_predict_oracle(train_x, y, test_x, k, model))
