@@ -27,7 +27,8 @@ neither its neighbours nor its place in the block.
 from __future__ import annotations
 
 import json
-import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,15 +117,17 @@ def _distances(components: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarr
     return np.sqrt(out, out=out)
 
 
+def _real_type(t: type) -> bool:
+    """A real number type other than bool (in JSON: a number, not true or false)."""
+    return issubclass(t, numbers.Real) and not issubclass(t, bool)
+
+
 def _valid_threshold(threshold) -> float:
-    """A pair threshold as a float; it must be a finite number >= 0."""
-    try:
-        thr = float(threshold)
-    except (TypeError, ValueError):
-        thr = math.nan
-    if not math.isfinite(thr) or thr < 0:
+    """A pair threshold as a float; it must be a finite number >= 0, not a
+    bool or a string."""
+    if not (_real_type(type(threshold)) and 0 <= threshold <= sys.float_info.max):
         raise ValidationError(f"threshold must be finite and >= 0, got {threshold!r}")
-    return thr
+    return float(threshold)
 
 
 @dataclass
@@ -152,6 +155,8 @@ class MahalanobisModel:
             )
         if self.threshold is not None:
             self.threshold = _valid_threshold(self.threshold)
+        if not isinstance(self.algorithm, str):
+            raise ValidationError(f"algorithm must be a string, got {self.algorithm!r}")
         self.components = l
 
     @property
@@ -267,27 +272,35 @@ class MahalanobisModel:
         """The model a :meth:`to_dict` document describes; a missing
         ``fit_report`` field takes its default, a mistyped one raises
         :class:`ValidationError` (``converged`` must be a JSON bool, the
-        counts JSON integers)."""
+        counts JSON integers, ``final_objective`` and the entries of
+        ``components`` JSON numbers, ``algorithm`` a string)."""
         try:
+            entries = np.asarray(d["components"], dtype=object).ravel()
+            if not all(map(_real_type, {type(v) for v in entries})):
+                raise TypeError("components must hold numbers only")
             components = np.asarray(d["components"], dtype=float)
             fr = d.get("fit_report") or {}
             converged = fr.get("converged", True)
             if not isinstance(converged, bool):
                 raise TypeError(f"converged must be true or false, got {converged!r}")
+            final = fr.get("final_objective", 0.0)
+            if not _real_type(type(final)):
+                raise TypeError(f"final_objective must be a number, got {final!r}")
             report = FitReport(
                 converged=converged,
                 n_iter=check_at_least("n_iter", fr.get("n_iter", 1), 0),
-                final_objective=float(fr.get("final_objective", 0.0)),
-                objective_trace=(float(fr.get("final_objective", 0.0)),),
+                final_objective=float(final),
+                objective_trace=(float(final),),
             )
             # an absent count is not checked
             shape = tuple(check_at_least(key, d[key], 1) if key in d else size
                           for key, size in zip(("n_components", "n_features"),
                                                components.shape))
-        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        except (KeyError, TypeError, AttributeError, ValueError,
+                OverflowError) as exc:
             raise ValidationError(f"malformed model document: {exc}") from exc
         model = cls(components=components, threshold=d.get("threshold"),
-                    algorithm=str(d.get("algorithm", "manual")), fit_report=report)
+                    algorithm=d.get("algorithm", "manual"), fit_report=report)
         if shape != model.components.shape:
             raise ValidationError("model document shape fields disagree with components")
         return model

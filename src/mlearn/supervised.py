@@ -16,6 +16,7 @@ from .base import MahalanobisEstimator
 from .exceptions import ValidationError, check_at_least
 from .linalg import gen_sym_eig, psd_sqrt
 from .model import FitReport, MahalanobisModel
+from .modelsel import _k_nearest
 from .optimize import backtracking_solve
 from .rng import SplitMix64
 
@@ -128,13 +129,11 @@ def _same_class(y: np.ndarray) -> np.ndarray:
     return (y[:, None] == y[None, :]) & ~np.eye(len(y), dtype=bool)
 
 
-def nca_objective(l: np.ndarray, x: np.ndarray, y: np.ndarray, same=None):
+def nca_objective(l: np.ndarray, x: np.ndarray, same: np.ndarray):
     """Expected same-class softmax mass: (f, grad) with grad() -> gradient at l.
 
-    ``same`` is ``_same_class(y)``; a fit builds it once and passes it in.
+    ``same`` is the n x n mask ``_same_class(y)``, which a fit builds once.
     """
-    if same is None:
-        same = _same_class(y)
     z = x @ l.T
     # one n x n buffer turns from distances to logits to probabilities
     logits = pairwise_sq_dists(z)
@@ -180,7 +179,7 @@ class NCA(MahalanobisEstimator):
         l0 = _init_transform(self.init, m, x.shape[1], self.seed)
         same = _same_class(y)
         l, report = backtracking_solve(
-            lambda l_: nca_objective(l_, x, y, same), l0,
+            lambda l_: nca_objective(l_, x, same), l0,
             max_iter=self.max_iter, tol=self.tol, maximize=True,
         )
         self._set_model(MahalanobisModel(l, algorithm="nca", fit_report=report))
@@ -192,10 +191,12 @@ class NCA(MahalanobisEstimator):
 def lmnn_targets(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
     """k same-class Euclidean nearest neighbors per point, fixed before fitting.
 
-    Distance ties go to the lower sample index (a stable sort of each row of
-    the class block, without the point itself).
+    ``modelsel._k_nearest``, the package's exact k-NN search, gives each
+    point its k + 1 nearest class members in (distance, index) order, so
+    distance ties go to the lower sample index. The point itself is
+    dropped, or the last of them when more than k coinciding members
+    precede it. No n x n array is formed.
     """
-    d2 = pairwise_sq_dists(x)
     targets = np.empty((len(x), k), dtype=int)
     for c in np.unique(y):
         members = np.flatnonzero(y == c)
@@ -204,11 +205,11 @@ def lmnn_targets(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
                 f"class {c!r} has {len(members)} members but k={k} target "
                 f"neighbors require at least {k + 1}"
             )
-        block = _off_diagonal(d2[np.ix_(members, members)])
-        pos = np.argsort(block, axis=1, kind="stable")[:, :k]
-        # a position at or past the dropped diagonal is one column further on
-        pos += pos >= np.arange(len(members))[:, None]
-        targets[members] = members[pos]
+        xm = x[members]
+        for rows, near in _k_nearest(xm, xm, k + 1):
+            own = near == np.arange(rows.start, rows.start + len(near))[:, None]
+            own[:, k] |= ~own.any(axis=1)
+            targets[members[rows]] = members[near[~own].reshape(-1, k)]
     return targets
 
 
@@ -224,9 +225,9 @@ def _lmnn_pull_outer(x: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return weighted_outer_sum(x, w_pull)
 
 
-def lmnn_objective(l: np.ndarray, x: np.ndarray, y: np.ndarray,
-                   targets: np.ndarray, push_weight: float, margin: float,
-                   differ=None, pull_outer=None):
+def lmnn_objective(l: np.ndarray, x: np.ndarray, targets: np.ndarray,
+                   push_weight: float, margin: float, differ: np.ndarray,
+                   pull_outer: np.ndarray):
     """Pull + hinge-push loss: (f, grad) with grad() -> (sub)gradient at l.
 
     The loss sums every hinge term, so it is a deterministic function of l;
@@ -239,15 +240,11 @@ def lmnn_objective(l: np.ndarray, x: np.ndarray, y: np.ndarray,
     different class) leaves exactly 0 (or -0) on every inactive lane, so
     one unmasked sum adds the active terms; numpy's masked sum is several
     times slower. The pull and push weights are integer counts, so the
-    gradient is exactly the one a per-point loop gives; only the summation
-    order of the loss differs (last-bit changes). The closure keeps one
-    boolean impostor mask per target slot (k n^2 bytes) and rebuilds the
-    push weights from them. ``differ`` is the n x n mask
-    ``y_i != y_j`` and ``pull_outer`` is ``_lmnn_pull_outer(x, targets)``;
-    a fit builds both once.
+    gradient does not depend on the order the terms are gathered in. The
+    closure keeps one boolean impostor mask per target slot (k n^2 bytes)
+    and rebuilds the push weights from them. A fit builds the n x n class
+    mask ``differ`` (``y_i != y_j``) and ``pull_outer`` once.
     """
-    if differ is None:
-        differ = y[:, None] != y[None, :]
     z = x @ l.T
     d2 = pairwise_sq_dists(z)
     rows = np.arange(len(x))
@@ -266,13 +263,12 @@ def lmnn_objective(l: np.ndarray, x: np.ndarray, y: np.ndarray,
         masks.append(active)
 
     def grad():
-        outer = _lmnn_pull_outer(x, targets) if pull_outer is None else pull_outer
         n = len(x)
         w_push = np.zeros((n, n))
         for t, active in zip(targets.T, masks):
             w_push[rows, t] += np.count_nonzero(active, axis=1)
             w_push -= active
-        g = (1.0 - push_weight) * outer \
+        g = (1.0 - push_weight) * pull_outer \
             + push_weight * weighted_outer_sum(x, w_push)
         return 2.0 * l @ g
     return (1.0 - push_weight) * pull + push_weight * push, grad
@@ -306,7 +302,7 @@ class LMNN(MahalanobisEstimator):
         differ = y[:, None] != y[None, :]
         pull_outer = _lmnn_pull_outer(x, targets)
         l, report = backtracking_solve(
-            lambda l_: lmnn_objective(l_, x, y, targets, self.push_weight,
+            lambda l_: lmnn_objective(l_, x, targets, self.push_weight,
                                       self.margin, differ, pull_outer),
             l0, max_iter=self.max_iter, tol=self.tol,
         )

@@ -61,19 +61,8 @@ def validate_supervision(kind: str, x, y, n_features: int | None = None,
     return x, None if y is None else np.asarray(y)
 
 
-# values per finiteness test. The mask of one chunk (256 KiB) is above
-# glibc's initial 128 KiB mmap threshold, so it is mapped and unmapped like
-# the whole-input mask was; a 64 KiB mask, reused from the heap, left that
-# threshold low and raised the peak RSS of a 100k-pair serving run by 5 MB
-_FINITE_CHUNK = 1 << 18
-
-
 def _all_finite(a: np.ndarray) -> bool:
-    """np.isfinite(a).all(), tested in chunks of whole rows of at most
-    ``_FINITE_CHUNK`` values (one row if a row is longer), so the mask does
-    not grow with the number of rows."""
-    step = max(1, _FINITE_CHUNK * len(a) // max(1, a.size))
-    return all(np.isfinite(a[i:i + step]).all() for i in range(0, len(a), step))
+    return bool(np.isfinite(a).all())
 
 
 def _as_floats(a, what: str) -> np.ndarray:

@@ -517,7 +517,8 @@ class TestMalformedOptionsAndModels:
         ("components", "abc"), ("fit_report.final_objective", "x"),
         ("fit_report.n_iter", "x"), ("fit_report.converged", "false"),
         ("fit_report.n_iter", 2.7), ("n_components", 2.7),
-        ("n_features", True)])
+        ("n_features", True), ("threshold", True), ("threshold", "0.5"),
+        ("algorithm", 5), ("components", [[1, 0], [0, True]])])
     def test_malformed_model_field(self, tmp_path, capsys, field, value):
         data, _, _ = write_dataset(tmp_path)
         model = tmp_path / "m.json"

@@ -470,10 +470,13 @@ class TestPersistence:
 
     @pytest.mark.parametrize("changes", [
         {"components": [[1.0, 0.0], [0.0]]}, {"components": "abc"},
-        {"final_objective": "x"}, {"n_iter": "x"}, {"n_features": "x"},
+        {"final_objective": "x"}, {"final_objective": "1.5"},
+        {"final_objective": True}, {"n_iter": "x"}, {"n_features": "x"},
         {"converged": "false"}, {"converged": 0}, {"converged": None},
         {"n_iter": 2.7}, {"n_iter": 2.0}, {"n_iter": True}, {"n_iter": -1},
-        {"n_components": 2.7}, {"n_features": 2.0}, {"n_features": True}])
+        {"n_components": 2.7}, {"n_features": 2.0}, {"n_features": True},
+        {"components": [[1, 0], [0, True]]}, {"components": [[1.0, "0"], [0, 1]]},
+        {"components": [[10 ** 400, 0], [0, 1]]}])
     def test_malformed_values_are_validation_errors(self, changes):
         with pytest.raises(ValidationError, match="^malformed model document"):
             MahalanobisModel.from_dict(self._doc(**changes))
@@ -492,6 +495,18 @@ class TestPersistence:
         assert back.components.tobytes() == m.components.tobytes()
         pairs = rng.standard_normal((20, 2, 3))
         assert back.score_pairs(pairs).tobytes() == m.score_pairs(pairs).tobytes()
+
+    @pytest.mark.parametrize("field,value", [
+        ("threshold", True), ("threshold", False), ("threshold", "0.5"),
+        ("threshold", [0.5]),
+        pytest.param("threshold", 10 ** 400, id="threshold-int-1e400"),
+        ("algorithm", 5), ("algorithm", None)])
+    def test_mistyped_threshold_or_algorithm_rejected(self, field, value):
+        # the same rule whether the value comes from JSON or the constructor
+        with pytest.raises(ValidationError, match=field):
+            MahalanobisModel.from_dict(self._doc(**{field: value}))
+        with pytest.raises(ValidationError, match=field):
+            MahalanobisModel(np.eye(2), **{field: value})
 
     def test_component_errors_keep_their_message(self):
         with pytest.raises(ValidationError,

@@ -134,9 +134,12 @@ class TestValueThenGradient:
         la, lb = np.eye(4) + 0.3 * r.standard_normal((2, 4, 4))
         targets = supervised.lmnn_targets(x, y, 3)
         y_reg = x @ [1.0, -0.5, 0.2, 0.0]
+        differ = y[:, None] != y[None, :]
+        pull_outer = supervised._lmnn_pull_outer(x, targets)
         cases = [
-            (supervised.nca_objective, (x, y)),
-            (supervised.lmnn_objective, (x, y, targets, 0.3, 1.0)),
+            (supervised.nca_objective, (x, supervised._same_class(y))),
+            (supervised.lmnn_objective,
+             (x, targets, 0.3, 1.0, differ, pull_outer)),
             (supervised.mlkr_objective, (x, y_reg)),
         ]
         for objective, args in cases:

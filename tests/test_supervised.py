@@ -65,8 +65,9 @@ class TestNCA:
         x = r.standard_normal((10, 4))
         y = r.integers(0, 2, 10)
         l = r.standard_normal((4, 4)) * 0.3
-        g = nca_objective(l, x, y)[1]()
-        fd = finite_diff_grad(lambda l_: nca_objective(l_, x, y)[0], l)
+        same = _same_class(y)
+        g = nca_objective(l, x, same)[1]()
+        fd = finite_diff_grad(lambda l_: nca_objective(l_, x, same)[0], l)
         assert max_rel_err(g, fd) <= 1e-5
 
     def test_noise_column_shrinks(self):
@@ -88,8 +89,8 @@ class TestNCA:
         y = r.integers(0, 2, 12)
         l = r.standard_normal((3, 3))
         q, _ = np.linalg.qr(r.standard_normal((3, 3)))
-        f1, _ = nca_objective(l, x, y)
-        f2, _ = nca_objective(q @ l, x, y)
+        f1, _ = nca_objective(l, x, _same_class(y))
+        f2, _ = nca_objective(q @ l, x, _same_class(y))
         assert abs(f1 - f2) <= 1e-9 * (1 + abs(f1))
 
     def test_single_class_rejected(self):
@@ -118,7 +119,7 @@ class TestLMNN:
     def test_zero_push_at_separated_identity(self):
         x, y = clustered_data(sep=50.0)
         targets = lmnn_targets(x, y, 2)
-        f, _ = lmnn_objective(np.eye(3), x, y, targets, 0.5, 1.0)
+        f, _ = _lmnn(np.eye(3), x, y, targets, 0.5, 1.0)
         # margin satisfied everywhere: objective is the pull term only
         z2 = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2)
         pull = sum(z2[i, j] for i in range(len(x)) for j in targets[i])
@@ -130,9 +131,9 @@ class TestLMNN:
         y = r.integers(0, 2, 10)
         targets = lmnn_targets(x, y, 1)
         l = np.eye(4) + 0.1 * r.standard_normal((4, 4))
-        g = lmnn_objective(l, x, y, targets, 0.5, 1.0)[1]()
+        g = _lmnn(l, x, y, targets, 0.5, 1.0)[1]()
         fd = finite_diff_grad(
-            lambda l_: lmnn_objective(l_, x, y, targets, 0.5, 1.0)[0], l)
+            lambda l_: _lmnn(l_, x, y, targets, 0.5, 1.0)[0], l)
         assert max_rel_err(g, fd) <= 1e-5
 
     def test_trace_monotone_nonincreasing(self):
@@ -146,11 +147,53 @@ class TestLMNN:
             LMNN(push_weight=1.5).fit(x, y)
 
     def test_targets_match_per_point_loop(self):
+        # exact distances, ties to the lower index, on data full of ties
         for seed in range(20):
             x, y = tie_heavy_data(seed)
             for k in (1, 2, 3):
                 assert np.array_equal(lmnn_targets(x, y, k),
                                       _lmnn_targets_oracle(x, y, k))
+
+    def test_targets_match_gram_search_on_continuous_data(self):
+        # where no two distances tie, the targets a Gram distance matrix
+        # gives are the exact ones, so LMNN fits keep their bits
+        for seed in range(10):
+            r = np.random.default_rng(seed)
+            n = 30 + 37 * seed
+            x = r.standard_normal((n, 5)) * 10.0 ** (seed % 5 - 2)
+            y = np.arange(n) % 3
+            for k in (1, 3, 5):
+                assert np.array_equal(lmnn_targets(x, y, k),
+                                      _lmnn_targets_gram_oracle(x, y, k))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_duplicates_give_lower_index_copies_never_the_point(self, k):
+        # class 0: a point 1e-9 off, then k + 2 copies of one point, then a
+        # far one. A copy's targets are the other copies (distance 0) in
+        # index order; a Gram distance rounds the near point's 1e-18 to 0
+        # and ranks it first by index
+        v = np.array([3.0, -2.0])
+        x = np.vstack([v + [1e-9, 0.0], np.tile(v, (k + 2, 1)), [1.0, 0.0],
+                       np.full((k + 1, 2), 5.0)])
+        y = np.array([0] * (k + 4) + [1] * (k + 1))
+        t = lmnn_targets(x, y, k)
+        copies = np.arange(1, k + 3)
+        for i in copies:
+            assert np.array_equal(t[i], copies[copies != i][:k])
+
+    def test_target_search_memory_does_not_grow_as_n_squared(self):
+        n = 2000
+        r = np.random.default_rng(4)
+        y = np.arange(n) % 3
+        x = r.standard_normal((n, 20)) + y[:, None]
+        tracemalloc.start()
+        try:
+            lmnn_targets(x, y, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a distance matrix over all n points alone would be 1 n^2 floats
+        assert peak < 0.25 * n * n * 8
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_objective_matches_per_point_loop(self, k):
@@ -164,7 +207,7 @@ class TestLMNN:
                 # half-integer maps keep distances exact, so hinges sit at 0
                 l = np.round(2.0 * l) / 2.0
             for margin in (1.0, 0.5):
-                f, grad = lmnn_objective(l, x, y, targets, 0.3, margin)
+                f, grad = _lmnn(l, x, y, targets, 0.3, margin)
                 g = grad()
                 f_ref, g_ref = _lmnn_objective_oracle(l, x, y, targets, 0.3,
                                                       margin)
@@ -196,9 +239,10 @@ class TestLMNN:
         x = r.standard_normal((n, 5)) + y[:, None]
         targets = lmnn_targets(x, y, k)
         l = np.eye(5)
+        differ, pull_outer = y[:, None] != y[None, :], _lmnn_pull_outer(x, targets)
         tracemalloc.start()
         try:
-            lmnn_objective(l, x, y, targets, 0.5, 1.0)[1]()
+            lmnn_objective(l, x, targets, 0.5, 1.0, differ, pull_outer)[1]()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -211,7 +255,8 @@ def test_value_call_holds_two_n_by_n_arrays(objective):
     n = 800
     y = np.arange(n) % 4
     x = np.random.default_rng(3).standard_normal((n, 5)) + y[:, None]
-    call = {"nca": lambda: nca_objective(np.eye(5), x, y),
+    same = _same_class(y)
+    call = {"nca": lambda: nca_objective(np.eye(5), x, same),
             "mlkr": lambda: mlkr_objective(np.eye(5), x, y.astype(float))}
     tracemalloc.start()
     try:
@@ -229,15 +274,22 @@ def test_nca_value_call_holds_one_n_by_n_array():
     n = 800
     y = np.arange(n) % 4
     x = np.random.default_rng(3).standard_normal((n, 5)) + y[:, None]
+    same = _same_class(y)
     tracemalloc.start()
     try:
-        nca_objective(np.eye(5), x, y)
+        nca_objective(np.eye(5), x, same)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     # the probabilities and n^2-byte masks; keeping p * same for grad()
     # as well peaks at about 2
     assert peak < 1.3 * n * n * 8
+
+
+def _lmnn(l, x, y, targets, push_weight, margin):
+    """lmnn_objective given the class mask and pull term an LMNN fit builds."""
+    return lmnn_objective(l, x, targets, push_weight, margin,
+                          y[:, None] != y[None, :], _lmnn_pull_outer(x, targets))
 
 
 def tie_heavy_data(seed, n=24, d=4):
@@ -249,7 +301,21 @@ def tie_heavy_data(seed, n=24, d=4):
 
 
 def _lmnn_targets_oracle(x, y, k):
-    """The per-point target search the class-block argsort replaced."""
+    """Per point, np.linalg.norm to the other class members, then a stable
+    argsort: the documented (distance, index) order, exactly."""
+    targets = np.empty((len(x), k), dtype=int)
+    for c in np.unique(y):
+        members = np.flatnonzero(y == c)
+        for i in members:
+            others = members[members != i]
+            d = np.linalg.norm(x[others] - x[i], axis=1)
+            targets[i] = others[np.argsort(d, kind="stable")][:k]
+    return targets
+
+
+def _lmnn_targets_gram_oracle(x, y, k):
+    """Per point, a stable argsort of the Gram distances to the other class
+    members; Gram rounding decides exact ties."""
     d2 = pairwise_sq_dists(x)
     targets = np.empty((len(x), k), dtype=int)
     for c in np.unique(y):
@@ -373,7 +439,7 @@ def test_blocked_nca_row_sums_give_the_oracle_bits(n):
     y = np.arange(n) % 3
     x = r.standard_normal((n, 5)) + y[:, None]
     l = r.standard_normal((3, 5))
-    f, grad = nca_objective(l, x, y)
+    f, grad = nca_objective(l, x, _same_class(y))
     f_ref, g_ref = _nca_objective_oracle(l, x, y)
     assert _same_bits(f, f_ref) and _same_bits(grad(), g_ref)
 
@@ -384,7 +450,7 @@ def test_in_place_passes_give_the_oracle_bits(case):
     l, x, y = case
     z = x @ l.T
     assert _same_bits(pairwise_sq_dists(z), _pairwise_sq_dists_oracle(z))
-    f, grad = nca_objective(l, x, y)
+    f, grad = nca_objective(l, x, _same_class(y))
     f_ref, g_ref = _nca_objective_oracle(l, x, y)
     assert _same_bits(f, f_ref) and _same_bits(grad(), g_ref)
     # a target with ties: y + the first feature
@@ -395,10 +461,9 @@ def test_in_place_passes_give_the_oracle_bits(case):
     # LMNN's loss adds its hinges in another order: 1e-14 relative
     targets = lmnn_targets(x, y, 2)
     f_ref, g_ref = _lmnn_objective_oracle(l, x, y, targets, 0.3, 1.0)
-    for pull in (None, _lmnn_pull_outer(x, targets)):
-        f, grad = lmnn_objective(l, x, y, targets, 0.3, 1.0, pull_outer=pull)
-        assert _same_bits(grad(), g_ref)
-        assert abs(f - f_ref) <= 1e-14 * abs(f_ref)
+    f, grad = _lmnn(l, x, y, targets, 0.3, 1.0)
+    assert _same_bits(grad(), g_ref)
+    assert abs(f - f_ref) <= 1e-14 * abs(f_ref)
 
 
 class TestMLKR:

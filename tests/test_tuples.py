@@ -12,7 +12,6 @@ from mlearn import (
     triplets_from_labels,
     validate_tuples,
 )
-from mlearn import tuples
 from mlearn.exceptions import DimensionError, ValidationError
 from mlearn.rng import SplitMix64, below
 from mlearn.tuples import _pool_positions
@@ -118,10 +117,7 @@ class TestValidateTuples:
         with pytest.raises(ValidationError, match="non-finite"):
             validate_tuples(t, 2)
 
-    @pytest.mark.parametrize("chunk", [5, 12, 1 << 18])
-    def test_any_non_finite_value_found_in_chunks(self, chunk, monkeypatch):
-        # rows of 6 values: a chunk shorter than a row, two rows, the input
-        monkeypatch.setattr(tuples, "_FINITE_CHUNK", chunk)
+    def test_any_non_finite_value_found_in_chunks(self):
         t = np.zeros((9, 2, 3))
         validate_tuples(t, 2)
         for flat in range(t.size):

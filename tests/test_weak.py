@@ -451,7 +451,9 @@ class TestEstimatorDelegates:
 
 
 class TestSetThreshold:
-    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, "abc", None])
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, "abc", None, True,
+                                     np.True_, "0.5",
+                                     pytest.param(10 ** 400, id="int-1e400")])
     def test_bad_value_rejected_and_state_kept(self, bad):
         pairs, y = labeled_pairs(seed=1)
         est = MMC(max_iter=10).fit(pairs, y)
