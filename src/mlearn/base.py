@@ -8,9 +8,10 @@ starts with one gate, :meth:`MahalanobisEstimator._check_fit`: each
 parameter, from the constructor or ``set_params`` (which checks at once),
 must have the type of its ``__init__`` default, one with a float default
 must be a finite float, and ``max_iter`` and ``tol`` must be >= 0; the data
-is checked by the learner's ``supervision`` kind. A fitted estimator stores a
-:class:`~mlearn.model.MahalanobisModel` in ``model_`` and mirrors its
-transformation matrix in ``components_``.
+is checked by the learner's ``supervision`` kind. Every ``fit`` ends with
+:meth:`MahalanobisEstimator._set_model`, which stores the learned map as a
+:class:`~mlearn.model.MahalanobisModel` in ``model_``, named after the class
+(``NCA`` -> ``"nca"``, also its CLI name), and mirrors it in ``components_``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .calibration import calibrate_threshold
 from .exceptions import ValidationError, check_at_least
-from .model import MahalanobisModel, _valid_threshold
+from .model import FitReport, MahalanobisModel, _valid_threshold
 from .tuples import validate_supervision
 
 
@@ -96,8 +97,10 @@ class MahalanobisEstimator(BaseEstimator):
             _check_param(name, getattr(self, name), default)
         return validate_supervision(self.supervision, x, y)
 
-    def _set_model(self, model: MahalanobisModel) -> None:
-        self.model_ = model
+    def _set_model(self, l: np.ndarray, report: FitReport = FitReport()) -> None:
+        """Store the learned map l as this learner's model."""
+        self.model_ = model = MahalanobisModel(
+            l, algorithm=type(self).__name__.lower(), fit_report=report)
         self.components_ = model.components
         self.fit_report_ = model.fit_report
 

@@ -30,10 +30,8 @@ from .supervised import LFDA, LMNN, MLKR, NCA, RCA
 from .tuples import ARITY
 from .weak import ITML, LSML, MMC
 
-ALGORITHMS = {
-    "nca": NCA, "lmnn": LMNN, "mlkr": MLKR, "lfda": LFDA, "rca": RCA,
-    "mmc": MMC, "itml": ITML, "lsml": LSML,
-}
+ALGORITHMS = {cls.__name__.lower(): cls
+              for cls in (NCA, LMNN, MLKR, LFDA, RCA, MMC, ITML, LSML)}
 
 
 # -- file I/O ----------------------------------------------------------------

@@ -56,7 +56,7 @@ def kfold_split(n: int, k: int, seed: int, stratify_labels=None):
     With stratify_labels, each fold keeps per-class proportions within one
     sample; strata smaller than k trigger a warning and an unstratified split.
     """
-    if not 2 <= k <= n:
+    if check_at_least("k", k, 2) > n:
         raise ValidationError(f"need 2 <= k <= n, got k={k}, n={n}")
     rng = SplitMix64(seed)
     if stratify_labels is not None:

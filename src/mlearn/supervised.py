@@ -15,7 +15,7 @@ import numpy as np
 from .base import MahalanobisEstimator
 from .exceptions import ValidationError, check_at_least
 from .linalg import gen_sym_eig, psd_sqrt
-from .model import FitReport, MahalanobisModel
+from .model import FitReport
 from .modelsel import _k_nearest
 from .optimize import backtracking_solve
 from .rng import SplitMix64
@@ -143,8 +143,8 @@ def nca_objective(l: np.ndarray, x: np.ndarray, same: np.ndarray):
     # each row keeps its largest weight at exp(0) = 1, so dropping the
     # subnormal weights moves no p by more than n * tiny
     p = _exp_flushed(logits, out=logits)
+    # the diagonal was -inf, so exp leaves it +0 and so does the division
     p /= p.sum(axis=1, keepdims=True)
-    np.fill_diagonal(p, 0.0)
     # row sums of p * same a block of rows at a time: the value call holds
     # no second n x n array, and grad() forms the product when it needs it
     p_i = np.empty(len(p))
@@ -182,7 +182,7 @@ class NCA(MahalanobisEstimator):
             lambda l_: nca_objective(l_, x, same), l0,
             max_iter=self.max_iter, tol=self.tol, maximize=True,
         )
-        self._set_model(MahalanobisModel(l, algorithm="nca", fit_report=report))
+        self._set_model(l, report)
         return self
 
 
@@ -195,16 +195,18 @@ def lmnn_targets(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
     point its k + 1 nearest class members in (distance, index) order, so
     distance ties go to the lower sample index. The point itself is
     dropped, or the last of them when more than k coinciding members
-    precede it. No n x n array is formed.
+    precede it. No n x n array is formed, and k is checked against the
+    smallest class before anything is allocated.
     """
+    classes, counts = np.unique(y, return_counts=True)
+    if counts.min() < k + 1:
+        raise ValidationError(
+            f"class {classes[counts.argmin()]!r} has {counts.min()} members but "
+            f"k={k} target neighbors require at least {k + 1}"
+        )
     targets = np.empty((len(x), k), dtype=int)
-    for c in np.unique(y):
+    for c in classes:
         members = np.flatnonzero(y == c)
-        if len(members) < k + 1:
-            raise ValidationError(
-                f"class {c!r} has {len(members)} members but k={k} target "
-                f"neighbors require at least {k + 1}"
-            )
         xm = x[members]
         for rows, near in _k_nearest(xm, xm, k + 1):
             own = near == np.arange(rows.start, rows.start + len(near))[:, None]
@@ -306,7 +308,7 @@ class LMNN(MahalanobisEstimator):
                                       self.margin, differ, pull_outer),
             l0, max_iter=self.max_iter, tol=self.tol,
         )
-        self._set_model(MahalanobisModel(l, algorithm="lmnn", fit_report=report))
+        self._set_model(l, report)
         return self
 
 
@@ -365,13 +367,13 @@ class MLKR(MahalanobisEstimator):
                 "any transform; returning the initial transform",
                 UserWarning,
             )
-            self._set_model(MahalanobisModel(l0, algorithm="mlkr"))
+            self._set_model(l0)
             return self
         l, report = backtracking_solve(
             lambda l_: mlkr_objective(l_, x, y), l0,
             max_iter=self.max_iter, tol=self.tol,
         )
-        self._set_model(MahalanobisModel(l, algorithm="mlkr", fit_report=report))
+        self._set_model(l, report)
         return self
 
 
@@ -411,7 +413,11 @@ def _lfda_scatters(x: np.ndarray, y: np.ndarray, knn: int):
     classes weigh 1/n in the between-class scatter and 0 in the within-class
     one, so the between-class scatter starts as the total scatter of the
     centred data (every pair at 1/n) and each class block then corrects its
-    own pairs. Nothing n x n is formed: memory is O(nd + max n_c^2).
+    own pairs. With S = sum_ij a_ij (x_i - x_j)(x_i - x_j)^T over a class's
+    affinity a (0 on the diagonal), the weights a_ij / n_c give S / (2 n_c)
+    and a_ij (1/n - 1/n_c) - 1/n (i != j) give 1/2 (1/n - 1/n_c) S - (n_c/n) C,
+    C the class scatter about its mean, as sum_{i != j} of the outer
+    products is 2 n_c C. Nothing n x n is formed: memory is O(nd + max n_c^2).
     """
     n, d = x.shape
     xc = x - x.mean(axis=0)
@@ -424,16 +430,19 @@ def _lfda_scatters(x: np.ndarray, y: np.ndarray, knn: int):
                 f"degenerate class: class {c!r} has a single member"
             )
         xm = xc[members]
-        d2 = pairwise_sq_dists(xm)
-        sigma = _local_scaling(d2, knn)
+        # the affinity exp(-d2_ij / (sigma_i sigma_j)), formed in d2's buffer
+        aff = pairwise_sq_dists(xm)
+        sigma = _local_scaling(aff, knn)
         with np.errstate(over="ignore", under="ignore"):
-            aff = np.exp(-d2 / np.outer(sigma, sigma))
+            np.divide(aff, np.outer(sigma, sigma), out=aff)
+            np.exp(np.negative(aff, out=aff), out=aff)
         np.fill_diagonal(aff, 0.0)
         nc = len(members)
-        s_within += 0.5 * weighted_outer_sum(xm, aff / nc)
-        w = aff * (1.0 / n - 1.0 / nc) - 1.0 / n
-        np.fill_diagonal(w, 0.0)
-        s_between += 0.5 * weighted_outer_sum(xm, w)
+        s_aff = weighted_outer_sum(xm, aff)
+        s_within += s_aff / (2 * nc)
+        centred = xm - xm.mean(axis=0)
+        s_between += 0.5 * (1.0 / n - 1.0 / nc) * s_aff \
+            - (nc / n) * (centred.T @ centred)
     return s_between, s_within
 
 
@@ -462,8 +471,7 @@ class LFDA(MahalanobisEstimator):
         if self.embedding == "weighted":
             l = l * np.sqrt(np.clip(res.eigenvalues, 0.0, None))[:, None]
         obj = float(np.sum(res.eigenvalues))
-        report = FitReport(True, 1, obj, (obj,))
-        self._set_model(MahalanobisModel(l, algorithm="lfda", fit_report=report))
+        self._set_model(l, FitReport(True, 1, obj, (obj,)))
         return self
 
 
@@ -479,9 +487,8 @@ class RCA(MahalanobisEstimator):
 
     supervision = "chunks"
 
-    def __init__(self, reg=1e-8, n_components=None):
+    def __init__(self, reg=1e-8):
         self.reg = reg
-        self.n_components = n_components
 
     def fit(self, x, chunks):
         x, chunks = self._check_fit(x, chunks)
@@ -490,11 +497,6 @@ class RCA(MahalanobisEstimator):
                 "chunklet ids must be numbers: -1 marks an unassigned point"
             )
         d = x.shape[1]
-        if self.n_components is not None and self.n_components != d:
-            raise ValidationError(
-                "this learner does not reduce dimension: n_components must "
-                f"equal n_features ({d})"
-            )
         cov = np.zeros((d, d))
         count = 0
         for c in np.unique(chunks):
@@ -512,5 +514,5 @@ class RCA(MahalanobisEstimator):
             )
         cov /= count
         l = psd_sqrt(cov + self.reg * np.eye(d), invert=True)
-        self._set_model(MahalanobisModel(l, algorithm="rca"))
+        self._set_model(l)
         return self

@@ -17,7 +17,7 @@ from .base import (MahalanobisEstimator, PairClassifierMixin,
                    QuadrupletClassifierMixin)
 from .exceptions import NumericalError, ValidationError
 from .linalg import psd_project, psd_sqrt, sym_eig
-from .model import FitReport, MahalanobisModel
+from .model import FitReport
 from .optimize import backtracking_solve
 
 _EIG_FLOOR = 1e-10  # keeps log-determinants finite in LSML
@@ -113,11 +113,8 @@ class MMC(MahalanobisEstimator, PairClassifierMixin):
             raise NumericalError(
                 "all dissimilar pairs coincide: log of zero distance"
             )
-        if self.diagonal:
-            model = self._fit_diagonal(pos, neg)
-        else:
-            model = self._fit_full(pos, neg)
-        self._set_model(model)
+        fit = self._fit_diagonal if self.diagonal else self._fit_full
+        self._set_model(*fit(pos, neg))
         return self
 
     def _fit_diagonal(self, pos, neg):
@@ -129,8 +126,7 @@ class MMC(MahalanobisEstimator, PairClassifierMixin):
             max_iter=self.max_iter, tol=self.tol,
             project=lambda w_: np.clip(w_, 0.0, None),
         )
-        return MahalanobisModel(np.diag(np.sqrt(w)), algorithm="mmc",
-                                fit_report=report)
+        return np.diag(np.sqrt(w)), report
 
     def _fit_full(self, pos, neg):
         d = pos.shape[1]
@@ -150,7 +146,7 @@ class MMC(MahalanobisEstimator, PairClassifierMixin):
             max_iter=self.max_iter, tol=self.tol,
             maximize=True, project=project,
         )
-        return MahalanobisModel(psd_sqrt(m), algorithm="mmc", fit_report=report)
+        return psd_sqrt(m), report
 
 
 # -- ITML --------------------------------------------------------------------
@@ -226,10 +222,8 @@ class ITML(MahalanobisEstimator, PairClassifierMixin):
             )
         converged = bool(deltas) and deltas[-1] <= self.tol
         trace = tuple(deltas) if deltas else (0.0,)
-        report = FitReport(converged, len(trace), trace[-1], trace)
-        model = MahalanobisModel(psd_sqrt(psd_project(a)), algorithm="itml",
-                                 fit_report=report)
-        self._set_model(model)
+        self._set_model(psd_sqrt(psd_project(a)),
+                        FitReport(converged, len(trace), trace[-1], trace))
         return self
 
     def _cycles(self, pairs, y):
@@ -351,7 +345,7 @@ class LSML(MahalanobisEstimator, QuadrupletClassifierMixin):
         diffs_far = quads[:, 2] - quads[:, 3]
 
         def project(m):
-            r = sym_eig(0.5 * (m + m.T))
+            r = sym_eig(m)
             vals = np.maximum(r.eigenvalues, _EIG_FLOOR)
             out = (r.eigenvectors * vals) @ r.eigenvectors.T
             return 0.5 * (out + out.T)
@@ -361,6 +355,5 @@ class LSML(MahalanobisEstimator, QuadrupletClassifierMixin):
                                       logdet_m0, self.reg),
             m0, max_iter=self.max_iter, tol=self.tol, project=project,
         )
-        model = MahalanobisModel(psd_sqrt(m), algorithm="lsml", fit_report=report)
-        self._set_model(model)
+        self._set_model(psd_sqrt(m), report)
         return self

@@ -237,6 +237,21 @@ class TestFitTransform:
         assert err.strip().startswith("error:")
         assert "\n" not in err.strip()
 
+    @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+    def test_every_algorithm_fits_and_names_its_model(self, algo, tmp_path,
+                                                      capsys):
+        data, pairs, quads = write_dataset(tmp_path)
+        inputs = {"labels": [], "chunks": ["--chunk-col", "y"],
+                  "pairs": ["--pairs", str(pairs)],
+                  "quads": ["--quads", str(quads)]}
+        model_path = tmp_path / "m.json"
+        code, _, _ = run_cli(capsys, "fit", "--algo", algo, "--data",
+                             str(data), "--label-col", "y",
+                             *inputs[ALGORITHMS[algo].supervision],
+                             "--out", str(model_path))
+        assert code == 0
+        assert json.loads(model_path.read_text())["algorithm"] == algo
+
     @pytest.mark.parametrize("algo", ["itml", "lsml", "mmc"])
     def test_seed_option_unknown_for_weak_learners(self, algo, tmp_path, capsys):
         data, _, _ = write_dataset(tmp_path)

@@ -168,6 +168,15 @@ CASES.update({
                               "--opt", "gamma=inf"]),
     "LMNN margin=inf": (lambda: ml.LMNN(margin=math.inf).fit(X, Y),
                         FIT + ["--algo", "lmnn", "--opt", "margin=inf"]),
+    # k is checked against the classes before the (n, k) targets exist
+    "LMNN k=10**12": (lambda: ml.LMNN(k=10 ** 12).fit(X, Y),
+                      FIT + ["--algo", "lmnn", "--opt", "k=1000000000000"]),
+    "LMNN k=10**400": (lambda: ml.LMNN(k=10 ** 400).fit(X, Y),
+                       FIT + ["--algo", "lmnn", "--opt", "k=1" + "0" * 400]),
+    "RCA n_components": (
+        lambda: ml.RCA().set_params(n_components=3),
+        ["fit", "--algo", "rca", "--data", "{data}", "--chunk-col", "y",
+         "--n-components", "3", "--out", "{out}"]),
     "RCA string chunklet ids": (
         lambda: ml.RCA().fit(X, np.repeat(list("abc"), 6)), None),
     "MLKR string targets": (

@@ -622,6 +622,22 @@ class TestLFDA:
             tracemalloc.stop()
         assert peak < n * n * 8
 
+    def test_scatters_peak_below_four_class_blocks(self):
+        # a class block forms its affinity in the distance buffer and takes
+        # one weighted sum of it: no second n_c x n_c weight matrix
+        n, d = 2000, 20
+        r = np.random.default_rng(0)
+        y = np.arange(n) % 3
+        x = r.standard_normal((n, d)) + 2.0 * np.eye(d)[y]
+        nc = np.bincount(y).max()
+        tracemalloc.start()
+        try:
+            _lfda_scatters(x, y, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * nc * nc * 8
+
 
 def _lfda_scatters_oracle(x, y, knn):
     """Dense reference construction of the local-Fisher scatter pencil."""
@@ -757,9 +773,10 @@ class TestRCA:
             RCA().fit(x, [-1, -1, 0])
 
     def test_reduction_unsupported(self):
-        x = np.random.default_rng(0).standard_normal((4, 3))
-        with pytest.raises(ValidationError, match="n_components"):
-            RCA(n_components=2).fit(x, [0, 0, 1, 1])
+        # RCA whitens in the input space: it has no n_components to set
+        with pytest.raises(ValidationError,
+                           match="unknown parameter 'n_components'"):
+            RCA().set_params(n_components=2)
 
 
 class TestCommonEstimatorBehaviour:

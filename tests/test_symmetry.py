@@ -1,12 +1,13 @@
 """Symmetries of the n x n learners and of serving, as hypothesis properties.
 
 A metric learner's answer should not depend on the basis or the row order
-of its data: for NCA, LMNN and MLKR, a fit on ``x Q`` (Q orthogonal) gives
-``Q^T M Q`` and a fit on shuffled rows gives M, both to 1e-9 relative in
-the Frobenius norm. Serving must not depend on the orientation of a tuple,
-bit for bit: a pair scores the same both ways round, and swapping the two
-pairs of a quadruplet, or the positive and negative of a triplet, flips
-every prediction whose two distances do not tie exactly.
+of its data: for NCA, LMNN, MLKR, LFDA and RCA (its chunklets the class
+labels), a fit on ``x Q`` (Q orthogonal) gives ``Q^T M Q`` and a fit on
+shuffled rows gives M, both to 1e-9 relative in the Frobenius norm.
+Serving must not depend on the orientation of a tuple, bit for bit: a
+pair scores the same both ways round, and swapping the two pairs of a
+quadruplet, or the positive and negative of a triplet, flips every
+prediction whose two distances do not tie exactly.
 
 The data are Gaussian class blobs like the benchmark's, drawn from a
 generated seed: three classes offset by 2.5 along the first three features,
@@ -16,9 +17,10 @@ the suite stays cheap.
 NCA and MLKR miss the 1e-9 bound on some of these small sets: their fits
 drift toward an objective they approach only as M grows, and a difference
 in the last bits grows with every step (about 1e-8 after 30 iterations in
-about one case in ten, up to 1e-4 on separable seeds; LMNN holds to about
-1e-13). Their fit properties are expected failures until those fits stop
-at a finite M; the bound stays.
+about one case in ten, up to 1e-4 on separable seeds). Their fit
+properties are expected failures until those fits stop at a finite M; the
+bound stays. LMNN holds to about 1e-13, and the closed-form LFDA and RCA to
+about 2e-14 over 200 generated cases.
 """
 
 import warnings
@@ -27,18 +29,20 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mlearn import LMNN, MLKR, NCA
+from mlearn import LFDA, LMNN, MLKR, NCA, RCA
 
 LEARNERS = {
     "nca": lambda: NCA(max_iter=30),
     "lmnn": lambda: LMNN(k=2, max_iter=30),
     "mlkr": lambda: MLKR(max_iter=30),
+    "lfda": LFDA,
+    "rca": RCA,
 }
 _DRIFTS = pytest.mark.xfail(
     strict=False, raises=AssertionError,
     reason="the fit drifts toward a supremum as M grows, and its rounding "
     "differences grow with it")
-FIT_LEARNERS = ["lmnn", pytest.param("nca", marks=_DRIFTS),
+FIT_LEARNERS = ["lmnn", "lfda", "rca", pytest.param("nca", marks=_DRIFTS),
                 pytest.param("mlkr", marks=_DRIFTS)]
 
 _PROPERTY = settings(max_examples=5, deadline=None, derandomize=True,
