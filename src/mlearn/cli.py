@@ -312,6 +312,11 @@ def _params_str(params: dict) -> str:
 def cmd_cv(args) -> int:
     est = build_estimator(args)
     task = SupervisedTask(*_fit_inputs(est, args), est, knn_k=args.knn_k)
+    # checked here, not by kfold_split, so the message names the flag
+    n, what = len(task.x), "rows" if task.x.ndim == 2 else "tuples"
+    if not 2 <= args.folds <= n:
+        raise ValidationError(
+            f"--folds must lie in [2, {n}] for {n} {what}, got {args.folds}")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         if args.grid is not None:

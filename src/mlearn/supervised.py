@@ -46,26 +46,56 @@ def _resolve_components(n_components, n_features: int) -> int:
     return m
 
 
-# rows per block of pairwise_sq_dists' finishing pass
+# rows per block of the Gram product's columns (model._mapped_chunks' block)
+# and of the passes that finish its rows
 _ROW_BLOCK = 64
+
+
+def _centred_gram(z: np.ndarray):
+    """(sq, g): the squared norms and the n x n Gram matrix of the centred
+    rows of z.
+
+    The rows are centred first: the Gram formula |a|^2 + |b|^2 - 2 a.b
+    cancels catastrophically when the rows sit far from the origin, and
+    distances do not depend on a common offset.
+
+    ``g`` is written in place by two products of all n rows with row blocks:
+    the first h rows (h the largest multiple of ``_ROW_BLOCK`` below n) and
+    the last 64, which rewrite the columns the two share (n <= 64 rows are
+    zero-padded to 64). Every call's count of g's columns is thus a multiple
+    of 64, as in the map kernel's fixed-shape rule (``model._mapped_chunks``):
+    no column falls to an OpenBLAS edge kernel, whose rows round differently
+    when the rows are split between threads, so the bits do not depend on
+    the thread count. Those of syrk (numpy's product of z with its own
+    transpose) do, and so do those of 64-row blocks against all n columns.
+    Two calls, not one per block, stay fast when other processes hold the
+    CPUs and the BLAS threads wait to be scheduled. No caller needs g
+    exactly symmetric, and finiteness is not judged here: a solver's trial
+    point may give a non-finite value, which the solver then rejects.
+    """
+    z = z - z.mean(axis=0)
+    sq = np.einsum("ij,ij->i", z, z)
+    n, c = z.shape
+    if n <= _ROW_BLOCK:
+        padded = np.zeros((_ROW_BLOCK, c))
+        padded[:n] = z
+        return sq, np.matmul(z, padded.T)[:, :n].copy()
+    g = np.empty((n, n))
+    h = (n - 1) // _ROW_BLOCK * _ROW_BLOCK
+    np.matmul(z, z[:h].T, out=g[:, :h])
+    np.matmul(z, z[n - _ROW_BLOCK:].T, out=g[:, n - _ROW_BLOCK:])
+    return sq, g
 
 
 def pairwise_sq_dists(z: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of z (zero diagonal).
 
-    The rows are centred first: the Gram formula |a|^2 + |b|^2 - 2 a.b
-    cancels catastrophically when the rows sit far from the origin, and
-    distances do not depend on a common offset. The distances are finished
-    inside the Gram buffer, ``_ROW_BLOCK`` rows at a time, so the pass holds
-    one n x n array and a block-sized temporary; the operations and their
-    order are those of the one-line formula
-    ``max((|a|^2 + |b|^2) - 2 (z @ z.T), 0)``, so the bits are too.
+    The distances are finished inside the ``_centred_gram`` result,
+    ``_ROW_BLOCK`` rows at a time, so the pass holds one n x n array and a
+    block-sized temporary; the operations and their order are those of the
+    one-line formula ``max((|a|^2 + |b|^2) - 2 g, 0)``, so the bits are too.
     """
-    z = z - z.mean(axis=0)
-    sq = np.sum(z * z, axis=1)
-    # z @ z.T, not a product with a contiguous copy of z.T: numpy hands the
-    # former to syrk, whose result is exactly symmetric
-    d2 = z @ z.T
+    sq, d2 = _centred_gram(z)
     for start in range(0, len(z), _ROW_BLOCK):
         block = d2[start:start + _ROW_BLOCK]
         block *= 2.0
@@ -109,16 +139,37 @@ def _exp_flushed(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return e
 
 
+def _neighbour_weights(z: np.ndarray) -> np.ndarray:
+    """exp(min_k e_ik - e_ij) with e_ij = |z_j|^2 - 2 z_i.z_j, 0 on the diagonal.
+
+    A softmax or kernel row is unchanged by a constant added to the row, so
+    the weights of the distances |z_i - z_j|^2 = |z_i|^2 + e_ij need no
+    |z_i|^2 and no distance is formed. Each row is shifted by its smallest
+    off-diagonal logit, so its nearest neighbour weighs exp(0) = 1, the row
+    sum is at least 1 and no row underflows whole, however far apart the
+    points are. The diagonal is +inf before the shift, so exp leaves it +0.
+    One n x n buffer, the Gram product's, turns into the weights in place.
+    """
+    sq, e = _centred_gram(z)
+    e *= 2.0
+    np.subtract(sq, e, out=e)
+    np.fill_diagonal(e, np.inf)
+    np.subtract(e.min(axis=1, keepdims=True), e, out=e)
+    return _exp_flushed(e, out=e)
+
+
 def weighted_outer_sum(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sum_ij w_ij (x_i - x_j)(x_i - x_j)^T without forming the outer products.
 
-    Like pairwise_sq_dists, the rows are centred first: the sum does not
-    depend on a common offset, but its two Gram terms cancel by that much.
+    It is x^T diag(r) x - (H + H^T) with r the row plus column sums of w
+    and H = x^T w x, so w is read as it is, with no n x n copy. Like
+    ``_centred_gram``, the rows are centred first: the sum does not depend
+    on a common offset, but its two Gram terms cancel by that much.
     """
     x = x - x.mean(axis=0)
-    s = w + w.T
-    r = s.sum(axis=1)
-    g = x.T @ (r[:, None] * x) - x.T @ (s @ x)
+    r = w.sum(axis=1) + w.sum(axis=0)
+    h = x.T @ (w @ x)
+    g = x.T @ (r[:, None] * x) - (h + h.T)
     return 0.5 * (g + g.T)
 
 
@@ -134,27 +185,21 @@ def nca_objective(l: np.ndarray, x: np.ndarray, same: np.ndarray):
 
     ``same`` is the n x n mask ``_same_class(y)``, which a fit builds once.
     """
-    z = x @ l.T
-    # one n x n buffer turns from distances to logits to probabilities
-    logits = pairwise_sq_dists(z)
-    np.negative(logits, out=logits)
-    np.fill_diagonal(logits, -np.inf)
-    logits -= logits.max(axis=1, keepdims=True)
     # each row keeps its largest weight at exp(0) = 1, so dropping the
-    # subnormal weights moves no p by more than n * tiny
-    p = _exp_flushed(logits, out=logits)
-    # the diagonal was -inf, so exp leaves it +0 and so does the division
+    # subnormal weights moves no p by more than n * tiny; the diagonal is
+    # +0, and so stays through the division
+    p = _neighbour_weights(x @ l.T)
     p /= p.sum(axis=1, keepdims=True)
     # row sums of p * same a block of rows at a time: the value call holds
-    # no second n x n array, and grad() forms the product when it needs it
+    # no second n x n array, and grad() forms the weights when it needs them
     p_i = np.empty(len(p))
     for start in range(0, len(p), _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
         np.sum(p[rows] * same[rows], axis=1, out=p_i[rows])
 
     def grad():
-        w = p * p_i[:, None]
-        w -= p * same
+        w = np.subtract(p_i[:, None], same)
+        w *= p
         return 2.0 * l @ weighted_outer_sum(x, w)
     return float(p_i.sum()), grad
 
@@ -200,8 +245,10 @@ def lmnn_targets(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
     """
     classes, counts = np.unique(y, return_counts=True)
     if counts.min() < k + 1:
+        # a plain label, which prints as 0, not np.int64(0)
+        label = classes.tolist()[counts.argmin()]
         raise ValidationError(
-            f"class {classes[counts.argmin()]!r} has {counts.min()} members but "
+            f"class {label!r} has {counts.min()} members but "
             f"k={k} target neighbors require at least {k + 1}"
         )
     targets = np.empty((len(x), k), dtype=int)
@@ -317,15 +364,8 @@ class LMNN(MahalanobisEstimator):
 def mlkr_objective(l: np.ndarray, x: np.ndarray, y: np.ndarray):
     """Leave-one-out Nadaraya-Watson squared error: (f, grad) with grad() ->
     gradient at l."""
-    z = x @ l.T
-    # one n x n buffer turns from distances to kernel weights
-    k = pairwise_sq_dists(z)
-    np.fill_diagonal(k, np.inf)
-    # each row is scaled by exp(its smallest distance), which cancels in
-    # k / s: the nearest neighbour weighs 1, so s >= 1 and a row never
-    # underflows whole, however far apart the points are
-    np.subtract(k.min(axis=1, keepdims=True), k, out=k)
-    _exp_flushed(k, out=k)
+    # each row's scale cancels in k / s
+    k = _neighbour_weights(x @ l.T)
     s = k.sum(axis=1)
     yhat = (k @ y) / s
     r = yhat - y
@@ -423,7 +463,8 @@ def _lfda_scatters(x: np.ndarray, y: np.ndarray, knn: int):
     xc = x - x.mean(axis=0)
     s_between = xc.T @ xc
     s_within = np.zeros((d, d))
-    for c in np.unique(y):
+    # plain labels, which an error message prints as 0, not np.int64(0)
+    for c in np.unique(y).tolist():
         members = np.flatnonzero(y == c)
         if len(members) < 2:
             raise ValidationError(

@@ -153,7 +153,7 @@ class _ClassPools:
         if len(labels) < 2:
             raise ValidationError(f"{what} requires at least 2 distinct classes")
         self.size = np.bincount(self.codes)
-        for label, size in zip(labels, self.size):
+        for label, size in zip(labels.tolist(), self.size):
             if size < 2:
                 raise ValidationError(
                     f"cannot build {what}: class {label!r} has a single member"

@@ -369,6 +369,20 @@ class TestCv:
         assert len(lines) == 5  # header + 3 folds + mean line
         assert lines[-1].startswith("mean ")
 
+    @pytest.mark.parametrize("folds, kind", [
+        ("1", "labels"), ("25", "labels"), ("0", "pairs"), ("45", "pairs")])
+    def test_fold_count_error_names_the_flag(self, tmp_path, capsys, folds,
+                                             kind):
+        data, pairs, _ = write_dataset(tmp_path)
+        source = {"labels": ("--algo", "nca", "--label-col", "y"),
+                  "pairs": ("--algo", "itml", "--pairs", str(pairs))}[kind]
+        code, out, err = run_cli(capsys, "cv", *source, "--data", str(data),
+                                 "--folds", folds)
+        n, what = {"labels": (24, "rows"), "pairs": (44, "tuples")}[kind]
+        assert code == 2 and out == ""
+        assert err == (f"error: --folds must lie in [2, {n}] for {n} {what}, "
+                       f"got {folds}\n")
+
     def test_grid_cv_deterministic(self, tmp_path, capsys):
         data, _, _ = write_dataset(tmp_path)
         grid = tmp_path / "grid.json"
@@ -578,6 +592,22 @@ class TestExitCodes:
                                "--out", str(tmp_path / "m.json"))
         assert code == 2
         assert err.strip().startswith("error:")
+
+    @pytest.mark.parametrize("algo, opt, labels, message", [
+        ("lmnn", ["--opt", "k=4"], [0] * 4 + [1] * 4,
+         "class 0 has 4 members but k=4"),
+        ("lfda", [], [0] * 7 + [1], "class 1 has a single member")])
+    def test_class_errors_print_the_plain_label(self, tmp_path, capsys, algo,
+                                                opt, labels, message):
+        data = tmp_path / "d.csv"
+        data.write_text("f1,f2,y\n" + "".join(
+            f"{i},{i % 3},{lab}\n" for i, lab in enumerate(labels)))
+        code, _, err = run_cli(capsys, "fit", "--algo", algo, *opt, "--data",
+                               str(data), "--label-col", "y", "--out",
+                               str(tmp_path / "m.json"))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
     def test_numerical_failure_exits_3(self, tmp_path, capsys):
         # dissimilar pair of identical points: log of zero distance

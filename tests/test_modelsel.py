@@ -705,11 +705,12 @@ def _cv_digest(res):
 
 # SHA-256 of the fold test scores, train scores and fold components, recorded
 # before the fold loop was shared by all supervision kinds (lfda again with
-# centred rows, and again with one scatter sum per class); like the fit
+# centred rows, again with one scatter sum per class, and again with the
+# fixed-shape Gram product and copy-free scatter sum); like the fit
 # digests in test_optimize, a BLAS build that rounds differently needs new ones
 _PINNED_CV = {
     "lfda-labels":
-        "880aebb3a34faf0e8f8f93c908fa9a9f49b5a7eec5433b7c3f8f7ac26688e2e2",
+        "278bc8600deca4f6ef0fb393def3450758f398c6377d8c1785f0cd493e1c61a0",
     "rca-chunks":
         "4fce89f39be0d884d38847429e55c69b3346fe0b1c94580657c49f2d9f3bbf3a",
     "itml-pairs-accuracy":

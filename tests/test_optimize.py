@@ -172,16 +172,18 @@ def _digest(l):
 
 # SHA-256 of the fitted components, recorded with the eager (objective,
 # gradient) solver (nca, lmnn and mlkr again once distances and gradients
-# were computed from centred rows and subnormal kernel weights flushed); a
-# BLAS build that rounds the products differently needs new digests, the
-# value-then-gradient tests above are the portable check
+# were computed from centred rows and subnormal kernel weights flushed, and
+# once more for the fixed-shape Gram product, NCA's and MLKR's row-shifted
+# logits and the copy-free weighted scatter sum); a BLAS build that rounds
+# the products differently needs new digests, the value-then-gradient tests
+# above are the portable check
 _FROZEN = {
     "nca":
-        "b3d44ec9adf080e71bf7d1270b4b615016489c416a28e137f5f70950dd02f9fe",
+        "d778231b8e88753558c7a6ac0d9b10d7612d0920f75c52508d5653924c2c1003",
     "lmnn":
-        "73115023f56b64f8766ac7e5a55583edb0652cc77b553f736096164f0db90236",
+        "8ea8884f8c3ac1765235e450dccde09399f26663da730ccf57c68733b780202d",
     "mlkr":
-        "98b568e75709a9ae3d6409d0f061bf9b83869407835f4dde1fa78403895322f3",
+        "34cbf13fbc60c8499effd60bb4e38b39c620150b89903d0e62e58b9c0d2e1946",
     "mmc":
         "15cc838987d8907e859034b2e1d4e09c0ccd5029066ab08af37be866e83b4fb5",
     "mmc_diag":

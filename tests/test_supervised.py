@@ -1,6 +1,9 @@
 import hashlib
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -24,6 +27,7 @@ from mlearn import (
 from mlearn.exceptions import ValidationError
 from mlearn.linalg import gen_sym_eig
 from mlearn.supervised import (
+    _centred_gram,
     _exp_flushed,
     _init_transform,
     _lfda_scatters,
@@ -101,6 +105,22 @@ class TestNCA:
         x, y = clustered_data()
         est = NCA(n_components=2, max_iter=20).fit(x, y)
         assert est.components_.shape == (2, 3)
+
+
+@pytest.mark.parametrize("labels", [[0, 1], ["a", "b"]])
+@pytest.mark.parametrize("fit", ["lmnn", "lfda", "pairs"])
+def test_errors_print_a_class_as_its_plain_label(fit, labels):
+    # numpy 2 prints a numpy scalar's repr as np.int64(0) or np.str_('a')
+    first, second = labels
+    x = np.random.default_rng(0).standard_normal((5, 2))
+    y = np.array([first] * 4 + [second])
+    call = {"lmnn": lambda: lmnn_targets(x, y, 4),
+            "lfda": lambda: LFDA().fit(x, y),
+            "pairs": lambda: pairs_from_labels(x, y, 1, seed=0)}[fit]
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert f"class {second!r} has " in str(err.value)
+    assert "np." not in str(err.value)
 
 
 class TestLMNN:
@@ -217,8 +237,10 @@ class TestLMNN:
     def test_fit_components_are_frozen(self):
         # SHA-256 of the fitted map, recorded with the per-point impostor
         # loop (again once distances and gradients were computed from
-        # centred rows); a BLAS build that rounds x @ l.T differently would
-        # need a new digest, the oracle tests above are the portable check
+        # centred rows, and for the fixed-shape Gram product and the
+        # copy-free weighted scatter sum); a BLAS build that rounds x @ l.T
+        # differently would need a new digest, the oracle tests above are
+        # the portable check
         r = np.random.default_rng(20240601)
         centers = np.array([[0.0, 0.0, 0.0, 0.0], [3.0, 0.0, 1.0, 0.0],
                             [0.0, 3.0, 0.0, 1.0]])
@@ -230,7 +252,7 @@ class TestLMNN:
         h = hashlib.sha256(f"{l.dtype.str}{l.shape}".encode())
         h.update(np.ascontiguousarray(l).tobytes())
         assert h.hexdigest() == \
-            "73115023f56b64f8766ac7e5a55583edb0652cc77b553f736096164f0db90236"
+            "8ea8884f8c3ac1765235e450dccde09399f26663da730ccf57c68733b780202d"
 
     def test_objective_memory_stays_quadratic(self):
         n, k = 800, 10
@@ -353,7 +375,44 @@ def _lmnn_objective_oracle(l, x, y, targets, push_weight, margin):
 
 
 def _pairwise_sq_dists_oracle(z):
-    """The one-line Gram formula the in-place distance pass replaced."""
+    """The one-line formula the in-place distance pass finishes the Gram
+    product by."""
+    sq, g = _centred_gram(z)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * g
+    np.fill_diagonal(d2, 0.0)
+    return np.maximum(d2, 0.0)
+
+
+def _neighbour_weights_oracle(z):
+    """Row-shifted logits |z_j|^2 - 2 z_i.z_j, with a fresh array per step."""
+    sq, g = _centred_gram(z)
+    e = sq[None, :] - 2.0 * g
+    np.fill_diagonal(e, np.inf)
+    return _exp_flushed(e.min(axis=1, keepdims=True) - e)
+
+
+def _nca_objective_oracle(l, x, y):
+    """NCA with a fresh array per step, as before the in-place passes."""
+    same = _same_class(y)
+    p = _neighbour_weights_oracle(x @ l.T)
+    p /= p.sum(axis=1, keepdims=True)
+    p_i = np.sum(p * same, axis=1)
+    w = (p_i[:, None] - same) * p
+    return float(p_i.sum()), 2.0 * l @ weighted_outer_sum(x, w)
+
+
+def _mlkr_objective_oracle(l, x, y):
+    """MLKR with a fresh array per step, as before the in-place passes."""
+    k = _neighbour_weights_oracle(x @ l.T)
+    s = k.sum(axis=1)
+    yhat = (k @ y) / s
+    r = yhat - y
+    w = -2.0 * (r / s)[:, None] * (y[None, :] - yhat[:, None]) * k
+    return float(np.sum(r * r)), 2.0 * l @ weighted_outer_sum(x, w)
+
+
+def _distances_by_syrk(z):
+    """True squared distances from the syrk Gram product z @ z.T."""
     z = z - z.mean(axis=0)
     sq = np.sum(z * z, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (z @ z.T)
@@ -361,31 +420,38 @@ def _pairwise_sq_dists_oracle(z):
     return np.maximum(d2, 0.0)
 
 
-def _nca_objective_oracle(l, x, y):
-    """NCA with a fresh array per step, as before the in-place passes."""
+def _weighted_outer_sum_by_symmetrized_weights(x, w):
+    """The scatter sum through the symmetrized weights w + w^T."""
+    x = x - x.mean(axis=0)
+    s = w + w.T
+    g = x.T @ (s.sum(axis=1)[:, None] * x) - x.T @ (s @ x)
+    return 0.5 * (g + g.T)
+
+
+def _nca_objective_by_distances(l, x, y):
+    """NCA's softmax over true distances (the value oracle)."""
     same = _same_class(y)
-    d2 = _pairwise_sq_dists_oracle(x @ l.T)
-    logits = -d2
+    logits = -_distances_by_syrk(x @ l.T)
     np.fill_diagonal(logits, -np.inf)
-    logits -= logits.max(axis=1, keepdims=True)
-    p = _exp_flushed(logits)
+    p = _exp_flushed(logits - logits.max(axis=1, keepdims=True))
     p /= p.sum(axis=1, keepdims=True)
-    np.fill_diagonal(p, 0.0)
     p_i = np.sum(p * same, axis=1)
     w = p * p_i[:, None] - p * same
-    return float(p_i.sum()), 2.0 * l @ weighted_outer_sum(x, w)
+    return float(p_i.sum()), \
+        2.0 * l @ _weighted_outer_sum_by_symmetrized_weights(x, w)
 
 
-def _mlkr_objective_oracle(l, x, y):
-    """MLKR with a fresh array per step, as before the in-place passes."""
-    d2 = _pairwise_sq_dists_oracle(x @ l.T)
+def _mlkr_objective_by_distances(l, x, y):
+    """MLKR's kernel over true distances (the value oracle)."""
+    d2 = _distances_by_syrk(x @ l.T)
     np.fill_diagonal(d2, np.inf)
     k = _exp_flushed(d2.min(axis=1, keepdims=True) - d2)
     s = k.sum(axis=1)
     yhat = (k @ y) / s
     r = yhat - y
     w = -2.0 * (r / s)[:, None] * (y[None, :] - yhat[:, None]) * k
-    return float(np.sum(r * r)), 2.0 * l @ weighted_outer_sum(x, w)
+    return float(np.sum(r * r)), \
+        2.0 * l @ _weighted_outer_sum_by_symmetrized_weights(x, w)
 
 
 @st.composite
@@ -464,6 +530,71 @@ def test_in_place_passes_give_the_oracle_bits(case):
     f, grad = _lmnn(l, x, y, targets, 0.3, 1.0)
     assert _same_bits(grad(), g_ref)
     assert abs(f - f_ref) <= 1e-14 * abs(f_ref)
+
+
+
+def _term_scale(l, x):
+    """|l| times the largest squared distance times n: a bound on the size
+    of the terms a gradient with row weight sums at most 1 adds up."""
+    d2 = np.sum((x[:, None] - x[None]) ** 2, axis=-1)
+    return np.abs(l).max() * d2.max() * len(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=objective_cases())
+def test_row_shifted_logits_give_the_true_distance_values(case):
+    # the value oracles form true distances with syrk and symmetrize the
+    # gradient weights; the values agree to 1e-12 relative (plus n * tiny,
+    # the most that flushing a subnormal weight in one and not the other
+    # moves a value), the gradients to 1e-12 of the size of their terms (an
+    # exactly cancelling gradient, which tie-heavy data gives, has no
+    # relative accuracy)
+    l, x, y = case
+    t = y + x[:, 0]
+    flush = len(x) * np.finfo(float).tiny
+    for f, grad, (f_ref, g_ref), scale in [
+            (*nca_objective(l, x, _same_class(y)),
+             _nca_objective_by_distances(l, x, y), _term_scale(l, x)),
+            (*mlkr_objective(l, x, t), _mlkr_objective_by_distances(l, x, t),
+             2.0 * np.ptp(t) ** 2 * _term_scale(l, x))]:
+        assert abs(f - f_ref) <= 1e-12 * abs(f_ref) + flush
+        assert np.abs(grad() - g_ref).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 200, 667])
+@pytest.mark.parametrize("c", [1, 5, 20])
+def test_gram_product_matches_the_syrk_values(n, c):
+    z = np.random.default_rng(n + c).standard_normal((n, c)) + 1e3
+    sq, g = _centred_gram(z)
+    zc = z - z.mean(axis=0)
+    assert g.shape == (n, n) and g.flags.c_contiguous
+    assert _same_bits(sq, np.einsum("ij,ij->i", zc, zc))
+    assert np.abs(g - zc @ zc.T).max() <= 1e-14 * c * sq.max()
+
+
+def _gram_digest() -> str:
+    """sha256 of the Gram kernel's output over shapes whose column count is
+    not a multiple of 8 (667) as well as ones that are."""
+    r = np.random.default_rng(12)
+    h = hashlib.sha256()
+    for n in (200, 300, 667, 1000):
+        for c in (5, 20):
+            sq, g = _centred_gram(r.standard_normal((n, c)) + 2.0)
+            h.update(sq.tobytes())
+            h.update(g.tobytes())
+    return h.hexdigest()
+
+
+def test_gram_bits_do_not_depend_on_the_blas_thread_count():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    paths = [str(pathlib.Path(mlearn.__file__).parents[1]),
+             str(pathlib.Path(__file__).parent)]
+    code = ("import sys; sys.path[:0] = " + repr(paths) + "; "
+            "import test_supervised; print(test_supervised._gram_digest())")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == _gram_digest()
 
 
 class TestMLKR:
