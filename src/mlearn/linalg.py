@@ -45,7 +45,8 @@ def _check_symmetric(a) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValidationError("matrix contains non-finite entries")
+        # only the package's own results reach here: an overflow, not bad input
+        raise NumericalError("matrix contains non-finite entries: an overflow")
     scale = np.max(np.abs(a)) if a.size else 0.0
     if np.max(np.abs(a - a.T), initial=0.0) > _SYMMETRY_TOL * max(scale, 1e-300):
         raise SymmetryError("matrix is not symmetric within tolerance")

@@ -173,33 +173,37 @@ def weighted_outer_sum(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return 0.5 * (g + g.T)
 
 
+def _class_sorted(x: np.ndarray, y: np.ndarray):
+    """(x, y, blocks): the rows stably sorted by class, and one slice of
+    rows per class, so every same-class pair lies in a diagonal block
+    ``[b, b]`` and no n x n class mask is needed. Each class keeps its rows
+    in their given order, so index tie rules within a class hold."""
+    order = np.argsort(y, kind="stable")
+    y = y[order]
+    first = np.unique(y, return_index=True)[1].tolist()
+    return x[order], y, [slice(a, b) for a, b in zip(first, first[1:] + [len(y)])]
+
+
 # -- neighborhood softmax (NCA) ---------------------------------------------
 
-def _same_class(y: np.ndarray) -> np.ndarray:
-    """n x n mask of pairs i != j with equal labels."""
-    return (y[:, None] == y[None, :]) & ~np.eye(len(y), dtype=bool)
-
-
-def nca_objective(l: np.ndarray, x: np.ndarray, same: np.ndarray):
+def nca_objective(l: np.ndarray, x: np.ndarray, blocks: list):
     """Expected same-class softmax mass: (f, grad) with grad() -> gradient at l.
 
-    ``same`` is the n x n mask ``_same_class(y)``, which a fit builds once.
+    The rows of x are sorted by class and ``blocks`` holds one slice per
+    class (``_class_sorted``), so p_i, the mass of point i's own class, is
+    a row sum within its diagonal block.
     """
     # each row keeps its largest weight at exp(0) = 1, so dropping the
     # subnormal weights moves no p by more than n * tiny; the diagonal is
-    # +0, and so stays through the division
+    # +0, and so stays through the division and adds nothing to p_i
     p = _neighbour_weights(x @ l.T)
     p /= p.sum(axis=1, keepdims=True)
-    # row sums of p * same a block of rows at a time: the value call holds
-    # no second n x n array, and grad() forms the weights when it needs them
-    p_i = np.empty(len(p))
-    for start in range(0, len(p), _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        np.sum(p[rows] * same[rows], axis=1, out=p_i[rows])
+    p_i = np.concatenate([p[b, b].sum(axis=1) for b in blocks])
 
     def grad():
-        w = np.subtract(p_i[:, None], same)
-        w *= p
+        w = p * p_i[:, None]
+        for b in blocks:
+            w[b, b] -= p[b, b]
         return 2.0 * l @ weighted_outer_sum(x, w)
     return float(p_i.sum()), grad
 
@@ -220,11 +224,11 @@ class NCA(MahalanobisEstimator):
     def fit(self, x, y):
         x, y = self._check_fit(x, y)
         _check_two_classes(y)
+        x, _, blocks = _class_sorted(x, y)
         m = _resolve_components(self.n_components, x.shape[1])
         l0 = _init_transform(self.init, m, x.shape[1], self.seed)
-        same = _same_class(y)
         l, report = backtracking_solve(
-            lambda l_: nca_objective(l_, x, same), l0,
+            lambda l_: nca_objective(l_, x, blocks), l0,
             max_iter=self.max_iter, tol=self.tol, maximize=True,
         )
         self._set_model(l, report)
@@ -262,37 +266,25 @@ def lmnn_targets(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
     return targets
 
 
-def _lmnn_pull_outer(x: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """The pull term's scatter sum: ``weighted_outer_sum`` over the
-    target-neighbor counts. It does not depend on the map, so a fit
-    computes it once."""
-    n = len(x)
-    rows = np.arange(n)
-    w_pull = np.zeros((n, n))
-    for t in targets.T:
-        w_pull[rows, t] += 1.0
-    return weighted_outer_sum(x, w_pull)
-
-
 def lmnn_objective(l: np.ndarray, x: np.ndarray, targets: np.ndarray,
-                   push_weight: float, margin: float, differ: np.ndarray,
-                   pull_outer: np.ndarray):
+                   push_weight: float, margin: float, blocks: list):
     """Pull + hinge-push loss: (f, grad) with grad() -> (sub)gradient at l.
 
     The loss sums every hinge term, so it is a deterministic function of l;
-    the gradient uses the impostor set active at l.
+    the gradient uses the impostor set active at l. The rows of x are
+    sorted by class, one slice per class in ``blocks`` (``_class_sorted``).
 
     The terms are gathered one target slot at a time: slot s pairs every
     point i with its target ``targets[i, s]`` and weighs the hinge against
     all n points at once, in one n x n buffer that every slot reuses, so no
-    (n, k, n) block is built. Multiplying h by its active mask (h > 0 and a
-    different class) leaves exactly 0 (or -0) on every inactive lane, so
-    one unmasked sum adds the active terms; numpy's masked sum is several
-    times slower. The pull and push weights are integer counts, so the
-    gradient does not depend on the order the terms are gathered in. The
-    closure keeps one boolean impostor mask per target slot (k n^2 bytes)
-    and rebuilds the push weights from them. A fit builds the n x n class
-    mask ``differ`` (``y_i != y_j``) and ``pull_outer`` once.
+    (n, k, n) block is built. Multiplying h by its active mask (h > 0 and
+    outside i's class block) leaves exactly 0 (or -0) on every inactive
+    lane, so one unmasked sum adds the active terms; numpy's masked sum is
+    several times slower. The closure keeps one boolean impostor mask per target
+    slot (k n^2 bytes) and rebuilds the push counts from them; they are
+    integers, so they do not depend on the order the terms are gathered
+    in. Scaled by ``push_weight``, they take the pull weight 1 - push_weight
+    on each target pair, and one scatter sum gives the gradient.
     """
     z = x @ l.T
     d2 = pairwise_sq_dists(z)
@@ -306,20 +298,22 @@ def lmnn_objective(l: np.ndarray, x: np.ndarray, targets: np.ndarray,
         pull += float(np.sum(dt))
         np.subtract(margin + dt[:, None], d2, out=h)
         active = h > 0.0
-        active &= differ
+        for b in blocks:
+            active[b, b] = False
         h *= active
         push += float(h.sum())
         masks.append(active)
 
     def grad():
         n = len(x)
-        w_push = np.zeros((n, n))
+        w = np.zeros((n, n))
         for t, active in zip(targets.T, masks):
-            w_push[rows, t] += np.count_nonzero(active, axis=1)
-            w_push -= active
-        g = (1.0 - push_weight) * pull_outer \
-            + push_weight * weighted_outer_sum(x, w_push)
-        return 2.0 * l @ g
+            w[rows, t] += np.count_nonzero(active, axis=1)
+            w -= active
+        w *= push_weight
+        for t in targets.T:
+            w[rows, t] += 1.0 - push_weight
+        return 2.0 * l @ weighted_outer_sum(x, w)
     return (1.0 - push_weight) * pull + push_weight * push, grad
 
 
@@ -345,14 +339,13 @@ class LMNN(MahalanobisEstimator):
         _check_two_classes(y)
         if not 0.0 < self.push_weight < 1.0:
             raise ValidationError("push_weight must lie strictly in (0, 1)")
+        x, y, blocks = _class_sorted(x, y)
         targets = lmnn_targets(x, y, k)
         m = _resolve_components(self.n_components, x.shape[1])
         l0 = _init_transform(self.init, m, x.shape[1], self.seed)
-        differ = y[:, None] != y[None, :]
-        pull_outer = _lmnn_pull_outer(x, targets)
         l, report = backtracking_solve(
             lambda l_: lmnn_objective(l_, x, targets, self.push_weight,
-                                      self.margin, differ, pull_outer),
+                                      self.margin, blocks),
             l0, max_iter=self.max_iter, tol=self.tol,
         )
         self._set_model(l, report)

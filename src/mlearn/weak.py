@@ -135,7 +135,7 @@ class MMC(MahalanobisEstimator, PairClassifierMixin):
             return float(np.sum((pos @ m) * pos))
 
         def project(m):
-            m = psd_project(0.5 * (m + m.T))
+            m = psd_project(m)
             s = budget(m)
             return m / s if s > 1.0 else m
 

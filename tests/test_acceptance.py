@@ -31,8 +31,7 @@ from mlearn import (
 from mlearn.cli import main as cli_main
 from mlearn.model import MahalanobisModel
 from mlearn.supervised import (
-    _lmnn_pull_outer,
-    _same_class,
+    _class_sorted,
     lmnn_objective,
     lmnn_targets,
     mlkr_objective,
@@ -96,14 +95,12 @@ def test_criterion_02_gradient_audits(verdict):
         return err <= tol and dt < 1.0
 
     ok = True
-    ok &= audit("nca", lambda p: nca_objective(p, x, _same_class(y_cls)),
-                l, 1e-5)
-    targets = lmnn_targets(x, y_cls, 1)
-    differ = y_cls[:, None] != y_cls[None, :]
-    pull_outer = _lmnn_pull_outer(x, targets)
+    # NCA and LMNN fit on rows sorted by class
+    xs, ys, blocks = _class_sorted(x, y_cls)
+    ok &= audit("nca", lambda p: nca_objective(p, xs, blocks), l, 1e-5)
+    targets = lmnn_targets(xs, ys, 1)
     ok &= audit("lmnn",
-                lambda p: lmnn_objective(p, x, targets, 0.5, 1.0, differ,
-                                         pull_outer),
+                lambda p: lmnn_objective(p, xs, targets, 0.5, 1.0, blocks),
                 l, 1e-5)
     ok &= audit("mlkr", lambda p: mlkr_objective(p, x, y_reg), l, 1e-5)
     w = r.random(4) + 0.5

@@ -621,6 +621,20 @@ class TestExitCodes:
         assert code == 3
         assert "error:" in err
 
+    @pytest.mark.parametrize("supervision", [["--algo", "lfda", "--label-col", "y"],
+                                             ["--algo", "rca", "--chunk-col", "y"]])
+    def test_features_that_overflow_a_fit_exit_3(self, tmp_path, capsys,
+                                                 supervision):
+        # finite cells that pass the gate, whose scatter matrix overflows
+        data = tmp_path / "X.csv"
+        data.write_text("f1,f2,y\n" + "".join(
+            f"{i % 4}e200,{i % 3}e200,{i // 4}\n" for i in range(8)))
+        code, _, err = run_cli(capsys, "fit", *supervision, "--data",
+                               str(data), "--out", str(tmp_path / "m.json"))
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "m.json").exists()
+
     @pytest.mark.parametrize("gamma,near,far", NON_FINITE_ITML_CASES)
     def test_itml_blow_up_exits_3(self, tmp_path, capsys, gamma, near, far):
         pairs, y = labeled_pairs(seed=0, n=10)

@@ -9,7 +9,7 @@ import pytest
 import mlearn as ml
 from mlearn.cli import main
 from mlearn.exceptions import ValidationError
-from mlearn.linalg import gen_sym_eig, psd_sqrt, sym_eig
+from mlearn.linalg import gen_sym_eig, psd_sqrt
 
 R = np.random.default_rng(0)
 X = R.standard_normal((18, 3)) + 4.0 * np.repeat(np.eye(3), 6, axis=0)
@@ -152,8 +152,6 @@ CASES.update({
     "not fitted": (lambda: ml.NCA().transform(X), None),
     "score length mismatch": (lambda: ml.score("accuracy", [1, -1], [1]), None),
     "score unknown metric": (lambda: ml.score("bogus", [1, -1], [1, 1]), None),
-    "sym_eig non-finite": (lambda: sym_eig(np.array([[1.0, math.inf],
-                                                     [math.inf, 1.0]])), None),
     "psd_sqrt not PSD": (lambda: psd_sqrt(-np.eye(2)), None),
     "gen_sym_eig k=0": (lambda: gen_sym_eig(np.eye(2), np.eye(2), 0), None),
     "gen_sym_eig k > d": (lambda: gen_sym_eig(np.eye(2), np.eye(2), 3), None),

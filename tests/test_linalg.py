@@ -98,6 +98,19 @@ class TestSymEig:
         with pytest.raises(NumericalError, match="did not converge"):
             sym_eig(np.eye(2))
 
+    @pytest.mark.parametrize("call", [
+        sym_eig, psd_project, psd_sqrt,
+        lambda a: gen_sym_eig(a, np.eye(2), 1),
+        lambda a: gen_sym_eig(np.eye(2), a, 1)],
+        ids=["sym_eig", "psd_project", "psd_sqrt", "gen_sym_eig b",
+             "gen_sym_eig w"])
+    def test_non_finite_matrix_is_a_numerical_error(self, call):
+        # linalg sees only matrices the learners computed, so inf or NaN
+        # there is an overflow, not bad input
+        for bad in (np.inf, np.nan):
+            with pytest.raises(NumericalError, match="non-finite"):
+                call(np.array([[1.0, bad], [bad, 1.0]]))
+
 
 class TestPsdProject:
     def test_clips_negative_eigenvalue(self):

@@ -26,6 +26,7 @@ from mlearn import (
     pairs_from_labels,
     quadruplets_from_labels,
 )
+from mlearn.exceptions import NumericalError
 from mlearn.supervised import _exp_flushed
 
 TINY = np.finfo(float).tiny
@@ -181,3 +182,30 @@ def test_transform_distances_ignore_sample_order(name, seed):
     d = _distances(_fit(name, x, y), x)
     _assert_same_distances(_distances(_fit(name, x[perm], y[perm]), x),
                            d)
+
+
+_OVERFLOW = {
+    "lfda": lambda x, y: LFDA().fit(x, y),
+    "rca": lambda x, y: RCA().fit(x, y),
+    "itml covariance-inverse": lambda x, y: ITML(
+        prior="covariance-inverse").fit(*pairs_from_labels(x, y, 2, seed=3)),
+    "lsml covariance-inverse": lambda x, y: LSML(
+        prior="covariance-inverse").fit(quadruplets_from_labels(x, y, 2, seed=3)),
+    "itml identity": lambda x, y: ITML().fit(*pairs_from_labels(x, y, 2, seed=3)),
+    "lsml identity": lambda x, y: LSML().fit(
+        quadruplets_from_labels(x, y, 2, seed=3)),
+    "nca": lambda x, y: NCA().fit(x, y),
+    "lmnn": lambda x, y: LMNN().fit(x, y),
+    "mlkr": lambda x, y: MLKR().fit(x, y.astype(float)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OVERFLOW))
+def test_finite_features_that_overflow_a_fit_raise_numerical_error(name):
+    # finite input passes the gate; the scatter matrices, priors and
+    # objectives built from it overflow, which is a numerical failure
+    x, y = _blobs(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(NumericalError):
+            _OVERFLOW[name](x * 1e200, y)

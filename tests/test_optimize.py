@@ -132,14 +132,13 @@ class TestValueThenGradient:
         x, y = _blobs(per=8)
         r = np.random.default_rng(3)
         la, lb = np.eye(4) + 0.3 * r.standard_normal((2, 4, 4))
+        # _blobs' rows are already sorted by class
+        blocks = supervised._class_sorted(x, y)[2]
         targets = supervised.lmnn_targets(x, y, 3)
         y_reg = x @ [1.0, -0.5, 0.2, 0.0]
-        differ = y[:, None] != y[None, :]
-        pull_outer = supervised._lmnn_pull_outer(x, targets)
         cases = [
-            (supervised.nca_objective, (x, supervised._same_class(y))),
-            (supervised.lmnn_objective,
-             (x, targets, 0.3, 1.0, differ, pull_outer)),
+            (supervised.nca_objective, (x, blocks)),
+            (supervised.lmnn_objective, (x, targets, 0.3, 1.0, blocks)),
             (supervised.mlkr_objective, (x, y_reg)),
         ]
         for objective, args in cases:
@@ -174,14 +173,15 @@ def _digest(l):
 # gradient) solver (nca, lmnn and mlkr again once distances and gradients
 # were computed from centred rows and subnormal kernel weights flushed, and
 # once more for the fixed-shape Gram product, NCA's and MLKR's row-shifted
-# logits and the copy-free weighted scatter sum); a BLAS build that rounds
+# logits and the copy-free weighted scatter sum; nca and lmnn again for
+# their fits on class-sorted rows); a BLAS build that rounds
 # the products differently needs new digests, the value-then-gradient tests
 # above are the portable check
 _FROZEN = {
     "nca":
-        "d778231b8e88753558c7a6ac0d9b10d7612d0920f75c52508d5653924c2c1003",
+        "ae7c21267d8db60109a9c2f9f91b8e7f3811d9baae308b252981d62be7ceb514",
     "lmnn":
-        "8ea8884f8c3ac1765235e450dccde09399f26663da730ccf57c68733b780202d",
+        "425707e0e413202aacd1cec0eef5da8d0b3e1da85f2fc3ee61de0688b71fa9d9",
     "mlkr":
         "34cbf13fbc60c8499effd60bb4e38b39c620150b89903d0e62e58b9c0d2e1946",
     "mmc":

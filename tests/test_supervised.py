@@ -24,17 +24,19 @@ from mlearn import (
     pairs_from_labels,
     quadruplets_from_labels,
 )
+from mlearn import supervised
 from mlearn.exceptions import ValidationError
 from mlearn.linalg import gen_sym_eig
+from mlearn.model import FitReport
 from mlearn.supervised import (
     _centred_gram,
+    _class_sorted,
     _exp_flushed,
     _init_transform,
     _lfda_scatters,
-    _lmnn_pull_outer,
     _local_scaling,
+    _neighbour_weights,
     _off_diagonal,
-    _same_class,
     lmnn_objective,
     lmnn_targets,
     mlkr_objective,
@@ -69,9 +71,9 @@ class TestNCA:
         x = r.standard_normal((10, 4))
         y = r.integers(0, 2, 10)
         l = r.standard_normal((4, 4)) * 0.3
-        same = _same_class(y)
-        g = nca_objective(l, x, same)[1]()
-        fd = finite_diff_grad(lambda l_: nca_objective(l_, x, same)[0], l)
+        x, _, blocks = _class_sorted(x, y)
+        g = nca_objective(l, x, blocks)[1]()
+        fd = finite_diff_grad(lambda l_: nca_objective(l_, x, blocks)[0], l)
         assert max_rel_err(g, fd) <= 1e-5
 
     def test_noise_column_shrinks(self):
@@ -93,8 +95,9 @@ class TestNCA:
         y = r.integers(0, 2, 12)
         l = r.standard_normal((3, 3))
         q, _ = np.linalg.qr(r.standard_normal((3, 3)))
-        f1, _ = nca_objective(l, x, _same_class(y))
-        f2, _ = nca_objective(q @ l, x, _same_class(y))
+        x, _, blocks = _class_sorted(x, y)
+        f1, _ = nca_objective(l, x, blocks)
+        f2, _ = nca_objective(q @ l, x, blocks)
         assert abs(f1 - f2) <= 1e-9 * (1 + abs(f1))
 
     def test_single_class_rejected(self):
@@ -147,8 +150,7 @@ class TestLMNN:
 
     def test_gradient_finite_differences(self):
         r = np.random.default_rng(2)
-        x = r.standard_normal((10, 4))
-        y = r.integers(0, 2, 10)
+        x, y, _ = _class_sorted(r.standard_normal((10, 4)), r.integers(0, 2, 10))
         targets = lmnn_targets(x, y, 1)
         l = np.eye(4) + 0.1 * r.standard_normal((4, 4))
         g = _lmnn(l, x, y, targets, 0.5, 1.0)[1]()
@@ -165,6 +167,14 @@ class TestLMNN:
         x, y = clustered_data()
         with pytest.raises(ValidationError):
             LMNN(push_weight=1.5).fit(x, y)
+
+    def test_subnormal_push_weight_fits_finite(self):
+        # the push counts are scaled by push_weight, never divided by it
+        x, y = clustered_data(seed=1, sep=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            est = LMNN(push_weight=1e-320, max_iter=10).fit(x, y)
+        assert np.all(np.isfinite(est.components_))
 
     def test_targets_match_per_point_loop(self):
         # exact distances, ties to the lower index, on data full of ties
@@ -218,7 +228,7 @@ class TestLMNN:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_objective_matches_per_point_loop(self, k):
         for seed in range(12):
-            x, y = tie_heavy_data(seed)
+            x, y, _ = _class_sorted(*tie_heavy_data(seed))
             targets = lmnn_targets(x, y, k)
             r = np.random.default_rng(100 + seed)
             m = x.shape[1] - 1 if seed % 2 else x.shape[1]
@@ -237,8 +247,9 @@ class TestLMNN:
     def test_fit_components_are_frozen(self):
         # SHA-256 of the fitted map, recorded with the per-point impostor
         # loop (again once distances and gradients were computed from
-        # centred rows, and for the fixed-shape Gram product and the
-        # copy-free weighted scatter sum); a BLAS build that rounds x @ l.T
+        # centred rows, for the fixed-shape Gram product and the copy-free
+        # weighted scatter sum, and for the fit on class-sorted rows with
+        # one scatter sum per gradient); a BLAS build that rounds x @ l.T
         # differently would need a new digest, the oracle tests above are
         # the portable check
         r = np.random.default_rng(20240601)
@@ -252,19 +263,18 @@ class TestLMNN:
         h = hashlib.sha256(f"{l.dtype.str}{l.shape}".encode())
         h.update(np.ascontiguousarray(l).tobytes())
         assert h.hexdigest() == \
-            "8ea8884f8c3ac1765235e450dccde09399f26663da730ccf57c68733b780202d"
+            "425707e0e413202aacd1cec0eef5da8d0b3e1da85f2fc3ee61de0688b71fa9d9"
 
     def test_objective_memory_stays_quadratic(self):
         n, k = 800, 10
         r = np.random.default_rng(3)
         y = np.arange(n) % 4
-        x = r.standard_normal((n, 5)) + y[:, None]
+        x, y, blocks = _class_sorted(r.standard_normal((n, 5)) + y[:, None], y)
         targets = lmnn_targets(x, y, k)
         l = np.eye(5)
-        differ, pull_outer = y[:, None] != y[None, :], _lmnn_pull_outer(x, targets)
         tracemalloc.start()
         try:
-            lmnn_objective(l, x, targets, 0.5, 1.0, differ, pull_outer)[1]()
+            lmnn_objective(l, x, targets, 0.5, 1.0, blocks)[1]()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -277,8 +287,8 @@ def test_value_call_holds_two_n_by_n_arrays(objective):
     n = 800
     y = np.arange(n) % 4
     x = np.random.default_rng(3).standard_normal((n, 5)) + y[:, None]
-    same = _same_class(y)
-    call = {"nca": lambda: nca_objective(np.eye(5), x, same),
+    x, y, blocks = _class_sorted(x, y)
+    call = {"nca": lambda: nca_objective(np.eye(5), x, blocks),
             "mlkr": lambda: mlkr_objective(np.eye(5), x, y.astype(float))}
     tracemalloc.start()
     try:
@@ -287,8 +297,7 @@ def test_value_call_holds_two_n_by_n_arrays(objective):
     finally:
         tracemalloc.stop()
     # the distances, built in the Gram buffer, which then become the
-    # weights in place, plus n^2-byte masks; a fresh array per step peaks
-    # above 3
+    # weights in place; a fresh array per step peaks above 3
     assert peak < 2.5 * n * n * 8
 
 
@@ -296,22 +305,24 @@ def test_nca_value_call_holds_one_n_by_n_array():
     n = 800
     y = np.arange(n) % 4
     x = np.random.default_rng(3).standard_normal((n, 5)) + y[:, None]
-    same = _same_class(y)
+    x, _, blocks = _class_sorted(x, y)
     tracemalloc.start()
     try:
-        nca_objective(np.eye(5), x, same)
+        nca_objective(np.eye(5), x, blocks)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the probabilities and n^2-byte masks; keeping p * same for grad()
-    # as well peaks at about 2
+    # the probabilities; keeping their same-class part for grad() as well
+    # peaks at about 2
     assert peak < 1.3 * n * n * 8
 
 
 def _lmnn(l, x, y, targets, push_weight, margin):
-    """lmnn_objective given the class mask and pull term an LMNN fit builds."""
+    """lmnn_objective on rows already sorted by class, as an LMNN fit has
+    them."""
+    assert np.all(y[:-1] <= y[1:])
     return lmnn_objective(l, x, targets, push_weight, margin,
-                          y[:, None] != y[None, :], _lmnn_pull_outer(x, targets))
+                          _class_sorted(x, y)[2])
 
 
 def tie_heavy_data(seed, n=24, d=4):
@@ -349,18 +360,17 @@ def _lmnn_targets_gram_oracle(x, y, k):
 
 
 def _lmnn_objective_oracle(l, x, y, targets, push_weight, margin):
-    """The per-point, per-target impostor loop the slot-wise form replaced."""
+    """The per-point, per-target impostor loop the slot-wise form replaced,
+    with the pull weights added to the scaled push counts."""
     z = x @ l.T
     d2 = pairwise_sq_dists(z)
     n = len(x)
-    w_pull = np.zeros((n, n))
     w_push = np.zeros((n, n))
     pull = 0.0
     push = 0.0
     for i in range(n):
         diff = np.flatnonzero(y != y[i])
         for j in targets[i]:
-            w_pull[i, j] += 1.0
             pull += d2[i, j]
             h = margin + d2[i, j] - d2[i, diff]
             active = diff[h > 0.0]
@@ -368,10 +378,39 @@ def _lmnn_objective_oracle(l, x, y, targets, push_weight, margin):
             w_push[i, j] += len(active)
             for li in active:
                 w_push[i, li] -= 1.0
+    w = push_weight * w_push
+    for i in range(n):
+        w[i, targets[i]] += 1.0 - push_weight
     f = (1.0 - push_weight) * pull + push_weight * push
+    return f, 2.0 * l @ weighted_outer_sum(x, w)
+
+
+def _same_class_mask(y):
+    """n x n mask of pairs i != j with equal labels."""
+    return (y[:, None] == y[None, :]) & ~np.eye(len(y), dtype=bool)
+
+
+def _lmnn_objective_by_masks(l, x, y, targets, push_weight, margin):
+    """LMNN with an n x n class mask and a separate pull scatter sum (the
+    value oracle)."""
+    d2 = pairwise_sq_dists(x @ l.T)
+    n = len(x)
+    rows = np.arange(n)
+    differ = y[:, None] != y[None, :]
+    w_pull = np.zeros((n, n))
+    w_push = np.zeros((n, n))
+    pull = push = 0.0
+    for t in targets.T:
+        w_pull[rows, t] += 1.0
+        pull += float(np.sum(d2[rows, t]))
+        h = margin + d2[rows, t][:, None] - d2
+        active = (h > 0.0) & differ
+        push += float(np.sum(h[active]))
+        w_push[rows, t] += active.sum(axis=1)
+        w_push -= active
     g = (1.0 - push_weight) * weighted_outer_sum(x, w_pull) \
         + push_weight * weighted_outer_sum(x, w_push)
-    return f, 2.0 * l @ g
+    return (1.0 - push_weight) * pull + push_weight * push, 2.0 * l @ g
 
 
 def _pairwise_sq_dists_oracle(z):
@@ -392,9 +431,23 @@ def _neighbour_weights_oracle(z):
 
 
 def _nca_objective_oracle(l, x, y):
-    """NCA with a fresh array per step, as before the in-place passes."""
-    same = _same_class(y)
+    """NCA with a fresh array per step on rows sorted by class, each class
+    block found from y."""
     p = _neighbour_weights_oracle(x @ l.T)
+    p /= p.sum(axis=1, keepdims=True)
+    blocks = [slice(np.flatnonzero(y == c)[0], np.flatnonzero(y == c)[-1] + 1)
+              for c in np.unique(y)]
+    p_i = np.concatenate([np.sum(p[b, b], axis=1) for b in blocks])
+    w = p * p_i[:, None]
+    for b in blocks:
+        w[b, b] = w[b, b] - p[b, b]
+    return float(p_i.sum()), 2.0 * l @ weighted_outer_sum(x, w)
+
+
+def _nca_objective_by_masks(l, x, y):
+    """NCA with an n x n same-class mask (the value oracle)."""
+    same = _same_class_mask(y)
+    p = _neighbour_weights(x @ l.T)
     p /= p.sum(axis=1, keepdims=True)
     p_i = np.sum(p * same, axis=1)
     w = (p_i[:, None] - same) * p
@@ -430,7 +483,7 @@ def _weighted_outer_sum_by_symmetrized_weights(x, w):
 
 def _nca_objective_by_distances(l, x, y):
     """NCA's softmax over true distances (the value oracle)."""
-    same = _same_class(y)
+    same = _same_class_mask(y)
     logits = -_distances_by_syrk(x @ l.T)
     np.fill_diagonal(logits, -np.inf)
     p = _exp_flushed(logits - logits.max(axis=1, keepdims=True))
@@ -503,9 +556,9 @@ def test_distance_pass_holds_one_n_by_n_array():
 def test_blocked_nca_row_sums_give_the_oracle_bits(n):
     r = np.random.default_rng(n)
     y = np.arange(n) % 3
-    x = r.standard_normal((n, 5)) + y[:, None]
+    x, y, blocks = _class_sorted(r.standard_normal((n, 5)) + y[:, None], y)
     l = r.standard_normal((3, 5))
-    f, grad = nca_objective(l, x, _same_class(y))
+    f, grad = nca_objective(l, x, blocks)
     f_ref, g_ref = _nca_objective_oracle(l, x, y)
     assert _same_bits(f, f_ref) and _same_bits(grad(), g_ref)
 
@@ -516,13 +569,15 @@ def test_in_place_passes_give_the_oracle_bits(case):
     l, x, y = case
     z = x @ l.T
     assert _same_bits(pairwise_sq_dists(z), _pairwise_sq_dists_oracle(z))
-    f, grad = nca_objective(l, x, _same_class(y))
-    f_ref, g_ref = _nca_objective_oracle(l, x, y)
-    assert _same_bits(f, f_ref) and _same_bits(grad(), g_ref)
     # a target with ties: y + the first feature
     t = y + x[:, 0]
     f, grad = mlkr_objective(l, x, t)
     f_ref, g_ref = _mlkr_objective_oracle(l, x, t)
+    assert _same_bits(f, f_ref) and _same_bits(grad(), g_ref)
+    # NCA and LMNN fit on rows sorted by class
+    x, y, blocks = _class_sorted(x, y)
+    f, grad = nca_objective(l, x, blocks)
+    f_ref, g_ref = _nca_objective_oracle(l, x, y)
     assert _same_bits(f, f_ref) and _same_bits(grad(), g_ref)
     # LMNN's loss adds its hinges in another order: 1e-14 relative
     targets = lmnn_targets(x, y, 2)
@@ -530,7 +585,6 @@ def test_in_place_passes_give_the_oracle_bits(case):
     f, grad = _lmnn(l, x, y, targets, 0.3, 1.0)
     assert _same_bits(grad(), g_ref)
     assert abs(f - f_ref) <= 1e-14 * abs(f_ref)
-
 
 
 def _term_scale(l, x):
@@ -552,13 +606,53 @@ def test_row_shifted_logits_give_the_true_distance_values(case):
     l, x, y = case
     t = y + x[:, 0]
     flush = len(x) * np.finfo(float).tiny
+    xs, _, blocks = _class_sorted(x, y)
     for f, grad, (f_ref, g_ref), scale in [
-            (*nca_objective(l, x, _same_class(y)),
+            (*nca_objective(l, xs, blocks),
              _nca_objective_by_distances(l, x, y), _term_scale(l, x)),
             (*mlkr_objective(l, x, t), _mlkr_objective_by_distances(l, x, t),
              2.0 * np.ptp(t) ** 2 * _term_scale(l, x))]:
         assert abs(f - f_ref) <= 1e-12 * abs(f_ref) + flush
         assert np.abs(grad() - g_ref).max() <= 1e-12 * scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=objective_cases())
+def test_class_blocks_give_the_mask_based_values(case):
+    # the value oracles weigh the same class-sorted rows through n x n
+    # class masks, and LMNN's through a separate pull scatter sum; values
+    # agree to 1e-12 relative, gradients to 1e-12 of the size of their
+    # terms (LMNN's row weights add up to at most 2 k n in magnitude)
+    l, x, y = case
+    x, y, blocks = _class_sorted(x, y)
+    k = 2
+    targets = lmnn_targets(x, y, k)
+    for f, grad, (f_ref, g_ref), scale in [
+            (*nca_objective(l, x, blocks), _nca_objective_by_masks(l, x, y),
+             _term_scale(l, x)),
+            (*lmnn_objective(l, x, targets, 0.3, 1.0, blocks),
+             _lmnn_objective_by_masks(l, x, y, targets, 0.3, 1.0),
+             2 * k * len(x) * _term_scale(l, x))]:
+        assert abs(f - f_ref) <= 1e-12 * abs(f_ref)
+        assert np.abs(grad() - g_ref).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("learner", [NCA, LMNN])
+def test_fit_set_up_holds_no_n_by_n_array(learner, monkeypatch):
+    # the solver stubbed out: what a fit builds before its first evaluation
+    n = 2000
+    y = np.arange(n) % 3
+    x = np.random.default_rng(6).standard_normal((n, 20)) + y[:, None]
+    monkeypatch.setattr(supervised, "backtracking_solve",
+                        lambda objective, l0, **_: (l0, FitReport()))
+    tracemalloc.start()
+    try:
+        learner().fit(x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # an n x n boolean class mask alone is 0.125 n^2 floats
+    assert peak < 0.25 * n * n * 8
 
 
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 200, 667])
