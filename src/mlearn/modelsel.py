@@ -4,9 +4,10 @@ A :class:`SupervisedTask` pairs a learner with the arguments of its ``fit``.
 The learner's ``supervision`` kind picks its row of :data:`SUPERVISION`: how
 the folds are split and how each fold is scored. Points with class labels
 (``labels``) or chunklet ids (``chunks``) split stratified on them and score
-through a downstream k-NN classifier in the learned space. Labeled pairs
-(``pairs``) are scored by threshold, auto-calibrated on each training fold,
-or by ROC-AUC; quadruplets (``quads``) by scoring their order predictions
+through a downstream k-NN classifier in the learned space (accuracy or
+F1: a vote is a label, not a score). Labeled pairs (``pairs``) are scored
+by threshold, auto-calibrated on each training fold, or by ROC-AUC;
+quadruplets (``quads``) by scoring their order predictions
 against a truth of all +1, so accuracy is the fraction predicted in the
 right order, F1 the F1 of those predictions, and ROC-AUC, undefined on one
 class, raises. Tuple kinds split by tuple index, so the same underlying
@@ -245,8 +246,9 @@ class Supervision(NamedTuple):
 
 
 SUPERVISION = {
-    "labels": Supervision("class", _knn_scorer),
-    "chunks": Supervision("class", _knn_scorer),
+    # a k-NN vote is a label, not a score: ROC-AUC has no decision values
+    "labels": Supervision("class", _knn_scorer, ("accuracy", "f1")),
+    "chunks": Supervision("class", _knn_scorer, ("accuracy", "f1")),
     "pairs": Supervision("pair label", _pair_scorer),
     # ROC-AUC is undefined on the single true class of quadruplets
     "quads": Supervision(None, _quad_scorer, ("accuracy", "f1")),

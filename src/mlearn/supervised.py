@@ -15,7 +15,7 @@ import numpy as np
 from .base import MahalanobisEstimator
 from .exceptions import ValidationError, check_at_least
 from .linalg import gen_sym_eig, psd_sqrt
-from .model import FitReport
+from .model import _BLOCK, FitReport
 from .modelsel import _k_nearest
 from .optimize import backtracking_solve
 from .rng import SplitMix64
@@ -46,11 +46,6 @@ def _resolve_components(n_components, n_features: int) -> int:
     return m
 
 
-# rows per block of the Gram product's columns (model._mapped_chunks' block)
-# and of the passes that finish its rows
-_ROW_BLOCK = 64
-
-
 def _centred_gram(z: np.ndarray):
     """(sq, g): the squared norms and the n x n Gram matrix of the centred
     rows of z.
@@ -60,9 +55,9 @@ def _centred_gram(z: np.ndarray):
     distances do not depend on a common offset.
 
     ``g`` is written in place by two products of all n rows with row blocks:
-    the first h rows (h the largest multiple of ``_ROW_BLOCK`` below n) and
-    the last 64, which rewrite the columns the two share (n <= 64 rows are
-    zero-padded to 64). Every call's count of g's columns is thus a multiple
+    the first h rows (h the largest multiple of the map kernel's ``_BLOCK``
+    = 64 below n) and the last 64, which rewrite the columns the two share
+    (n <= 64 rows are zero-padded to 64). Every call's count of g's columns is thus a multiple
     of 64, as in the map kernel's fixed-shape rule (``model._mapped_chunks``):
     no column falls to an OpenBLAS edge kernel, whose rows round differently
     when the rows are split between threads, so the bits do not depend on
@@ -76,14 +71,14 @@ def _centred_gram(z: np.ndarray):
     z = z - z.mean(axis=0)
     sq = np.einsum("ij,ij->i", z, z)
     n, c = z.shape
-    if n <= _ROW_BLOCK:
-        padded = np.zeros((_ROW_BLOCK, c))
+    if n <= _BLOCK:
+        padded = np.zeros((_BLOCK, c))
         padded[:n] = z
         return sq, np.matmul(z, padded.T)[:, :n].copy()
     g = np.empty((n, n))
-    h = (n - 1) // _ROW_BLOCK * _ROW_BLOCK
+    h = (n - 1) // _BLOCK * _BLOCK
     np.matmul(z, z[:h].T, out=g[:, :h])
-    np.matmul(z, z[n - _ROW_BLOCK:].T, out=g[:, n - _ROW_BLOCK:])
+    np.matmul(z, z[n - _BLOCK:].T, out=g[:, n - _BLOCK:])
     return sq, g
 
 
@@ -91,28 +86,17 @@ def pairwise_sq_dists(z: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of z (zero diagonal).
 
     The distances are finished inside the ``_centred_gram`` result,
-    ``_ROW_BLOCK`` rows at a time, so the pass holds one n x n array and a
+    ``_BLOCK`` rows at a time, so the pass holds one n x n array and a
     block-sized temporary; the operations and their order are those of the
     one-line formula ``max((|a|^2 + |b|^2) - 2 g, 0)``, so the bits are too.
     """
     sq, d2 = _centred_gram(z)
-    for start in range(0, len(z), _ROW_BLOCK):
-        block = d2[start:start + _ROW_BLOCK]
+    for start in range(0, len(z), _BLOCK):
+        block = d2[start:start + _BLOCK]
         block *= 2.0
-        np.subtract(np.add(sq[start:start + _ROW_BLOCK, None], sq), block, out=block)
+        np.subtract(np.add(sq[start:start + _BLOCK, None], sq), block, out=block)
     np.fill_diagonal(d2, 0.0)
     return np.maximum(d2, 0.0, out=d2)
-
-
-def _off_diagonal(a: np.ndarray) -> np.ndarray:
-    """Each row of a square matrix without its diagonal entry: shape (m, m - 1).
-
-    Past the first entry the flat matrix splits into rows of m + 1, each
-    ending on a diagonal entry; the copy drops that column (no m x m mask).
-    The result is always a new array, which callers may overwrite.
-    """
-    m = len(a)
-    return a.reshape(-1)[1:].reshape(m - 1, m + 1)[:, :-1].copy().reshape(m, m - 1)
 
 
 _LOG_TINY = float(np.log(np.finfo(float).tiny))
@@ -424,16 +408,16 @@ def _local_scaling(d2: np.ndarray, knn: int) -> np.ndarray:
 
     The knn-th value is selected (O(m^2), no O(m^2 log m) row sort; NaN
     goes last as in a sort); only rows whose knn-th neighbor coincides are
-    sorted.
+    sorted. The rows keep their diagonal: it is 0 and no distance is below
+    0, so it sorts first and the knn-th neighbor sits at position knn.
     """
     kn = min(knn, len(d2) - 1)
-    off = _off_diagonal(d2)
-    off.partition(kn - 1, axis=1)
-    s2 = off[:, kn - 1]
-    tol = 1e-12 * off.max()
+    ranked = np.partition(d2, kn, axis=1)
+    s2 = ranked[:, kn]
+    tol = 1e-12 * ranked.max()
     coincide = s2 <= tol
     if coincide.any():
-        rows = np.sort(off[coincide], axis=1)
+        rows = np.sort(ranked[coincide], axis=1)
         nearest = rows[np.arange(len(rows)), np.argmax(rows > tol, axis=1)]
         s2[coincide] = np.where(nearest > tol, nearest, 1.0)
     return np.sqrt(s2)

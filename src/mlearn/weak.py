@@ -86,7 +86,8 @@ def mmc_objective(m: np.ndarray, neg: np.ndarray):
 
     def grad():
         safe = dist > 0.0
-        return _weighted_gram(neg[safe], 0.5 / dist[safe])
+        g = _weighted_gram(neg[safe], 0.5 / dist[safe])
+        return 0.5 * (g + g.T)
     return float(np.sum(dist)), grad
 
 
@@ -94,10 +95,12 @@ class MMC(MahalanobisEstimator, PairClassifierMixin):
     """Clustering-style pair learner: keep similar pairs within a unit budget
     while spreading dissimilar pairs.
 
-    The full variant runs projected gradient ascent on sum of dissimilar
-    distances, alternating the PSD cone projection with a rescale onto the
-    similarity budget. The diagonal variant runs projected descent on the
-    standard log-barrier formulation over nonnegative diagonal weights.
+    The full variant runs gradient ascent on the sum of dissimilar
+    distances, rescaling each trial point onto the similarity budget. No
+    PSD cone projection is needed: the start is a multiple of the identity,
+    the ascent direction sum_i (0.5 / d_i) v_i v_i^T is PSD (and exactly
+    symmetric), and a rescale stays in the cone. The diagonal variant runs
+    projected descent on the log-barrier form over nonnegative weights.
     """
 
     supervision = "pairs"
@@ -109,7 +112,14 @@ class MMC(MahalanobisEstimator, PairClassifierMixin):
 
     def fit(self, pairs, y):
         pos, neg = _split_pairs(*self._check_fit(pairs, y))
-        if not np.any(np.sum(neg * neg, axis=1) > 0.0):
+        # the similar pairs' total is the full variant's starting budget
+        with np.errstate(over="ignore"):
+            total_pos, neg_sq = np.sum(pos * pos), np.sum(neg * neg, axis=1)
+        if not (np.isfinite(total_pos) and np.isfinite(neg_sq).all()):
+            raise NumericalError("pair differences overflow: their squared "
+                                 "norms, or the similar pairs' total, are not "
+                                 "finite (rescale the features)")
+        if not np.any(neg_sq > 0.0):
             raise NumericalError(
                 "all dissimilar pairs coincide: log of zero distance"
             )
@@ -135,7 +145,6 @@ class MMC(MahalanobisEstimator, PairClassifierMixin):
             return float(np.sum((pos @ m) * pos))
 
         def project(m):
-            m = psd_project(m)
             s = budget(m)
             return m / s if s > 1.0 else m
 

@@ -730,9 +730,9 @@ def _digest(text: str) -> str:
 
 # command -> sha256 prefix of its stdout (fit: of the model file it writes)
 _PINNED_STDOUT = {
-    "fit": "22020b67777662a2", "score-pairs": "5fa31bba4ed3bcd1",
+    "fit": "9022b10803d886f4", "score-pairs": "5fa31bba4ed3bcd1",
     "predict-pairs": "24a80af80adb9d19", "predict-triplets": "e9913a59810ba359",
-    "predict-quads": "7c78d32d064a325e", "transform": "74ace33580e70dc8",
+    "predict-quads": "7c78d32d064a325e", "transform": "e72d8787d445e71a",
     "calibrate": "9fd4818bd3d00f4a", "cv-nca": "ccc564df813f2b1c",
     "cv-lsml": "d67d32f4a6a0b3e0",
 }

@@ -184,6 +184,11 @@ CASES.update({
                                   3, 0, "roc_auc"),
         CV + ["--algo", "lsml", "--quads", "{quads6}", "--max-iter", "3",
               "--metric", "roc_auc"]),
+    # a k-NN vote is a label, not a decision value
+    "labels cross_validate roc_auc": (
+        lambda: ml.cross_validate(ml.SupervisedTask(X, Y, ml.NCA(max_iter=3)),
+                                  3, 0, "roc_auc"),
+        CV + ["--algo", "nca", "--metric", "roc_auc"]),
     "quads cross_validate unknown metric": (
         lambda: ml.cross_validate(ml.SupervisedTask(QUADS, None, ml.LSML(max_iter=3)),
                                   3, 0, "bogus"), None),

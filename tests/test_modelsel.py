@@ -579,6 +579,7 @@ class TestCrossValidate:
             cross_validate(object(), 3, seed=0)
 
     @pytest.mark.parametrize("kind, metric", [("quads", "roc_auc"),
+                                              ("labels", "roc_auc"),
                                               ("quads", "bogus"),
                                               ("labels", "bogus"),
                                               ("pairs", "bogus")])

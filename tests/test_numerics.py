@@ -197,6 +197,9 @@ _OVERFLOW = {
     "nca": lambda x, y: NCA().fit(x, y),
     "lmnn": lambda x, y: LMNN().fit(x, y),
     "mlkr": lambda x, y: MLKR().fit(x, y.astype(float)),
+    "mmc": lambda x, y: MMC().fit(*pairs_from_labels(x, y, 2, seed=3)),
+    "mmc diagonal": lambda x, y: MMC(diagonal=True).fit(
+        *pairs_from_labels(x, y, 2, seed=3)),
 }
 
 
@@ -209,3 +212,18 @@ def test_finite_features_that_overflow_a_fit_raise_numerical_error(name):
         warnings.simplefilter("ignore")
         with pytest.raises(NumericalError):
             _OVERFLOW[name](x * 1e200, y)
+
+
+@pytest.mark.parametrize("diagonal", [False, True])
+@pytest.mark.parametrize("scale", [1e200, 1e153])
+def test_mmc_checks_its_pair_norms_for_overflow_without_a_warning(
+        diagonal, scale):
+    # the squared norms of the pair differences are checked once, before
+    # any objective is built from them, and numpy's overflow stays inside;
+    # at 1e153 every norm is finite but the similar pairs' sum is not
+    x, y = _blobs(0)
+    pairs, labels = pairs_from_labels(x * scale, y, 2, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="squared norms"):
+            MMC(diagonal=diagonal).fit(pairs, labels)

@@ -174,7 +174,8 @@ def _digest(l):
 # were computed from centred rows and subnormal kernel weights flushed, and
 # once more for the fixed-shape Gram product, NCA's and MLKR's row-shifted
 # logits and the copy-free weighted scatter sum; nca and lmnn again for
-# their fits on class-sorted rows); a BLAS build that rounds
+# their fits on class-sorted rows; mmc again once its ascent no longer
+# projected each trial point onto the PSD cone); a BLAS build that rounds
 # the products differently needs new digests, the value-then-gradient tests
 # above are the portable check
 _FROZEN = {
@@ -185,7 +186,7 @@ _FROZEN = {
     "mlkr":
         "34cbf13fbc60c8499effd60bb4e38b39c620150b89903d0e62e58b9c0d2e1946",
     "mmc":
-        "15cc838987d8907e859034b2e1d4e09c0ccd5029066ab08af37be866e83b4fb5",
+        "f9068d32a32a2fd7fba6762a75c98c5ef4cf15a47916dea398517c0fde090ee2",
     "mmc_diag":
         "fa507ec9dff39631fad26ce507b1bdd803649a10c1f000f6d141b13bf75cd945",
     "itml":

@@ -36,7 +36,6 @@ from mlearn.supervised import (
     _lfda_scatters,
     _local_scaling,
     _neighbour_weights,
-    _off_diagonal,
     lmnn_objective,
     lmnn_targets,
     mlkr_objective,
@@ -896,16 +895,13 @@ def _lfda_scatters_oracle(x, y, knn):
     return sb, sw
 
 
-def _off_diagonal_oracle(a):
-    """The boolean-mask gather the strided copy replaced."""
-    m = len(a)
-    return a[~np.eye(m, dtype=bool)].reshape(m, m - 1)
-
-
 def _local_scaling_oracle(d2, knn):
-    """The stable full row sort the selection replaced."""
-    kn = min(knn, len(d2) - 1)
-    ranked = np.sort(_off_diagonal_oracle(d2), axis=1, kind="stable")
+    """The stable sort of each row without its diagonal entry, which the
+    selection replaced."""
+    m = len(d2)
+    kn = min(knn, m - 1)
+    off = d2[~np.eye(m, dtype=bool)].reshape(m, m - 1)
+    ranked = np.sort(off, axis=1, kind="stable")
     s2 = ranked[:, kn - 1].copy()
     tol = 1e-12 * ranked[:, -1].max()
     coincide = s2 <= tol
@@ -942,13 +938,6 @@ def test_selected_local_scale_gives_the_sorted_bits(case):
     with np.errstate(over="ignore", invalid="ignore"):
         d2 = pairwise_sq_dists(x)
     d2_in = d2.copy()
-    off = _off_diagonal(d2)
-    assert np.array_equal(off, _off_diagonal_oracle(d2), equal_nan=True)
-    # a copy, as the gather was: _local_scaling partitions it in place
-    assert not np.shares_memory(off, d2)
-    # a non-contiguous, non-symmetric view
-    a = np.arange(float(len(d2) ** 2)).reshape(len(d2), -1).T
-    assert np.array_equal(_off_diagonal(a), _off_diagonal_oracle(a))
     assert np.array_equal(_local_scaling(d2, knn),
                           _local_scaling_oracle(d2, knn), equal_nan=True)
     assert np.array_equal(d2, d2_in, equal_nan=True)

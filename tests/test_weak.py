@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mlearn import (
     ITML,
@@ -14,8 +15,10 @@ from mlearn import (
     f1_score,
     from_components,
 )
+import mlearn.linalg
 import mlearn.model
 import mlearn.tuples
+import mlearn.weak
 from mlearn.calibration import candidate_thresholds
 from mlearn.exceptions import DimensionError, NumericalError, ValidationError
 from mlearn.linalg import psd_project, psd_sqrt
@@ -165,6 +168,44 @@ class TestMMC:
         pairs, y = labeled_pairs()
         with pytest.raises(ValidationError, match="degenerate"):
             MMC().fit(pairs, np.ones_like(y))
+
+    def test_full_fit_decomposes_only_the_final_matrix(self, monkeypatch):
+        # the ascent stays in the PSD cone, so no trial point is projected:
+        # the final square root is the fit's one eigendecomposition
+        calls = []
+        sym_eig = mlearn.linalg.sym_eig
+
+        def counting(a):
+            calls.append(np.array(a))
+            return sym_eig(a)
+        monkeypatch.setattr(mlearn.linalg, "sym_eig", counting)
+        monkeypatch.setattr(mlearn.weak, "sym_eig", counting)
+        pairs, y = labeled_pairs(seed=2)
+        est = fit_quiet(MMC(), pairs, y)
+        assert est.fit_report_.n_iter > 2
+        assert len(calls) == 1
+        m = est.get_mahalanobis_matrix()
+        assert np.max(np.abs(calls[0] - m)) <= 1e-12 * np.max(np.abs(m))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 8),
+           d=st.integers(1, 5), sim_scale=st.sampled_from([0.01, 0.2, 1.0]))
+    def test_full_fit_evaluates_only_symmetric_psd_points(
+            self, seed, n, d, sim_scale):
+        pairs, y = labeled_pairs(seed=seed, n=n, d=d, sim_scale=sim_scale)
+        seen = []
+
+        def recording(m, neg):
+            seen.append(m.copy())
+            return mmc_objective(m, neg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mlearn.weak, "mmc_objective", recording)
+            fit_quiet(MMC(max_iter=40), pairs, y)
+        assert len(seen) > 1
+        for m in seen:
+            assert np.array_equal(m, m.T)
+            vals = np.linalg.eigvalsh(m)
+            assert vals[0] >= -1e-12 * vals[-1]
 
     def test_coincident_dissimilar_pairs_numerical_error(self):
         pairs = np.array([
