@@ -51,7 +51,14 @@ def backtracking_solve(fun, x0, max_iter: int, tol: float,
     converged = False
     step = 1.0
     for _ in range(max_iter):
-        gnorm = float(np.sqrt(np.sum(g * g)))
+        with np.errstate(over="ignore"):
+            gnorm = float(np.sqrt(np.sum(g * g)))
+        if not np.isfinite(gnorm):
+            if not np.all(np.isfinite(g)):
+                raise NumericalError("gradient is non-finite")
+            # the squares overflow (|g| beyond about 1e154): renormalise
+            big = float(np.max(np.abs(g)))
+            gnorm = big * float(np.sqrt(np.sum((g / big) ** 2)))
         if gnorm == 0.0:
             converged = True
             break

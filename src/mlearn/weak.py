@@ -16,11 +16,11 @@ import numpy as np
 from .base import (MahalanobisEstimator, PairClassifierMixin,
                    QuadrupletClassifierMixin)
 from .exceptions import NumericalError, ValidationError
-from .linalg import psd_project, psd_sqrt, sym_eig
+from .linalg import psd_project, psd_sqrt
 from .model import FitReport
 from .optimize import backtracking_solve
 
-_EIG_FLOOR = 1e-10  # keeps log-determinants finite in LSML
+_EIG_FLOOR = 1e-10  # LSML's trial points keep every eigenvalue above it
 
 
 def _split_pairs(pairs: np.ndarray, y: np.ndarray):
@@ -231,6 +231,7 @@ class ITML(MahalanobisEstimator, PairClassifierMixin):
             )
         converged = bool(deltas) and deltas[-1] <= self.tol
         trace = tuple(deltas) if deltas else (0.0,)
+        # the updates keep M positive definite only in exact arithmetic
         self._set_model(psd_sqrt(psd_project(a)),
                         FitReport(converged, len(trace), trace[-1], trace))
         return self
@@ -303,21 +304,22 @@ def lsml_objective(m: np.ndarray, diffs_close: np.ndarray, diffs_far: np.ndarray
                    m0inv: np.ndarray, logdet_m0: float, reg: float):
     """Squared-residual hinge over quadruplets plus LogDet anchoring to the
     prior: (f, grad) with grad() -> gradient at m, which treats the hinge
-    active set at m as fixed."""
+    active set at m as fixed. f is +inf where det m <= 0, since the LogDet
+    divergence is infinite off the positive-definite cone."""
     d = m.shape[0]
-    r = sym_eig(m)
-    vals = np.maximum(r.eigenvalues, _EIG_FLOOR)
-    logdet_m = float(np.sum(np.log(vals)))
-    smooth = reg * (float(np.trace(m @ m0inv)) - (logdet_m - logdet_m0) - d)
+    sign, logdet_m = np.linalg.slogdet(m)
+    if sign <= 0:
+        return np.inf, lambda: np.zeros_like(m)
+    smooth = reg * (float(np.trace(m @ m0inv)) - (float(logdet_m) - logdet_m0)
+                    - d)
     d_close = _quad_dists(diffs_close, m)
     d_far = _quad_dists(diffs_far, m)
     viol = np.maximum(d_close - d_far, 0.0)
 
     def grad():
-        minv = (r.eigenvectors / vals) @ r.eigenvectors.T
         close = (viol > 0.0) & (d_close > 0.0)
         far = (viol > 0.0) & (d_far > 0.0)
-        g = (reg * (m0inv - minv)
+        g = (reg * (m0inv - np.linalg.inv(m))
              + _weighted_gram(diffs_close[close], viol[close] / d_close[close])
              - _weighted_gram(diffs_far[far], viol[far] / d_far[far]))
         return 0.5 * (g + g.T)
@@ -343,26 +345,23 @@ class LSML(MahalanobisEstimator, QuadrupletClassifierMixin):
             raise ValidationError("reg must be >= 0")
         d = quads.shape[2]
         m0 = _prior_matrix(self.prior, quads.reshape(-1, d), d)
-        r0 = sym_eig(m0)
-        if r0.eigenvalues[-1] <= 0 or not np.all(np.isfinite(np.log(
-                np.maximum(r0.eigenvalues, 1e-300)))):
+        if not np.all(np.isfinite(m0)):
+            raise NumericalError("prior matrix has non-finite entries: an "
+                                 "overflow (rescale the features)")
+        sign, logdet_m0 = np.linalg.slogdet(m0)
+        if sign <= 0:
             raise ValidationError("invalid prior: log-determinant is not finite")
-        logdet_m0 = float(np.sum(np.log(r0.eigenvalues)))
-        m0inv = (r0.eigenvectors / r0.eigenvalues) @ r0.eigenvectors.T
+        m0inv = np.linalg.inv(m0)
         m0inv = 0.5 * (m0inv + m0inv.T)
         diffs_close = quads[:, 0] - quads[:, 1]
         diffs_far = quads[:, 2] - quads[:, 3]
-
-        def project(m):
-            r = sym_eig(m)
-            vals = np.maximum(r.eigenvalues, _EIG_FLOOR)
-            out = (r.eigenvectors * vals) @ r.eigenvectors.T
-            return 0.5 * (out + out.T)
-
+        # the nearest matrix whose eigenvalues are all >= the floor
+        floor = _EIG_FLOOR * np.eye(d)
         m, report = backtracking_solve(
             lambda m_: lsml_objective(m_, diffs_close, diffs_far, m0inv,
-                                      logdet_m0, self.reg),
-            m0, max_iter=self.max_iter, tol=self.tol, project=project,
+                                      float(logdet_m0), self.reg),
+            m0, max_iter=self.max_iter, tol=self.tol,
+            project=lambda m_: floor + psd_project(m_ - floor),
         )
         self._set_model(psd_sqrt(m), report)
         return self

@@ -707,7 +707,8 @@ def _cv_digest(res):
 # SHA-256 of the fold test scores, train scores and fold components, recorded
 # before the fold loop was shared by all supervision kinds (lfda again with
 # centred rows, again with one scatter sum per class, and again with the
-# fixed-shape Gram product and copy-free scatter sum); like the fit
+# fixed-shape Gram product and copy-free scatter sum; lsml again once its
+# objective took log det M and its inverse from slogdet and inv); like the fit
 # digests in test_optimize, a BLAS build that rounds differently needs new ones
 _PINNED_CV = {
     "lfda-labels":
@@ -719,7 +720,7 @@ _PINNED_CV = {
     "itml-pairs-roc_auc":
         "3b0d65bfdf8b2cd80b5eeae665d77c51dea92a931f5233cbabfa7201b73d0812",
     "lsml-quads":
-        "be57240807efda443bc6e3d4429124051d03e3c9bcd6a001740386c83214edad",
+        "502e4c2ad6a09df6b71c4c2748afec0e8a9f6044bab2aef42e84f56a5353bdf3",
 }
 
 

@@ -214,6 +214,20 @@ def test_finite_features_that_overflow_a_fit_raise_numerical_error(name):
             _OVERFLOW[name](x * 1e200, y)
 
 
+@pytest.mark.parametrize("name, match", [
+    ("itml covariance-inverse", "ITML diverged"),
+    ("lsml covariance-inverse", "prior matrix has non-finite entries")])
+def test_tiny_features_whose_prior_overflows_raise_numerical_error(name,
+                                                                   match):
+    # at 1e-160 the covariance underflows, so its regularized inverse, the
+    # prior, overflows: a numerical failure, not an invalid prior
+    x, y = _blobs(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(NumericalError, match=match):
+            _OVERFLOW[name](x * 1e-160, y)
+
+
 @pytest.mark.parametrize("diagonal", [False, True])
 @pytest.mark.parametrize("scale", [1e200, 1e153])
 def test_mmc_checks_its_pair_norms_for_overflow_without_a_warning(

@@ -53,6 +53,35 @@ class TestBacktrackingSolve:
             backtracking_solve(lambda x: (start, lambda: x), np.zeros(2),
                                max_iter=5, tol=1e-6)
 
+    def test_infinite_gradient_raises(self):
+        # an infinite gradient is a numerical failure, not an optimum
+        g = np.array([np.inf, 1.0])
+        with pytest.raises(NumericalError, match="gradient is non-finite"):
+            backtracking_solve(lambda x: (float(x @ x), lambda: g),
+                               np.ones(2), max_iter=5, tol=1e-6)
+
+    def test_gradient_whose_squares_overflow_still_steps(self):
+        # |g| = 5e200: the sum of its squares overflows, its norm does not
+        g = np.array([3e200, 4e200])
+        with pytest.warns(ConvergenceWarning):
+            x, report = backtracking_solve(
+                lambda x: (float(g @ x), lambda: g), np.zeros(2), max_iter=1,
+                tol=0.0)
+        assert report.n_iter == 2
+        assert np.allclose(x, [-1.2, -1.6], rtol=1e-15)
+
+    @pytest.mark.parametrize("make", ["lmnn", "mmc", "mmc_diag", "lsml"])
+    def test_fit_on_features_whose_gradient_squares_overflow(self, make):
+        # at x 1e120 the gradients pass 1e154, whose squares overflow; the
+        # norm is still finite, so the fit takes its steps, with no warning
+        # but the iteration cap's
+        _, _, est, args = _FITS[make]()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            report = est.fit(args[0] * 1e120, *args[1:]).fit_report_
+        assert report.n_iter > 1
+
     @pytest.mark.parametrize("make", ["nca", "lmnn", "mlkr", "mmc", "mmc_diag",
                                       "lsml"])
     def test_learner_gradients_only_at_accepted_points(self, make, monkeypatch):
@@ -175,7 +204,9 @@ def _digest(l):
 # once more for the fixed-shape Gram product, NCA's and MLKR's row-shifted
 # logits and the copy-free weighted scatter sum; nca and lmnn again for
 # their fits on class-sorted rows; mmc again once its ascent no longer
-# projected each trial point onto the PSD cone); a BLAS build that rounds
+# projected each trial point onto the PSD cone; lsml again once its
+# objective took log det M and its inverse from slogdet and inv, and its
+# trial points were floored through psd_project); a BLAS build that rounds
 # the products differently needs new digests, the value-then-gradient tests
 # above are the portable check
 _FROZEN = {
@@ -192,7 +223,7 @@ _FROZEN = {
     "itml":
         "ac634c6c8c8f952d4d2953028f3e7f6dad6ee73ae2d1b22fe08f12fbf2af4cd2",
     "lsml":
-        "e41e165f753aee21d934de2ac54daf649e441f1f07769c5b3938cae773b40ca4",
+        "a83acf39edc5444fd78596c0057718867204899d1366306154581f414f2d18f6",
 }
 
 

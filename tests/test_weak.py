@@ -14,6 +14,7 @@ from mlearn import (
     calibrate_threshold,
     f1_score,
     from_components,
+    pairs_from_labels,
 )
 import mlearn.linalg
 import mlearn.model
@@ -33,6 +34,26 @@ from mlearn.weak import (
 
 from conftest import (NON_FINITE_ITML_CASES, finite_diff_grad, labeled_pairs,
                       max_rel_err)
+
+
+def reference_lsml_objective(m, close, far, m0inv, logdet_m0, reg):
+    """LSML's objective as it was written before slogdet and inv: log det M
+    and M^-1 from an eigendecomposition, eigenvalues floored at 1e-10.
+
+    Returns (value, gradient).
+    """
+    vals, vecs = np.linalg.eigh(m)
+    vals = np.maximum(vals, 1e-10)
+    smooth = reg * (float(np.trace(m @ m0inv))
+                    - (float(np.sum(np.log(vals))) - logdet_m0) - len(m))
+    dc = np.sqrt(np.maximum(np.sum((close @ m) * close, axis=1), 0.0))
+    df = np.sqrt(np.maximum(np.sum((far @ m) * far, axis=1), 0.0))
+    viol = np.maximum(dc - df, 0.0)
+    c, f = (viol > 0.0) & (dc > 0.0), (viol > 0.0) & (df > 0.0)
+    g = (reg * (m0inv - (vecs / vals) @ vecs.T)
+         + (close[c].T * (viol[c] / dc[c])) @ close[c]
+         - (far[f].T * (viol[f] / df[f])) @ far[f])
+    return smooth + float(np.sum(viol * viol)), 0.5 * (g + g.T)
 
 
 def fit_quiet(est, *args):
@@ -179,7 +200,6 @@ class TestMMC:
             calls.append(np.array(a))
             return sym_eig(a)
         monkeypatch.setattr(mlearn.linalg, "sym_eig", counting)
-        monkeypatch.setattr(mlearn.weak, "sym_eig", counting)
         pairs, y = labeled_pairs(seed=2)
         est = fit_quiet(MMC(), pairs, y)
         assert est.fit_report_.n_iter > 2
@@ -396,6 +416,30 @@ class TestITML:
         with pytest.raises(ValidationError, match="two numbers"):
             ITML(percentiles=percentiles).fit(pairs, y)
 
+    def test_fit_projects_a_last_matrix_that_rounding_left_indefinite(
+            self, monkeypatch):
+        # found by a seeded scan: the last cycle's M has min eigenvalue
+        # -9.9e-6 of its largest, which psd_sqrt alone rejects; the fit
+        # returns the square root of its PSD projection
+        y = np.repeat([0, 1, 2], 12)
+        x = (np.random.default_rng(33).standard_normal((36, 11))
+             + 3.0 * np.eye(11)[y])
+        pairs, labels = pairs_from_labels(x * 5.6e4, y, 2, seed=33)
+        last = []
+
+        def recording(a):
+            last.append(a.copy())
+            return psd_project(a)
+        monkeypatch.setattr(mlearn.weak, "psd_project", recording)
+        est = fit_quiet(ITML(gamma=100.0, prior="covariance-inverse",
+                             max_iter=152), pairs, labels)
+        with pytest.raises(ValidationError, match="not positive semidefinite"):
+            psd_sqrt(last[0])
+        m, p = est.get_mahalanobis_matrix(), psd_project(last[0])
+        assert np.max(np.abs(m - p)) <= 1e-12 * np.max(np.abs(p))
+        vals = np.linalg.eigvalsh(m)
+        assert vals[0] >= -1e-12 * vals[-1]
+
 
 class TestLSML:
     def test_zero_violation_fixed_point(self):
@@ -464,6 +508,53 @@ class TestLSML:
     def test_empty_quadruplets_rejected(self):
         with pytest.raises(ValidationError):
             LSML().fit(np.empty((0, 4, 2)))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 5),
+           n=st.integers(0, 8), log_cond=st.floats(0.0, 6.0),
+           log_scale=st.floats(-3.0, 3.0),
+           reg=st.sampled_from([0.0, 0.1, 1.0, 3.0]))
+    def test_objective_matches_the_eigen_reference(
+            self, seed, d, n, log_cond, log_scale, reg):
+        # positive-definite points of condition number <= 1e6
+        r = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(r.standard_normal((d, d)))
+        vals = 10.0 ** (log_scale + log_cond * np.linspace(0.0, 1.0, d))
+        m = (q * vals) @ q.T
+        m = 0.5 * (m + m.T)
+        a = r.standard_normal((d, d))
+        m0 = a @ a.T + np.eye(d)
+        m0inv = np.linalg.inv(m0)
+        m0inv = 0.5 * (m0inv + m0inv.T)
+        logdet_m0 = float(np.linalg.slogdet(m0)[1])
+        close, far = r.standard_normal((2, n, d))
+        f, grad = lsml_objective(m, close, far, m0inv, logdet_m0, reg)
+        f_ref, g_ref = reference_lsml_objective(m, close, far, m0inv,
+                                                logdet_m0, reg)
+        assert abs(f - f_ref) <= 1e-9 * abs(f_ref)
+        assert np.max(np.abs(grad() - g_ref)) <= 1e-9 * np.max(np.abs(g_ref))
+
+    def test_objective_makes_no_eigendecomposition(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an eigendecomposition ran")
+        monkeypatch.setattr(mlearn.linalg, "sym_eig", forbidden)
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        r = np.random.default_rng(9)
+        a = r.standard_normal((3, 3))
+        close, far = r.standard_normal((2, 6, 3))
+        f, grad = lsml_objective(a @ a.T + 0.5 * np.eye(3), close, far,
+                                 np.eye(3), 0.0, 0.3)
+        assert np.isfinite(f)
+        assert np.all(np.isfinite(grad()))
+
+    @pytest.mark.parametrize("m", [np.diag([1.0, -1e-3, 2.0]),
+                                   np.diag([1.0, 0.0, 2.0]),
+                                   -np.eye(3)])
+    def test_objective_is_infinite_where_det_is_not_positive(self, m):
+        # the LogDet divergence is infinite off the positive-definite cone
+        close, far = np.ones((2, 2, 3))
+        f, _ = lsml_objective(m, close, far, np.eye(3), 0.0, 1.0)
+        assert f == np.inf
 
     def test_psd_after_fit(self):
         r = np.random.default_rng(4)
