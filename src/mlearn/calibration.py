@@ -32,7 +32,11 @@ class CalibrationResult:
 
 
 def candidate_thresholds(distances) -> np.ndarray:
-    d = np.unique(np.asarray(distances, dtype=float))
+    """The candidate thresholds of ``distances``, given in any order."""
+    # sorted and deduplicated by hand: a plain np.unique imports numpy.ma
+    d = np.sort(np.asarray(distances, dtype=float))
+    # the distinct values, NaNs (sorted last) counted as one as np.unique does
+    d = d[np.concatenate(([True], (d[1:] != d[:-1]) & ~np.isnan(d[:-1])))]
     mids = 0.5 * (d[:-1] + d[1:])
     return np.concatenate(([d[0] - 1.0], mids, [d[-1] + 1.0]))
 
@@ -53,10 +57,11 @@ def calibrate_threshold(model, pairs, y, metric: str = "accuracy") -> Calibratio
     if metric == "f1" and not np.any(is_pos):
         raise ValidationError("f1 calibration needs at least one +1 label")
     distances = _distances(model.components, pairs[:, 0], pairs[:, 1])
-    candidates = candidate_thresholds(distances)
+    ordered = np.sort(distances)
+    candidates = candidate_thresholds(ordered)
     # counts of pairs predicted similar (distance <= threshold), per candidate
     tp = np.searchsorted(np.sort(distances[is_pos]), candidates, side="right")
-    fp = np.searchsorted(np.sort(distances), candidates, side="right") - tp
+    fp = np.searchsorted(ordered, candidates, side="right") - tp
     n_pos = int(np.count_nonzero(is_pos))
     if metric == "accuracy":
         tn = (len(y) - n_pos) - fp

@@ -2,12 +2,18 @@
 
 Data comes in as headered CSV (comma separator, dot decimal point). Tuple
 files reference 0-based rows of the feature file via index columns
-(i,j[,label] for pairs, i,j,k for triplets, i,j,k,l for quadruplets). One
-reader checks every row's width, then each loader parses a row's cells once.
-``fit`` and ``cv`` load what a learner fits on from its supervision kind:
-class labels from --label-col (nca, lmnn, mlkr, lfda), chunklet ids from
---chunk-col (rca), labeled pairs from --pairs (mmc, itml) or quadruplets
-from --quads (lsml). The serving commands load the model, the features and
+(i,j[,label] for pairs, i,j,k for triplets, i,j,k,l for quadruplets). Each
+loader reads the header with :mod:`csv`, parses the body with one
+``np.loadtxt`` call and checks index range and labels on whole arrays. A file
+that pass does not take (numpy refuses a cell, the body is empty or holds
+more than printable ASCII, a check fails) is read again by the checked
+reader, the only source of loader errors: it checks every row's width, then
+parses cell by cell and raises on the first fault. A command imports only
+what it runs: the one learner's module, ``modelsel`` for ``cv``, ``model``
+for the serving commands. ``fit`` and ``cv`` load what a learner fits on
+from its supervision kind: class labels from --label-col (nca, lmnn, mlkr,
+lfda), chunklet ids from --chunk-col (rca), labeled pairs from --pairs (mmc,
+itml) or quadruplets from --quads (lsml). The serving commands load the model, the features and
 their one tuple file in one place and call only the model's public methods,
 which do the remaining checks. Models persist as JSON. Exit codes: 0
 success, 2 validation or format error, 3 numerical failure.
@@ -17,24 +23,64 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
+import io
 import json
+import re
 import sys
 import warnings
 
 import numpy as np
 
 from .exceptions import MetricLearnError, NumericalError, ValidationError
-from .model import MahalanobisModel
-from .modelsel import SupervisedTask, cross_validate, grid_search
-from .supervised import LFDA, LMNN, MLKR, NCA, RCA
 from .tuples import ARITY
-from .weak import ITML, LSML, MMC
 
-ALGORITHMS = {cls.__name__.lower(): cls
-              for cls in (NCA, LMNN, MLKR, LFDA, RCA, MMC, ITML, LSML)}
+# learner name -> the module that defines its class, the name upper-cased;
+# a command imports only the module of the learner it runs
+ALGORITHMS = {"nca": "supervised", "lmnn": "supervised", "mlkr": "supervised",
+              "lfda": "supervised", "rca": "supervised",
+              "mmc": "weak", "itml": "weak", "lsml": "weak"}
+
+
+def estimator_class(algo: str) -> type:
+    """The learner class that ``--algo algo`` names."""
+    module = importlib.import_module(f"{__package__}.{ALGORITHMS[algo]}")
+    return getattr(module, algo.upper())
 
 
 # -- file I/O ----------------------------------------------------------------
+
+# The characters a body may hold for numpy to parse it: printable ASCII, tab
+# and line ends. numpy's parser misreads some code points past U+FFFF (and
+# can crash on them) and takes U+001C-U+001F for blanks, where float() and
+# int() refuse them.
+_PLAIN = re.compile(r"[\t\n\r\x20-\x7e]*")
+
+
+def _one_pass(path, dtype):
+    """(header, body) of a headered CSV, its body parsed by one
+    ``np.loadtxt`` call into a ``dtype`` array; None wherever the checked
+    reader must decide instead: no header, an empty body, a character
+    outside ``_PLAIN``, a cell numpy refuses, or a body whose width is not
+    the header's."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            first = next((r for r in csv.reader(fh) if r), None)
+            body = fh.read()
+        except (ValueError, csv.Error):
+            return None
+    if first is None or not body.strip() or not _PLAIN.fullmatch(body):
+        return None
+    header = [c.strip() for c in first]
+    if all(_is_number(c) for c in header):
+        return None
+    try:
+        cells = np.loadtxt(io.StringIO(body), delimiter=",", dtype=dtype,
+                           ndmin=2, comments=None)
+    except ValueError:
+        return None
+    return (header, cells) if cells.shape[1] == len(header) else None
+
 
 def _read_csv(path, row_name="row"):
     """(header, rows) of a headered CSV whose every row is as wide as its
@@ -67,9 +113,34 @@ def load_features(path, label_col=None, chunk_col=None):
 
     Features keep column order with the label/chunk columns removed. Labels
     come back as integers when every value is integral, floats otherwise.
-    Cells are parsed in header order, so the first bad cell of a row is
-    reported, whatever its column.
+    The body is parsed in one pass; a file that pass does not take is read
+    again by the checked reader, which raises on its first fault.
     """
+    table = _one_pass(path, float)
+    if table is None or any(name is not None and name not in table[0]
+                            for name in (label_col, chunk_col)):
+        table = _checked_features(path, label_col, chunk_col)
+    header, cells = table
+
+    def column(name):
+        if name is None:
+            return None
+        arr = cells[:, header.index(name)].copy()
+        # past 2**53 a float need not be the integer written, and past int64
+        # the cast would wrap distinct labels onto one
+        if np.all(arr == np.round(arr)) and np.all(np.abs(arr) <= 2.0 ** 53):
+            return arr.astype(int)
+        return arr
+
+    special = [header.index(n) for n in (label_col, chunk_col) if n is not None]
+    features = [c for c in range(len(header)) if c not in special]
+    return cells[:, features], column(label_col), column(chunk_col)
+
+
+def _checked_features(path, label_col, chunk_col):
+    """(header, cells) of a feature CSV, parsed cell by cell in header
+    order, so a fault names the first bad cell of a row, whatever its
+    column."""
     header, rows = _read_csv(path)
     for name in (label_col, chunk_col):
         if name is not None and name not in header:
@@ -87,27 +158,33 @@ def load_features(path, label_col=None, chunk_col=None):
                 f"{path}: unparseable value {row[c]!r} at row {r + 1}, "
                 f"column {header[c]}"
             ) from None
-
-    def column(name):
-        if name is None:
-            return None
-        arr = cells[:, header.index(name)].copy()
-        # past 2**53 a float need not be the integer written, and past int64
-        # the cast would wrap distinct labels onto one
-        if np.all(arr == np.round(arr)) and np.all(np.abs(arr) <= 2.0 ** 53):
-            return arr.astype(int)
-        return arr
-
-    special = [header.index(n) for n in (label_col, chunk_col) if n is not None]
-    features = [c for c in range(len(header)) if c not in special]
-    return cells[:, features], column(label_col), column(chunk_col)
+    return header, cells
 
 
 def load_tuples(path, base: np.ndarray, arity: int):
     """Load an index-based tuple CSV over the feature rows of ``base``.
 
-    Returns (tuples, labels); labels are only ever present for pairs.
+    Returns (tuples, labels); labels are only ever present for pairs. The
+    body is parsed in one pass and its indices and labels checked as whole
+    arrays; a file that fails there is read again by the checked reader,
+    which raises on its first fault.
     """
+    wanted = "ijkl"[:arity]
+    table = _one_pass(path, int)
+    if table is not None and all(name in table[0] for name in wanted):
+        header, body = table
+        idx = body[:, [header.index(name) for name in wanted]]
+        labels = (body[:, header.index("label")]
+                  if arity == 2 and "label" in header else None)
+        if np.all((idx >= 0) & (idx < len(base))) and (
+                labels is None or np.all((labels == 1) | (labels == -1))):
+            return base[idx], (None if labels is None else labels.copy())
+    return _checked_tuples(path, base, arity)
+
+
+def _checked_tuples(path, base, arity):
+    """load_tuples cell by cell: a fault names its tuple row, and within a
+    row the first bad index in i, j, k, l order, then the label."""
     header, rows = _read_csv(path, "tuple row")
     wanted = "ijkl"[:arity]
     for name in wanted:
@@ -194,7 +271,7 @@ def _resolve_param(algo: str, estimator, name: str) -> str:
 
 def build_estimator(args):
     algo = args.algo
-    est = ALGORITHMS[algo]()
+    est = estimator_class(algo)()
     params = {}
     for name in ("n_components", "max_iter", "tol"):
         value = getattr(args, name, None)
@@ -256,6 +333,8 @@ def _serving_inputs(args):
     """(model, x, tuples, labels) for a serving command: the saved model, the
     feature rows, and the tuples and pair labels of its one tuple file (None
     for transform, which reads none). The model's methods validate them."""
+    from .model import MahalanobisModel
+
     model = MahalanobisModel.load(args.model)
     x, _, _ = load_features(args.data, label_col=args.label_col)
     if args.command == "transform":
@@ -310,6 +389,8 @@ def _params_str(params: dict) -> str:
 
 
 def cmd_cv(args) -> int:
+    from .modelsel import SupervisedTask, cross_validate, grid_search
+
     est = build_estimator(args)
     task = SupervisedTask(*_fit_inputs(est, args), est, knn_k=args.knn_k)
     # checked here, not by kfold_split, so the message names the flag

@@ -22,7 +22,9 @@ from .rng import SplitMix64
 
 
 def _check_two_classes(y: np.ndarray) -> None:
-    if len(np.unique(y)) < 2:
+    # compared with the first label, not counted by np.unique, whose first
+    # call imports numpy.ma
+    if np.all(y == y[:1]):
         raise ValidationError("degenerate labels: need at least 2 distinct classes")
 
 

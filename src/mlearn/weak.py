@@ -174,12 +174,8 @@ def itml_bounds(pairs, percentiles) -> tuple[float, float]:
         raise ValidationError("percentiles must satisfy 0 <= low < high <= 100")
     pairs = np.asarray(pairs, dtype=float)
     d2 = np.sum((pairs[:, 0] - pairs[:, 1]) ** 2, axis=1)
+    # np.percentile is monotone in q, so low < high gives u <= l
     u, l = np.percentile(d2, (low, high))
-    if u > l:
-        raise ValidationError(
-            f"infeasible bounds: similarity bound {u:g} exceeds dissimilarity "
-            f"bound {l:g}; try different percentiles"
-        )
     # zero bounds would break the multiplicative updates
     return max(float(u), 1e-9), max(float(l), 1e-9)
 

@@ -1,16 +1,27 @@
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import mlearn.model
 import mlearn.tuples
-from mlearn.cli import ALGORITHMS, load_features, load_tuples, main
+from mlearn import cli
+from mlearn.cli import (ALGORITHMS, estimator_class, load_features,
+                        load_tuples, main)
 from mlearn.exceptions import ValidationError
 from mlearn.model import MahalanobisModel
 from mlearn.modelsel import SUPERVISION
+from mlearn.supervised import LFDA, LMNN, MLKR, NCA, RCA
 from mlearn.tuples import validate_tuples
+from mlearn.weak import ITML, LSML, MMC
 
 from conftest import NON_FINITE_ITML_CASES, labeled_pairs
 
@@ -149,6 +160,95 @@ class TestLoadTuples:
         assert load_tuples(p, base, 3)[0].shape == (0, 3, 3)
 
 
+# cells of a file read both as features and as pairs over a 4-row base:
+# _GOOD ones the one pass takes as it is, _ODD ones that numpy or Python
+# refuses, that the one pass leaves to the checked reader, or that fail a
+# range or label check
+_GOOD = ["0", "1", "2", "3", " 1 ", "+1", "-0", "-1"]
+_ODD = ["1e400", "nan", "1_0", '"3"', "\u0661", "\x1c1", "1\xa0", "1.0", "#",
+        " ", "", str(2 ** 63), "4", "x"]
+
+
+@st.composite
+def _tuple_csv_texts(draw):
+    rows = draw(st.lists(st.lists(st.sampled_from(_GOOD), min_size=3,
+                                  max_size=3), max_size=4))
+    if rows and draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, 2))] = draw(st.sampled_from(_ODD))
+    lines = ["i,j,label", *(",".join(row) for row in rows)]
+    if draw(st.booleans()):
+        # a blank line is skipped; a whitespace-only one is a short row
+        lines.insert(draw(st.integers(1, len(lines))),
+                     draw(st.sampled_from(["", "  ", "\t"])))
+    if rows and draw(st.booleans()):
+        lines[-1] += ","
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + newline.join(lines) + newline
+
+
+def _outcome(load, *args):
+    """Every array ``load`` returns, bit for bit, or its error message."""
+    try:
+        return [None if a is None else (a.dtype.str, a.shape, a.tobytes())
+                for a in load(*args)]
+    except ValidationError as exc:
+        return str(exc)
+
+
+_ONE_PASS_TAKES = ["i,j,label\n 1 ,-0,+1\n2,0,-1\n",
+                   "i,j,label\r\n0,1,1\r\n\r\n3,2,-1\r\n\n"]
+
+
+class TestOnePassLoader:
+    @pytest.mark.parametrize("text", _ONE_PASS_TAKES)
+    def test_plain_files_take_the_one_pass(self, tmp_path, text):
+        p = tmp_path / "t.csv"
+        p.write_bytes(text.encode())
+        assert cli._one_pass(p, float) is not None
+        assert cli._one_pass(p, int) is not None
+
+    def test_header_only_file_warns_nothing(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("i,j,label\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, y, _ = load_features(p, label_col="label")
+            tuples, labels = load_tuples(p, np.zeros((4, 2)), 2)
+        assert x.shape == (0, 2) and y.shape == (0,)
+        assert tuples.shape == (0, 2, 2) and labels.shape == (0,)
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(text=_tuple_csv_texts())
+    @example(text=_ONE_PASS_TAKES[0])
+    @example(text="i,j,label\n1e400,nan,1\n")
+    @example(text="i,j,label\n1_0,0,1\n")
+    @example(text='i,j,label\n"3",0,1\n')
+    @example(text="i,j,label\n\u0661,0,1\n")
+    @example(text="i,j,label\n1.0,0,1\n")
+    @example(text="i,j,label\n#,0,1\n")
+    @example(text="i,j,label\n0,1,1\n   \n")
+    @example(text="i,j,label\n0,1,1,\n")
+    @example(text=f"i,j,label\n{2 ** 63},0,1\n")
+    @example(text="i,j,label\n")
+    @example(text="i,j,label\n0,1\n")
+    @example(text="i,j,label\n0,1,1,2\n")
+    @example(text="\ufeffi,j,label\n0,1,1\n")
+    @example(text="0,1,1\n0,1,1\n")
+    def test_one_pass_and_checked_readers_agree(self, tmp_path_factory, text):
+        p = tmp_path_factory.mktemp("loaders") / "t.csv"
+        p.write_bytes(text.encode())
+        base = np.arange(8.0).reshape(4, 2)
+        for load, args in ((load_features, (p,)),
+                           (load_features, (p, "label")),
+                           (load_tuples, (p, base, 2))):
+            one_pass = _outcome(load, *args)
+            with mock.patch.object(cli, "_one_pass", return_value=None):
+                assert _outcome(load, *args) == one_pass
+
+
 class TestFitTransform:
     def test_nca_fit_then_transform_shapes(self, tmp_path, capsys):
         data, _, _ = write_dataset(tmp_path)
@@ -247,7 +347,7 @@ class TestFitTransform:
         model_path = tmp_path / "m.json"
         code, _, _ = run_cli(capsys, "fit", "--algo", algo, "--data",
                              str(data), "--label-col", "y",
-                             *inputs[ALGORITHMS[algo].supervision],
+                             *inputs[estimator_class(algo).supervision],
                              "--out", str(model_path))
         assert code == 0
         assert json.loads(model_path.read_text())["algorithm"] == algo
@@ -406,9 +506,9 @@ class TestCv:
                   "quads": ["--label-col", "y", "--quads", str(quads)]}
         # a flag for a parameter the learner lacks exits 2 (LFDA, RCA)
         cap = (["--max-iter", "10"]
-               if "max_iter" in ALGORITHMS[algo]._param_defaults() else [])
+               if "max_iter" in estimator_class(algo)._param_defaults() else [])
         code, out, err = run_cli(capsys, "cv", "--algo", algo, "--data",
-                                 str(data), *inputs[ALGORITHMS[algo].supervision],
+                                 str(data), *inputs[estimator_class(algo).supervision],
                                  *cap)
         assert (code, err) == (0, "")
         lines = out.splitlines()
@@ -456,8 +556,59 @@ class TestCv:
 
 
 def test_every_algorithm_declares_a_supervision_kind():
-    for name, cls in ALGORITHMS.items():
-        assert vars(cls).get("supervision") in SUPERVISION, name
+    for name in ALGORITHMS:
+        assert vars(estimator_class(name)).get("supervision") in SUPERVISION, name
+
+
+def test_algorithm_table_names_the_eight_learners():
+    classes = (NCA, LMNN, MLKR, LFDA, RCA, MMC, ITML, LSML)
+    assert sorted(ALGORITHMS) == sorted(cls.__name__.lower() for cls in classes)
+    for cls in classes:
+        assert estimator_class(cls.__name__.lower()) is cls
+
+
+# prints the modules a run of the commands (JSON argv lists) left loaded
+_IMPORT_PROBE = """
+import json, sys
+from mlearn.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+print(" ".join(sorted(sys.modules)))
+"""
+
+
+def test_each_command_imports_only_what_it_runs(tmp_path):
+    data, pairs, _ = write_dataset(tmp_path)
+    model = tmp_path / "m.json"
+    MahalanobisModel(components=np.eye(2)).save(model)
+    inputs = ["--data", str(data), "--label-col", "y"]
+    runs = {
+        "serve": [["transform", "--model", str(model), *inputs,
+                   "--out", str(tmp_path / "z.csv")],
+                  ["score-pairs", "--model", str(model), *inputs,
+                   "--pairs", str(pairs), "--out", str(tmp_path / "d.txt")]],
+        "fit-mmc": [["fit", "--algo", "mmc", *inputs, "--pairs", str(pairs),
+                     "--max-iter", "5", "--out", str(tmp_path / "mmc.json")]],
+        "cv-lmnn": [["cv", "--algo", "lmnn", *inputs, "--max-iter", "5"]],
+    }
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(mlearn.model.__file__).parents[1]))
+    procs = {name: subprocess.Popen(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for name, commands in runs.items()}
+    loaded = {}
+    for name, proc in procs.items():
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+        loaded[name] = set(out.splitlines()[-1].split())
+    assert "mlearn.model" in loaded["serve"]
+    assert not loaded["serve"] & {"mlearn.supervised", "mlearn.weak",
+                                  "mlearn.modelsel", "numpy.ma"}
+    assert "mlearn.weak" in loaded["fit-mmc"]
+    assert "mlearn.supervised" not in loaded["fit-mmc"]
+    assert "mlearn.supervised" in loaded["cv-lmnn"]
+    assert not loaded["cv-lmnn"] & {"mlearn.weak", "numpy.ma"}
 
 
 # command -> (tuple arity, argv without --data/--label-col/tuple file)

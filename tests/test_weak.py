@@ -708,6 +708,15 @@ class TestCalibrateThreshold:
             assert (res.threshold, res.achieved_score) == \
                 _rescoring_oracle(metric, model.score_pairs(pairs), y)
 
+    def test_candidates_are_np_uniques_midpoints(self):
+        # NaN and inf distances come from finite pairs whose difference
+        # overflows; NaNs count as one distinct value, as in np.unique
+        d = np.array([3.0, np.nan, 1.0, 3.0, np.inf, np.nan, 0.0, np.inf])
+        u = np.unique(d)
+        expected = np.concatenate(([u[0] - 1.0], 0.5 * (u[:-1] + u[1:]),
+                                   [u[-1] + 1.0]))
+        assert candidate_thresholds(d).tobytes() == expected.tobytes()
+
     def test_equals_rescoring_loop_on_a_learned_metric(self):
         r = np.random.default_rng(8)
         model = from_components(r.standard_normal((2, 3)))
