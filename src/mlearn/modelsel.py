@@ -27,7 +27,7 @@ import numpy as np
 from .exceptions import ValidationError, check_at_least
 from .rng import SplitMix64
 from .scoring import METRIC_NAMES, score
-from .tuples import ARITY, _as_labels, validate_supervision
+from .tuples import ARITY, _as_labels, class_blocks, validate_supervision
 
 
 @dataclass
@@ -61,10 +61,9 @@ def kfold_split(n: int, k: int, seed: int, stratify_labels=None):
         raise ValidationError(f"need 2 <= k <= n, got k={k}, n={n}")
     rng = SplitMix64(seed)
     if stratify_labels is not None:
-        labels = _as_labels(stratify_labels, n)
         # each NaN its own class of one, so NaN labels never stratify
-        classes, counts = np.unique(labels, return_counts=True, equal_nan=False)
-        if counts.min() < k:
+        _, _, members, blocks = class_blocks(_as_labels(stratify_labels, n))
+        if min(b.stop - b.start for b in blocks) < k:
             warnings.warn(
                 "a stratum is smaller than the number of folds; "
                 "falling back to an unstratified split",
@@ -78,10 +77,10 @@ def kfold_split(n: int, k: int, seed: int, stratify_labels=None):
         fold_of = np.repeat(np.arange(k), n // k + (np.arange(k) < n % k))
     else:
         order = []
-        for c in classes:
-            members = np.flatnonzero(labels == c).tolist()
-            rng.shuffle(members)
-            order += members
+        for b in blocks:
+            block = members[b].tolist()
+            rng.shuffle(block)
+            order += block
         fold_of = np.arange(n) % k
     assignment = np.empty(n, dtype=int)
     assignment[order] = fold_of
@@ -120,7 +119,7 @@ def knn_predict(train_x, train_y, test_x, knn_k: int, model):
         )
     z_train = model.transform(train_x)
     z_test = model.transform(test_x)
-    labels, codes = np.unique(train_y, return_inverse=True)
+    labels, codes, _, _ = class_blocks(train_y)
     pred = np.empty(len(z_test), dtype=np.intp)
     for rows, near in _k_nearest(z_train, z_test, knn_k):
         key = np.arange(len(near))[:, None] * len(labels) + codes[near]
@@ -266,7 +265,8 @@ def _supervision(task) -> str:
 
 def cross_validate(task, k: int, seed: int, metric_name: str = "accuracy") -> CvResult:
     """Per-fold fit and evaluation; no test-fold information reaches a fit.
-    The metric name is checked against the task's kind before any fit."""
+    The metric name is checked against the task's kind before any fit, and
+    ``f1`` on a k-NN scored kind against its labels, which must all be +/-1."""
     name = _supervision(task)
     kind = SUPERVISION[name]
     if metric_name not in kind.metrics:
@@ -275,6 +275,13 @@ def cross_validate(task, k: int, seed: int, metric_name: str = "accuracy") -> Cv
             f"expected one of {kind.metrics}"
         )
     x, y = validate_supervision(name, task.x, task.y)
+    # a k-NN vote is a training label, and F1 takes +1 as its positive class
+    if (metric_name == "f1" and kind.scorer is _knn_scorer
+            and not np.all(np.isin(y, (-1, 1)))):
+        raise ValidationError(
+            f"metric 'f1' scores {name} tasks only when every label is +1 or "
+            "-1; use 'accuracy' for other labels"
+        )
     task = replace(task, x=x, y=y)
     folds = kfold_split(len(x), k, seed,
                         stratify_labels=y if ARITY[name] is None else None)

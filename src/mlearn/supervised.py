@@ -19,13 +19,7 @@ from .model import _BLOCK, FitReport
 from .modelsel import _k_nearest
 from .optimize import backtracking_solve
 from .rng import SplitMix64
-
-
-def _check_two_classes(y: np.ndarray) -> None:
-    # compared with the first label, not counted by np.unique, whose first
-    # call imports numpy.ma
-    if np.all(y == y[:1]):
-        raise ValidationError("degenerate labels: need at least 2 distinct classes")
+from .tuples import class_blocks
 
 
 def _init_transform(init: str, n_components: int, n_features: int, seed: int):
@@ -160,14 +154,14 @@ def weighted_outer_sum(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _class_sorted(x: np.ndarray, y: np.ndarray):
-    """(x, y, blocks): the rows stably sorted by class, and one slice of
-    rows per class, so every same-class pair lies in a diagonal block
+    """(x, y, blocks): the rows grouped by ``tuples.class_blocks``, one slice
+    of rows per class, so every same-class pair lies in a diagonal block
     ``[b, b]`` and no n x n class mask is needed. Each class keeps its rows
     in their given order, so index tie rules within a class hold."""
-    order = np.argsort(y, kind="stable")
-    y = y[order]
-    first = np.unique(y, return_index=True)[1].tolist()
-    return x[order], y, [slice(a, b) for a, b in zip(first, first[1:] + [len(y)])]
+    labels, _, order, blocks = class_blocks(y)
+    if len(labels) < 2:
+        raise ValidationError("degenerate labels: need at least 2 distinct classes")
+    return x[order], y[order], blocks
 
 
 # -- neighborhood softmax (NCA) ---------------------------------------------
@@ -209,7 +203,6 @@ class NCA(MahalanobisEstimator):
 
     def fit(self, x, y):
         x, y = self._check_fit(x, y)
-        _check_two_classes(y)
         x, _, blocks = _class_sorted(x, y)
         m = _resolve_components(self.n_components, x.shape[1])
         l0 = _init_transform(self.init, m, x.shape[1], self.seed)
@@ -233,7 +226,8 @@ def lmnn_targets(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
     precede it. No n x n array is formed, and k is checked against the
     smallest class before anything is allocated.
     """
-    classes, counts = np.unique(y, return_counts=True)
+    classes, codes, order, blocks = class_blocks(y)
+    counts = np.bincount(codes)
     if counts.min() < k + 1:
         # a plain label, which prints as 0, not np.int64(0)
         label = classes.tolist()[counts.argmin()]
@@ -242,8 +236,8 @@ def lmnn_targets(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
             f"k={k} target neighbors require at least {k + 1}"
         )
     targets = np.empty((len(x), k), dtype=int)
-    for c in classes:
-        members = np.flatnonzero(y == c)
+    for b in blocks:
+        members = order[b]
         xm = x[members]
         for rows, near in _k_nearest(xm, xm, k + 1):
             own = near == np.arange(rows.start, rows.start + len(near))[:, None]
@@ -322,10 +316,9 @@ class LMNN(MahalanobisEstimator):
     def fit(self, x, y):
         x, y = self._check_fit(x, y)
         k = check_at_least("k", self.k, 1)
-        _check_two_classes(y)
+        x, y, blocks = _class_sorted(x, y)
         if not 0.0 < self.push_weight < 1.0:
             raise ValidationError("push_weight must lie strictly in (0, 1)")
-        x, y, blocks = _class_sorted(x, y)
         targets = lmnn_targets(x, y, k)
         m = _resolve_components(self.n_components, x.shape[1])
         l0 = _init_transform(self.init, m, x.shape[1], self.seed)
@@ -438,18 +431,21 @@ def _lfda_scatters(x: np.ndarray, y: np.ndarray, knn: int):
     C the class scatter about its mean, as sum_{i != j} of the outer
     products is 2 n_c C. Nothing n x n is formed: memory is O(nd + max n_c^2).
     """
+    labels, _, order, blocks = class_blocks(y)
+    if len(labels) < 2:
+        raise ValidationError("degenerate labels: need at least 2 distinct classes")
     n, d = x.shape
     xc = x - x.mean(axis=0)
     s_between = xc.T @ xc
     s_within = np.zeros((d, d))
     # plain labels, which an error message prints as 0, not np.int64(0)
-    for c in np.unique(y).tolist():
-        members = np.flatnonzero(y == c)
-        if len(members) < 2:
+    for c, b in zip(labels.tolist(), blocks):
+        xm = xc[order[b]]
+        nc = len(xm)
+        if nc < 2:
             raise ValidationError(
                 f"degenerate class: class {c!r} has a single member"
             )
-        xm = xc[members]
         # the affinity exp(-d2_ij / (sigma_i sigma_j)), formed in d2's buffer
         aff = pairwise_sq_dists(xm)
         sigma = _local_scaling(aff, knn)
@@ -457,7 +453,6 @@ def _lfda_scatters(x: np.ndarray, y: np.ndarray, knn: int):
             np.divide(aff, np.outer(sigma, sigma), out=aff)
             np.exp(np.negative(aff, out=aff), out=aff)
         np.fill_diagonal(aff, 0.0)
-        nc = len(members)
         s_aff = weighted_outer_sum(xm, aff)
         s_within += s_aff / (2 * nc)
         centred = xm - xm.mean(axis=0)
@@ -479,7 +474,6 @@ class LFDA(MahalanobisEstimator):
     def fit(self, x, y):
         x, y = self._check_fit(x, y)
         knn = check_at_least("knn", self.knn, 1)
-        _check_two_classes(y)
         if self.embedding not in ("weighted", "plain"):
             raise ValidationError("embedding must be 'weighted' or 'plain'")
         d = x.shape[1]
@@ -519,11 +513,10 @@ class RCA(MahalanobisEstimator):
         d = x.shape[1]
         cov = np.zeros((d, d))
         count = 0
-        for c in np.unique(chunks):
-            if c < 0:
-                continue
-            members = np.flatnonzero(chunks == c)
-            if len(members) < 2:
+        labels, _, order, blocks = class_blocks(chunks)
+        for c, b in zip(labels, blocks):
+            members = order[b]
+            if c < 0 or len(members) < 2:
                 continue
             centered = x[members] - x[members].mean(axis=0)
             cov += centered.T @ centered

@@ -3,6 +3,7 @@
 :func:`validate_supervision` checks data by its kind of supervision, as
 every fit, ``cross_validate``, ``knn_predict``, ``calibrate_threshold`` and
 the samplers below do; :data:`ARITY` says what each kind takes as ``x``.
+:func:`class_blocks` is the one class index of every class-aware step.
 
 Tuple sets are plain 3-D numpy arrays of shape (n_tuples, t, n_features)
 with t = 2 (pairs), 3 (triplets: anchor, positive, negative) or 4
@@ -51,7 +52,7 @@ def validate_supervision(kind: str, x, y, n_features: int | None = None,
         # such as [3, 'b'] has no order
         if y.dtype == object:
             try:
-                np.unique(y)
+                class_blocks(y)
             except TypeError as e:
                 raise ValidationError(f"labels cannot be ordered: {e}") from None
         return x, y
@@ -134,6 +135,18 @@ def validate_tuples(tuples, expected_t: int, n_features: int | None = None,
     return tuples
 
 
+def class_blocks(y):
+    """(labels, codes, order, blocks): the distinct labels, ascending, each
+    row's position in them, and the rows grouped by class: class c's rows
+    are ``order[blocks[c]]``, the rows ``np.flatnonzero(y == labels[c])``
+    gives, in that order. NaN equals no label, so each NaN row is a class."""
+    # with return_inverse, np.unique never takes its path that imports numpy.ma
+    labels, codes = np.unique(y, return_inverse=True, equal_nan=False)
+    order = np.argsort(codes, kind="stable")
+    ends = np.cumsum(np.bincount(codes)).tolist()
+    return labels, codes, order, [slice(a, b) for a, b in zip([0] + ends, ends)]
+
+
 class _ClassPools:
     """Partner pools per class, built once per sampler call.
 
@@ -149,7 +162,7 @@ class _ClassPools:
 
     def __init__(self, y, k: int, what: str):
         check_at_least("k", k, 1)
-        labels, self.codes = np.unique(y, return_inverse=True)
+        labels, self.codes, self.members, _ = class_blocks(y)
         if len(labels) < 2:
             raise ValidationError(f"{what} requires at least 2 distinct classes")
         self.size = np.bincount(self.codes)
@@ -160,7 +173,6 @@ class _ClassPools:
                 )
         n = len(y)
         self.start = np.cumsum(self.size) - self.size
-        self.members = np.argsort(self.codes, kind="stable")
         member_codes = self.codes[self.members]
         rank = np.arange(n) - self.start[member_codes]
         self.rank = np.empty(n, dtype=np.intp)  # position within own class

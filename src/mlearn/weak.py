@@ -123,8 +123,10 @@ class MMC(MahalanobisEstimator, PairClassifierMixin):
             raise NumericalError(
                 "all dissimilar pairs coincide: log of zero distance"
             )
-        fit = self._fit_diagonal if self.diagonal else self._fit_full
-        self._set_model(*fit(pos, neg))
+        if self.diagonal:
+            self._set_model(*self._fit_diagonal(pos, neg))
+        else:
+            self._set_model(*self._fit_full(pos, neg, total_pos))
         return self
 
     def _fit_diagonal(self, pos, neg):
@@ -138,17 +140,14 @@ class MMC(MahalanobisEstimator, PairClassifierMixin):
         )
         return np.diag(np.sqrt(w)), report
 
-    def _fit_full(self, pos, neg):
+    def _fit_full(self, pos, neg, total_pos):
         d = pos.shape[1]
 
-        def budget(m):
-            return float(np.sum((pos @ m) * pos))
-
+        # the similar pairs' total at m; total_pos is its value at the identity
         def project(m):
-            s = budget(m)
+            s = float(np.sum((pos @ m) * pos))
             return m / s if s > 1.0 else m
 
-        total_pos = budget(np.eye(d))
         m0 = np.eye(d) / total_pos if total_pos > 0 else np.eye(d)
         m, report = backtracking_solve(
             lambda m_: mmc_objective(m_, neg), m0,

@@ -590,6 +590,10 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
         "fit-mmc": [["fit", "--algo", "mmc", *inputs, "--pairs", str(pairs),
                      "--max-iter", "5", "--out", str(tmp_path / "mmc.json")]],
         "cv-lmnn": [["cv", "--algo", "lmnn", *inputs, "--max-iter", "5"]],
+        "fit-lfda": [["fit", "--algo", "lfda", *inputs,
+                      "--out", str(tmp_path / "lfda.json")]],
+        "fit-rca": [["fit", "--algo", "rca", "--data", str(data), "--chunk-col",
+                     "y", "--out", str(tmp_path / "rca.json")]],
     }
     env = dict(os.environ,
                PYTHONPATH=str(pathlib.Path(mlearn.model.__file__).parents[1]))
@@ -609,6 +613,9 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
     assert "mlearn.supervised" not in loaded["fit-mmc"]
     assert "mlearn.supervised" in loaded["cv-lmnn"]
     assert not loaded["cv-lmnn"] & {"mlearn.weak", "numpy.ma"}
+    for name in ("fit-lfda", "fit-rca"):
+        assert "mlearn.supervised" in loaded[name]
+        assert not loaded[name] & {"mlearn.weak", "numpy.ma"}
 
 
 # command -> (tuple arity, argv without --data/--label-col/tuple file)

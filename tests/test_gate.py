@@ -189,6 +189,11 @@ CASES.update({
         lambda: ml.cross_validate(ml.SupervisedTask(X, Y, ml.NCA(max_iter=3)),
                                   3, 0, "roc_auc"),
         CV + ["--algo", "nca", "--metric", "roc_auc"]),
+    # F1 takes +1 as its positive class: a vote among 0, 1 and 2 has none
+    "labels cross_validate f1": (
+        lambda: ml.cross_validate(ml.SupervisedTask(X, Y, ml.NCA(max_iter=3)),
+                                  3, 0, "f1"),
+        CV + ["--algo", "nca", "--metric", "f1"]),
     "quads cross_validate unknown metric": (
         lambda: ml.cross_validate(ml.SupervisedTask(QUADS, None, ml.LSML(max_iter=3)),
                                   3, 0, "bogus"), None),

@@ -580,6 +580,8 @@ class TestCrossValidate:
 
     @pytest.mark.parametrize("kind, metric", [("quads", "roc_auc"),
                                               ("labels", "roc_auc"),
+                                              # a vote among 0 and 1 has no F1
+                                              ("labels", "f1"),
                                               ("quads", "bogus"),
                                               ("labels", "bogus"),
                                               ("pairs", "bogus")])

@@ -14,7 +14,7 @@ from mlearn import (
 )
 from mlearn.exceptions import DimensionError, ValidationError
 from mlearn.rng import SplitMix64, below
-from mlearn.tuples import _pool_positions
+from mlearn.tuples import _pool_positions, class_blocks
 
 
 # -- reference samplers -----------------------------------------------------
@@ -387,6 +387,57 @@ def test_samplers_equal_the_reference_samplers(layout):
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
+
+
+# -- the class index ----------------------------------------------------------
+
+def reference_classes(y):
+    """(labels, rows, nan_rows): the distinct non-NaN labels in ascending
+    order, ``np.flatnonzero(y == c)`` for each, and the NaN rows, each a
+    class of its own since NaN equals no label."""
+    values = y.tolist()
+    labels = []
+    for v in values:
+        if v == v and not any(v == u for u in labels):
+            labels.append(v)
+    labels.sort()
+    nan_rows = [i for i, v in enumerate(values) if v != v]
+    return labels, [np.flatnonzero(y == c) for c in labels], nan_rows
+
+
+LABEL_VALUES = {
+    "int": (st.integers(-3, 3), int),
+    "float": (st.sampled_from([0.0, -0.0, 1.5, -2.0, np.inf, -np.inf, np.nan]),
+              float),
+    "str": (st.sampled_from(["", "a", "b", "ab", "B"]), str),
+    "object": (st.sampled_from([-1, 0, 7, 2**64, 2**70, -2**70]), object),
+}
+
+
+@st.composite
+def label_vectors(draw):
+    values, dtype = LABEL_VALUES[draw(st.sampled_from(sorted(LABEL_VALUES)))]
+    return np.array(draw(st.lists(values, max_size=40)), dtype=dtype)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(y=label_vectors())
+def test_class_blocks_equal_a_per_class_flatnonzero(y):
+    labels, codes, order, blocks = class_blocks(y)
+    want_labels, want_rows, nan_rows = reference_classes(y)
+    assert len(labels) == len(blocks) == len(want_labels) + len(nan_rows)
+    assert labels[:len(want_labels)].tolist() == want_labels
+    # the blocks tile order, which lists every row once
+    assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
+    assert blocks == [] or (blocks[0].start, blocks[-1].stop) == (0, len(y))
+    assert sorted(order.tolist()) == list(range(len(y)))
+    for c, b in enumerate(blocks):
+        assert (codes[order[b]] == c).all()
+    for b, rows in zip(blocks, want_rows):
+        assert order[b].dtype == np.intp
+        assert np.array_equal(order[b], rows)
+    nan_blocks = sorted(order[b].tolist() for b in blocks[len(want_labels):])
+    assert nan_blocks == [[i] for i in nan_rows]
 
 
 class TestTypedArguments:
