@@ -18,6 +18,7 @@ the starting point and at accepted steps.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -44,7 +45,7 @@ def backtracking_solve(fun, x0, max_iter: int, tol: float,
     sign = -1.0 if maximize else 1.0
     x = project(x0) if project is not None else np.asarray(x0, dtype=float)
     f, grad = fun(x)
-    if not np.isfinite(f):
+    if not math.isfinite(f):
         raise NumericalError("objective is non-finite at the starting point")
     g = grad()
     trace = [f]
@@ -52,8 +53,8 @@ def backtracking_solve(fun, x0, max_iter: int, tol: float,
     step = 1.0
     for _ in range(max_iter):
         with np.errstate(over="ignore"):
-            gnorm = float(np.sqrt(np.sum(g * g)))
-        if not np.isfinite(gnorm):
+            gnorm = math.sqrt((g * g).sum())
+        if not math.isfinite(gnorm):
             if not np.all(np.isfinite(g)):
                 raise NumericalError("gradient is non-finite")
             # the squares overflow (|g| beyond about 1e154): renormalise
@@ -71,10 +72,10 @@ def backtracking_solve(fun, x0, max_iter: int, tol: float,
                 trial = project(trial)
             f_new, grad = fun(trial)
             improvement = (f - f_new) if not maximize else (f_new - f)
-            if np.isfinite(f_new) and improvement >= _ARMIJO_C * step * gnorm:
+            if math.isfinite(f_new) and improvement >= _ARMIJO_C * step * gnorm:
                 accepted = True
                 break
-            if np.isfinite(f_new) and improvement > 0.0 and step < 1e-12:
+            if math.isfinite(f_new) and improvement > 0.0 and step < 1e-12:
                 # subgradient kinks or projection can defeat strict Armijo;
                 # accept any tiny improving step rather than stall
                 accepted = True

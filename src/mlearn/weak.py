@@ -64,17 +64,26 @@ def _quad_dists(diffs: np.ndarray, m: np.ndarray) -> np.ndarray:
 def mmc_diag_objective(w: np.ndarray, pos2: np.ndarray, neg2: np.ndarray):
     """Diagonal-variant objective g(w): (f, grad) with grad() -> gradient at
     w; pos2/neg2 hold squared pair differences row-wise."""
-    sim = float(np.sum(pos2 @ w))
+    sim = float((pos2 @ w).sum())
     dis = np.sqrt(np.maximum(neg2 @ w, 0.0))
-    total = float(np.sum(dis))
+    total = float(dis.sum())
     if total <= 0.0:
         # infeasible trial point (all weight clipped away); reject via +inf
         return np.inf, lambda: np.zeros_like(w)
 
     def grad():
-        safe = dis > 0.0
+        # a pair at zero (or NaN) distance adds no gradient: its rows are
+        # gathered out only when there is one. The quotient is C-ordered,
+        # as the gather's copy is, so the column sums add in the same order
+        # whatever the layout of neg2
+        if dis.min() > 0.0:
+            rows, dists = neg2, dis
+        else:
+            safe = dis > 0.0
+            rows, dists = neg2[safe], dis[safe]
         return pos2.sum(axis=0) \
-            - (neg2[safe] / (2.0 * dis[safe, None])).sum(axis=0) / total
+            - np.divide(rows, 2.0 * dists[:, None], order="C").sum(axis=0) \
+            / total
     return sim - np.log(total), grad
 
 
@@ -136,7 +145,8 @@ class MMC(MahalanobisEstimator, PairClassifierMixin):
         w, report = backtracking_solve(
             lambda w_: mmc_diag_objective(w_, pos2, neg2), w0,
             max_iter=self.max_iter, tol=self.tol,
-            project=lambda w_: np.clip(w_, 0.0, None),
+            # the call np.clip(w_, 0.0, None) makes, without its wrapper
+            project=lambda w_: np.maximum(w_, 0.0),
         )
         return np.diag(np.sqrt(w)), report
 
@@ -181,12 +191,19 @@ def itml_bounds(pairs, percentiles) -> tuple[float, float]:
 
 def _bregman_step(wtw, lam, bound, similar, gamma, gamma_proj):
     """(alpha, beta, new bound) of one constraint's Bregman projection, where
-    wtw is the constraint's squared distance under the current M."""
+    wtw is the constraint's squared distance under the current M.
+
+    alpha is min(lam, t) for the step t that the bound asks for, written as
+    ``t if t < lam else lam``: that keeps min's result on ties and NaN and
+    skips its call. M then takes the update M + beta (M v)(M v)^T.
+    """
     if similar:
-        alpha = min(lam, gamma_proj * (1.0 / wtw - 1.0 / bound))
+        t = gamma_proj * (1.0 / wtw - 1.0 / bound)
+        alpha = t if t < lam else lam
         return (alpha, alpha / (1.0 - alpha * wtw),
                 1.0 / (1.0 / bound + alpha / gamma))
-    alpha = min(lam, gamma_proj * (1.0 / bound - 1.0 / wtw))
+    t = gamma_proj * (1.0 / bound - 1.0 / wtw)
+    alpha = t if t < lam else lam
     return (alpha, -alpha / (1.0 + alpha * wtw),
             1.0 / (1.0 / bound - alpha / gamma))
 
@@ -199,9 +216,10 @@ class ITML(MahalanobisEstimator, PairClassifierMixin):
     bound while moving minimally in LogDet divergence. gamma controls the
     slack: larger values enforce the bounds more strictly. A constraint that
     is already satisfied with a zero multiplier costs one quadratic form and
-    no rank-one update. If the updates overflow (a huge gamma, or a pair
-    distance whose square or reciprocal is not finite), M turns non-finite
-    and ``fit`` raises :class:`NumericalError`.
+    no rank-one update; an update adds one gemv and one BLAS outer product,
+    with the bits of an elementwise one. If the updates overflow (a huge
+    gamma, or a pair distance whose square or reciprocal is not finite), M
+    turns non-finite and ``fit`` raises :class:`NumericalError`.
     """
 
     supervision = "pairs"
@@ -255,11 +273,14 @@ class ITML(MahalanobisEstimator, PairClassifierMixin):
         bhat = [u] * n_pos + [l] * len(neg)
         self.adjusted_bounds_ = np.array(bhat)
         self.n_pos_constraints_ = n_pos
+        # each constraint as a row, for its quadratic form, and as a (d, 1)
+        # column, for the update's gemv and outer product; split once
+        rows, cols = list(vecs), list(vecs[:, :, None])
         buf = np.empty((d, d))
         yield a, None
         for _ in range(self.max_iter):
             lam_old = lam.copy()
-            for i, v in enumerate(vecs):
+            for i, (v, col) in enumerate(zip(rows, cols)):
                 wtw = float(v.dot(a).dot(v))
                 if wtw <= 0.0:
                     continue
@@ -280,8 +301,12 @@ class ITML(MahalanobisEstimator, PairClassifierMixin):
                     # wtw. The update would add +-0 to every entry of M,
                     # which holds no -0.0: a no-op
                     continue
-                av = a.dot(v)
-                np.multiply(av[:, None], av, out=buf)
+                # a.dot(col) holds a.dot(v)'s bits; the k = 1 BLAS product
+                # rounds each av_i av_j once, as multiply does, and can
+                # differ only in the sign of a zero, which a += buf drops
+                # (M holds no -0.0)
+                av = a.dot(col)
+                np.dot(av, av.T, out=buf)
                 buf *= beta
                 a += buf
             a = 0.5 * (a + a.T)

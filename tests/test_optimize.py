@@ -53,6 +53,46 @@ class TestBacktrackingSolve:
             backtracking_solve(lambda x: (start, lambda: x), np.zeros(2),
                                max_iter=5, tol=1e-6)
 
+    @pytest.mark.parametrize("start", [np.float64(np.inf),
+                                       np.float64(-np.inf), np.float64(np.nan)])
+    def test_non_finite_numpy_start_raises(self, start):
+        with pytest.raises(NumericalError, match="starting point"):
+            backtracking_solve(lambda x: (start, lambda: x), np.zeros(2),
+                               max_iter=5, tol=1e-6)
+
+    @pytest.mark.parametrize("maximize", [False, True])
+    @pytest.mark.parametrize("bad", [np.float64(np.nan), np.float64(np.inf),
+                                     np.float64(-np.inf)])
+    def test_numpy_non_finite_trial_values_are_rejected(self, maximize, bad):
+        # trial points past x[0] = 3.5 return a non-finite numpy scalar; the
+        # solver rejects it as it rejects a Python nan, so both runs take
+        # the same steps (a maximized +inf would pass Armijo if it counted)
+        center, sign = np.array([3.0, 1.0]), -1.0 if maximize else 1.0
+
+        def run(bad_value):
+            rejected = []
+
+            def fun(x):
+                if x[0] > 3.5:
+                    rejected.append(x.copy())
+                    return bad_value, lambda: None
+                return (sign * float(np.sum((x - center) ** 2)),
+                        lambda: sign * 2.0 * (x - center))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConvergenceWarning)
+                x, report = backtracking_solve(
+                    fun, np.array([-10.0, 4.0]), max_iter=40, tol=1e-12,
+                    maximize=maximize)
+            return x, report, len(rejected)
+
+        x, report, n_rejected = run(bad)
+        want_x, want_report, want_rejected = run(float("nan"))
+        assert n_rejected == want_rejected > 0
+        assert x.tobytes() == want_x.tobytes()
+        assert report == want_report
+        assert all(np.isfinite(report.objective_trace))
+        assert report.n_iter > 2
+
     def test_infinite_gradient_raises(self):
         # an infinite gradient is a numerical failure, not an optimum
         g = np.array([np.inf, 1.0])

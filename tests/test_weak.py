@@ -161,6 +161,59 @@ class TestMMC:
         fd = finite_diff_grad(lambda w_: mmc_diag_objective(w_, pos2, neg2)[0], w)
         assert max_rel_err(g, fd) <= 1e-5
 
+    @staticmethod
+    def _masked_diag_objective(w, pos2, neg2):
+        """The diagonal objective as it was written with an unconditional
+        gather: every coincident dissimilar pair's row is masked out of the
+        gradient. Returns (value, gradient)."""
+        dis = np.sqrt(np.maximum(neg2 @ w, 0.0))
+        total = float(np.sum(dis))
+        safe = dis > 0.0
+        grad = pos2.sum(axis=0) \
+            - (neg2[safe] / (2.0 * dis[safe, None])).sum(axis=0) / total
+        return float(np.sum(pos2 @ w)) - np.log(total), grad
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("zero_rows,zero_weight", [
+        ((), None), ((3,), None), ((0, 17, 39), None), ((), 2)])
+    def test_diagonal_objective_matches_the_masked_formula(
+            self, zero_rows, zero_weight, order):
+        # value and gradient bit for bit, with no zero dissimilar distance,
+        # with coincident pairs, and with a distance that a zero weight
+        # takes to 0; the fit passes C-ordered rows, a caller may not. The
+        # similar term is small, so it leaves the last bits of the
+        # dissimilar sums visible
+        r = np.random.default_rng(21)
+        pos2 = 1e-6 * r.standard_normal((30, 40)) ** 2
+        neg2 = r.standard_normal((300, 40)) ** 2
+        neg2[list(zero_rows)] = 0.0
+        w = r.random(40) + 0.1
+        if zero_weight is not None:
+            w[zero_weight] = 0.0
+            neg2[5] = 0.0
+            neg2[5, zero_weight] = 1.0
+        neg2 = np.asarray(neg2, order=order)
+        f, grad = mmc_diag_objective(w, pos2, neg2)
+        want_f, want_grad = self._masked_diag_objective(w, pos2, neg2)
+        assert np.float64(f).tobytes() == np.float64(want_f).tobytes()
+        assert grad().tobytes() == want_grad.tobytes()
+
+    def test_diagonal_projection_is_np_clip(self, monkeypatch):
+        # the diagonal fit projects with the maximum call that
+        # np.clip(w, 0.0, None) makes: the same bytes on every lane
+        projections = []
+        solve = mlearn.weak.backtracking_solve
+
+        def recording(*args, **kwargs):
+            projections.append(kwargs["project"])
+            return solve(*args, **kwargs)
+        monkeypatch.setattr(mlearn.weak, "backtracking_solve", recording)
+        pairs, y = labeled_pairs(seed=3)
+        fit_quiet(MMC(diagonal=True), pairs, y)
+        w = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, -1.5, 2.5,
+                      -5e-324, 5e-324, -1e308])
+        assert projections[0](w).tobytes() == np.clip(w, 0.0, None).tobytes()
+
     def test_full_gradient_finite_differences(self):
         r = np.random.default_rng(9)
         neg = r.standard_normal((6, 4))
@@ -397,6 +450,30 @@ class TestITML:
             list(ITML(gamma=1e20, max_iter=3)._cycles(pairs, y))
         assert any(w.category is RuntimeWarning
                    and "divide by zero" in str(w.message) for w in caught)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 8),
+           n=st.integers(4, 40), log_scale=st.floats(-3.0, 3.0),
+           coincident=st.integers(0, 3), gap=st.sampled_from([0.0, 1e-9]),
+           gamma=st.sampled_from([0.1, 1.0, 1e6, 1e20]),
+           prior=st.sampled_from(["identity", "covariance-inverse"]))
+    def test_cycles_match_the_reference_loop_property(
+            self, seed, d, n, log_scale, coincident, gap, gamma, prior):
+        # every yielded M, multiplier change and adjusted bound, bit for bit,
+        # over dimensions, pair counts, feature scales, slack and both
+        # priors; the first pairs coincide (gap 0) or nearly do, which with
+        # gamma 1e20 divides by zero and spreads inf and nan
+        r = np.random.default_rng(seed)
+        scale = 10.0 ** log_scale
+        pairs = r.standard_normal((n, 2, d)) * scale
+        pairs[:coincident, 1] = pairs[:coincident, 0] + gap * scale
+        y = r.choice([1, -1], size=n)
+        y[:2] = [1, -1]
+        r.shuffle(y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            self._cycles_and_reference(
+                ITML(gamma=gamma, prior=prior, max_iter=6), pairs, y)
 
     def test_fit_matches_the_reference_loop(self):
         pairs, y = self._blob_pairs(seed=12)
