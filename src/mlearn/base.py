@@ -89,7 +89,7 @@ class MahalanobisEstimator(BaseEstimator):
     """Shared post-fit surface of every metric learner."""
 
     model_: MahalanobisModel
-    supervision: str  # a key of mlearn.tuples.ARITY
+    supervision: str  # a key of mlearn.tuples.KINDS
 
     def _check_fit(self, x, y):
         """(x, y) as arrays once every parameter and the data pass the gate."""

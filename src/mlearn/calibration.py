@@ -33,10 +33,8 @@ class CalibrationResult:
 
 def candidate_thresholds(distances) -> np.ndarray:
     """The candidate thresholds of ``distances``, given in any order."""
-    # sorted and deduplicated by hand: a plain np.unique imports numpy.ma
-    d = np.sort(np.asarray(distances, dtype=float))
-    # the distinct values, NaNs (sorted last) counted as one as np.unique does
-    d = d[np.concatenate(([True], (d[1:] != d[:-1]) & ~np.isnan(d[:-1])))]
+    # with return_inverse, np.unique never takes its path that imports numpy.ma
+    d = np.unique(np.asarray(distances, dtype=float), return_inverse=True)[0]
     mids = 0.5 * (d[:-1] + d[1:])
     return np.concatenate(([d[0] - 1.0], mids, [d[-1] + 1.0]))
 

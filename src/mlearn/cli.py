@@ -11,12 +11,15 @@ reader, the only source of loader errors: it checks every row's width, then
 parses cell by cell and raises on the first fault. A command imports only
 what it runs: the one learner's module, ``modelsel`` for ``cv``, ``model``
 for the serving commands. ``fit`` and ``cv`` load what a learner fits on
-from its supervision kind: class labels from --label-col (nca, lmnn, mlkr,
-lfda), chunklet ids from --chunk-col (rca), labeled pairs from --pairs (mmc,
-itml) or quadruplets from --quads (lsml). The serving commands load the model, the features and
-their one tuple file in one place and call only the model's public methods,
-which do the remaining checks. Models persist as JSON. Exit codes: 0
-success, 2 validation or format error, 3 numerical failure.
+through the flag its supervision kind names in :data:`~mlearn.tuples.KINDS`:
+class labels from --label-col (nca, lmnn, mlkr, lfda), chunklet ids from
+--chunk-col (rca), labeled pairs from --pairs (mmc, itml) or quadruplets
+from --quads (lsml); ``fit --calibrate`` applies to pair learners only and
+is refused before any data is read. The serving commands load the model,
+the features and their one tuple file in one place and call only the
+model's public methods, which do the remaining checks. Models persist as
+JSON. Exit codes: 0 success, 2 validation or format error, 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import warnings
 import numpy as np
 
 from .exceptions import MetricLearnError, NumericalError, ValidationError
-from .tuples import ARITY
+from .tuples import KINDS
 
 # learner name -> the module that defines its class, the name upper-cased;
 # a command imports only the module of the learner it runs
@@ -290,37 +293,31 @@ def build_estimator(args):
 
 
 def _fit_inputs(est, args) -> tuple:
-    """(x, y) for ``est.fit``, loaded as its supervision kind needs."""
-    kind = est.supervision
-    flag, source = {
-        "labels": ("--label-col", args.label_col),
-        "chunks": ("--chunk-col", args.chunk_col),
-        "pairs": ("--pairs", args.pairs),
-        "quads": ("--quads", args.quads),
-    }[kind]
+    """(x, y) for ``est.fit``, loaded through its kind's flag: the column of
+    y for points, the tuple file for tuples."""
+    arity, flag = KINDS[est.supervision]
+    source = getattr(args, flag[2:].replace("-", "_"))
     if source is None:
         raise ValidationError(f"{flag} is required for {args.algo}")
-    if kind == "chunks":
-        x, _, chunks = load_features(args.data, label_col=args.label_col,
-                                     chunk_col=source)
-        return x, chunks
-    x, y, _ = load_features(args.data, label_col=args.label_col)
-    if kind == "labels":
-        return x, y
-    return load_tuples(source, x, ARITY[kind])
+    chunk_col = source if flag == "--chunk-col" else None
+    x, labels, chunks = load_features(args.data, label_col=args.label_col,
+                                      chunk_col=chunk_col)
+    if arity is not None:
+        return load_tuples(source, x, arity)
+    return x, labels if chunk_col is None else chunks
 
 
 # -- commands ----------------------------------------------------------------
 
 def cmd_fit(args) -> int:
     est = build_estimator(args)
+    if args.calibrate is not None and KINDS[est.supervision][0] != 2:
+        raise ValidationError("--calibrate only applies to pair learners")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         x, y = _fit_inputs(est, args)
         est.fit(x, y)
         if args.calibrate is not None:
-            if est.supervision != "pairs":
-                raise ValidationError("--calibrate only applies to pair learners")
             est.calibrate_threshold(x, y, args.calibrate)
     if not est.model_.fit_report.converged:
         print("warning: solver stopped before reaching its tolerance",
@@ -340,8 +337,7 @@ def _serving_inputs(args):
     if args.command == "transform":
         return model, x, None, None
     given = [(arity, path) for arity, path in enumerate(
-        (args.pairs, getattr(args, "triplets", None), getattr(args, "quads", None)),
-        2) if path is not None]
+        (args.pairs, args.triplets, args.quads), 2) if path is not None]
     if len(given) != 1:
         raise ValidationError(
             "exactly one of --pairs, --triplets, --quads is required"
@@ -394,7 +390,8 @@ def cmd_cv(args) -> int:
     est = build_estimator(args)
     task = SupervisedTask(*_fit_inputs(est, args), est, knn_k=args.knn_k)
     # checked here, not by kfold_split, so the message names the flag
-    n, what = len(task.x), "rows" if task.x.ndim == 2 else "tuples"
+    n = len(task.x)
+    what = "rows" if KINDS[est.supervision][0] is None else "tuples"
     if not 2 <= args.folds <= n:
         raise ValidationError(
             f"--folds must lie in [2, {n}] for {n} {what}, got {args.folds}")
@@ -477,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_data_flags(p)
     p.add_argument("--pairs", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_score_pairs)
+    p.set_defaults(func=cmd_score_pairs, triplets=None, quads=None)
 
     p = sub.add_parser("predict", help="predict +/-1 for pairs/triplets/quads")
     p.add_argument("--model", required=True)
@@ -494,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", required=True)
     p.add_argument("--metric", choices=("accuracy", "f1"), default="accuracy")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_calibrate)
+    p.set_defaults(func=cmd_calibrate, triplets=None, quads=None)
 
     p = sub.add_parser("cv", help="cross-validate, optionally over a grid")
     _add_learner_flags(p)

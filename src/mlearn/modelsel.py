@@ -1,17 +1,17 @@
 """Cross-validation, grid search and the metric-learner + k-NN pipeline.
 
 A :class:`SupervisedTask` pairs a learner with the arguments of its ``fit``.
-The learner's ``supervision`` kind picks its row of :data:`SUPERVISION`: how
-the folds are split and how each fold is scored. Points with class labels
-(``labels``) or chunklet ids (``chunks``) split stratified on them and score
-through a downstream k-NN classifier in the learned space (accuracy or
-F1: a vote is a label, not a score). Labeled pairs (``pairs``) are scored
-by threshold, auto-calibrated on each training fold, or by ROC-AUC;
-quadruplets (``quads``) by scoring their order predictions
-against a truth of all +1, so accuracy is the fraction predicted in the
-right order, F1 the F1 of those predictions, and ROC-AUC, undefined on one
-class, raises. Tuple kinds split by tuple index, so the same underlying
-point may appear on both sides of a fold boundary.
+The arity of the learner's ``supervision`` kind in
+:data:`~mlearn.tuples.KINDS` decides how the folds are split and how each
+fold is scored. Points with class labels or chunklet ids split stratified
+on them and score through a downstream k-NN classifier in the learned
+space (accuracy or F1: a vote is a label, not a score). Labeled pairs are
+scored by threshold, auto-calibrated on each training fold, or by ROC-AUC;
+quadruplets by scoring their order predictions against a truth of all +1,
+so accuracy is the fraction predicted in the right order, F1 the F1 of
+those predictions, and ROC-AUC, undefined on one class, raises. Tuple kinds
+split by tuple index, so the same underlying point may appear on both sides
+of a fold boundary.
 """
 
 from __future__ import annotations
@@ -20,21 +20,20 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .exceptions import ValidationError, check_at_least
 from .rng import SplitMix64
 from .scoring import METRIC_NAMES, score
-from .tuples import ARITY, _as_labels, class_blocks, validate_supervision
+from .tuples import KINDS, _as_labels, class_blocks, validate_supervision
 
 
 @dataclass
 class SupervisedTask:
     """A metric learner and the arguments of its ``fit``: points or a tuple
     block ``x``, and labels, chunklet ids or pair labels ``y`` (None for
-    quadruplets). ``knn_k`` applies to the k-NN scored kinds."""
+    quadruplets). ``knn_k`` applies to points, which k-NN scores."""
     x: np.ndarray
     y: np.ndarray | None
     estimator: object
@@ -236,47 +235,33 @@ def _quad_scorer(task, est, train, metric_name):
     return score_on
 
 
-class Supervision(NamedTuple):
-    """How cross-validation treats one kind of supervision; points (see
-    :data:`~mlearn.tuples.ARITY`) split stratified on y, tuples do not."""
-    y_name: str | None  # what a training fold needs two distinct values of
-    scorer: Callable  # (task, fitted estimator, train rows, metric) -> rows -> score
-    metrics: tuple = METRIC_NAMES  # the metric names that can score it
-
-
-SUPERVISION = {
-    # a k-NN vote is a label, not a score: ROC-AUC has no decision values
-    "labels": Supervision("class", _knn_scorer, ("accuracy", "f1")),
-    "chunks": Supervision("class", _knn_scorer, ("accuracy", "f1")),
-    "pairs": Supervision("pair label", _pair_scorer),
-    # ROC-AUC is undefined on the single true class of quadruplets
-    "quads": Supervision(None, _quad_scorer, ("accuracy", "f1")),
-}
-
-
-def _supervision(task) -> str:
+def _kind(task):
+    """(kind, tuple arity) of the task's supervision; the arity is None for
+    points, which split stratified on y and score by k-NN."""
     kind = getattr(getattr(task, "estimator", None), "supervision", None)
-    if kind not in SUPERVISION:
+    if kind not in KINDS:
         raise ValidationError(
             f"unknown supervision kind {kind!r} for task {type(task).__name__}"
         )
-    return kind
+    return kind, KINDS[kind][0]
 
 
 def cross_validate(task, k: int, seed: int, metric_name: str = "accuracy") -> CvResult:
     """Per-fold fit and evaluation; no test-fold information reaches a fit.
     The metric name is checked against the task's kind before any fit, and
     ``f1`` on a k-NN scored kind against its labels, which must all be +/-1."""
-    name = _supervision(task)
-    kind = SUPERVISION[name]
-    if metric_name not in kind.metrics:
+    name, arity = _kind(task)
+    # a k-NN vote is a label, not a score, and ROC-AUC is undefined on the
+    # single true class of quadruplets: only pairs have decision values to rank
+    metrics = METRIC_NAMES if arity == 2 else ("accuracy", "f1")
+    if metric_name not in metrics:
         raise ValidationError(
             f"metric {metric_name!r} cannot score {name} tasks; "
-            f"expected one of {kind.metrics}"
+            f"expected one of {metrics}"
         )
     x, y = validate_supervision(name, task.x, task.y)
     # a k-NN vote is a training label, and F1 takes +1 as its positive class
-    if (metric_name == "f1" and kind.scorer is _knn_scorer
+    if (metric_name == "f1" and arity is None
             and not np.all(np.isin(y, (-1, 1)))):
         raise ValidationError(
             f"metric 'f1' scores {name} tasks only when every label is +1 or "
@@ -284,18 +269,21 @@ def cross_validate(task, k: int, seed: int, metric_name: str = "accuracy") -> Cv
         )
     task = replace(task, x=x, y=y)
     folds = kfold_split(len(x), k, seed,
-                        stratify_labels=y if ARITY[name] is None else None)
+                        stratify_labels=y if arity is None else None)
+    scorer = (_knn_scorer if arity is None
+              else _pair_scorer if arity == 2 else _quad_scorer)
     test_scores, train_scores, models = [], [], []
     for fold, (train, test) in enumerate(folds):
         y_train = None if y is None else y[train]
         # compared with the first value: a plain np.unique imports numpy.ma
-        if kind.y_name and np.all(y_train == y_train[:1]):
+        if y is not None and np.all(y_train == y_train[:1]):
+            noun = "class" if arity is None else "pair label"
             raise ValidationError(
-                f"fold {fold} is degenerate: one {kind.y_name} in training data"
+                f"fold {fold} is degenerate: one {noun} in training data"
             )
         est = task.estimator.clone()
         est.fit(x[train], y_train)
-        score_on = kind.scorer(task, est, train, metric_name)
+        score_on = scorer(task, est, train, metric_name)
         test_scores.append(score_on(test))
         train_scores.append(score_on(train))
         models.append(est.model_)
@@ -309,7 +297,7 @@ def _apply_candidate(task, params: dict):
     task = replace(task, estimator=est)
     for name, value in params.items():
         if name == "knn_k":
-            if SUPERVISION[_supervision(task)].scorer is not _knn_scorer:
+            if _kind(task)[1] is not None:
                 raise ValidationError("knn_k only applies to k-NN scored tasks")
             task.knn_k = check_at_least("knn_k", value, 1)
         else:

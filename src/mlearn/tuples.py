@@ -1,14 +1,18 @@
 """Supervision: the data gate of every fit, and samplers over labeled data.
 
-:func:`validate_supervision` checks data by its kind of supervision, as
-every fit, ``cross_validate``, ``knn_predict``, ``calibrate_threshold`` and
-the samplers below do; :data:`ARITY` says what each kind takes as ``x``.
-:func:`class_blocks` is the one class index of every class-aware step.
+:data:`KINDS` is the one table of supervision kinds: what each kind takes
+as ``x`` and the CLI flag it is loaded from. Every other per-kind rule of
+the gate, cross-validation and the CLI is read from the kind's arity where
+it is used. :func:`validate_supervision` checks data by its kind, as every
+fit, ``cross_validate``, ``knn_predict``, ``calibrate_threshold`` and the
+samplers below do, and holds every rule on ``y``; :func:`validate_tuples`
+checks a tuple block's arity, width and finiteness. :func:`class_blocks`
+is the one class index of every class-aware step.
 
 Tuple sets are plain 3-D numpy arrays of shape (n_tuples, t, n_features)
 with t = 2 (pairs), 3 (triplets: anchor, positive, negative) or 4
-(quadruplets: close pair then far pair). Pairs may carry a +/-1 label vector;
-the other arities never do.
+(quadruplets: close pair then far pair). Only pairs carry labels, one +1 or
+-1 per pair.
 
 The samplers bridge class-labeled data to the weakly-supervised learners.
 Rows are copied verbatim into the tuple blocks and all randomness comes from
@@ -30,17 +34,20 @@ from .exceptions import DimensionError, ValidationError, check_at_least
 from .rng import SplitMix64, below
 
 
-# supervision kind -> tuple arity of what fit takes as x; None for points
-ARITY = {"labels": None, "chunks": None, "pairs": 2, "quads": 4}
+# supervision kind -> (the tuple arity of what fit takes as x, None for
+# points; the CLI flag that names the column of y or the tuple file)
+KINDS = {"labels": (None, "--label-col"), "chunks": (None, "--chunk-col"),
+         "pairs": (2, "--pairs"), "quads": (4, "--quads")}
 
 
 def validate_supervision(kind: str, x, y, n_features: int | None = None,
                          check_finite: bool = True):
     """(x, y) as arrays, checked for the supervision kind: points with a
     1-D y of one entry per row, no NaN and values that can be ordered,
-    labeled pairs, or quadruplets without y. ``check_finite`` is passed on
-    to the data's check (see :func:`validate_tuples`)."""
-    arity = ARITY[kind]
+    pairs with one +1 or -1 label each, or quadruplets without y.
+    ``check_finite`` is passed on to the data's check (see
+    :func:`validate_tuples`)."""
+    arity = KINDS[kind][0]
     if arity is None:
         x = _as_features(x, n_features, check_finite)
         y = _as_labels(y, len(x))
@@ -56,10 +63,17 @@ def validate_supervision(kind: str, x, y, n_features: int | None = None,
             except TypeError as e:
                 raise ValidationError(f"labels cannot be ordered: {e}") from None
         return x, y
-    if kind == "pairs" and y is None:
+    if arity == 2 and y is None:
         raise ValidationError("pairs need labels: one +1 or -1 per pair")
-    x = validate_tuples(x, arity, n_features, labels=y, check_finite=check_finite)
-    return x, None if y is None else np.asarray(y)
+    x = validate_tuples(x, arity, n_features, check_finite=check_finite)
+    if y is None:
+        return x, None
+    if arity != 2:
+        raise ValidationError("labels are only permitted for pairs (t=2)")
+    y = _as_labels(y, len(x))
+    if not np.all(np.isin(y, (-1, 1))):
+        raise ValidationError("pair labels must take values in {+1, -1}")
+    return x, y
 
 
 def _all_finite(a: np.ndarray) -> bool:
@@ -102,9 +116,9 @@ def _as_labels(y, n: int) -> np.ndarray:
     return y
 
 
-def validate_tuples(tuples, expected_t: int, n_features: int | None = None,
-                    labels=None, check_finite: bool = True) -> np.ndarray:
-    """Check a tuple block against arity, width, finiteness and label rules.
+def validate_tuples(tuples, expected_t: int, n_features: int | None = None, *,
+                    check_finite: bool = True) -> np.ndarray:
+    """Check a tuple block's arity, width and finiteness.
 
     Fits and samplers scan the whole block for non-finite entries here. The
     serving methods pass ``check_finite=False``: their rows go through the
@@ -126,12 +140,6 @@ def validate_tuples(tuples, expected_t: int, n_features: int | None = None,
         )
     if check_finite and not _all_finite(tuples):
         raise ValidationError("tuple array contains non-finite entries")
-    if labels is not None:
-        if expected_t != 2:
-            raise ValidationError("labels are only permitted for pairs (t=2)")
-        labels = _as_labels(labels, len(tuples))
-        if not np.all(np.isin(labels, (-1, 1))):
-            raise ValidationError("pair labels must take values in {+1, -1}")
     return tuples
 
 

@@ -18,9 +18,8 @@ from mlearn.cli import (ALGORITHMS, estimator_class, load_features,
                         load_tuples, main)
 from mlearn.exceptions import ValidationError
 from mlearn.model import MahalanobisModel
-from mlearn.modelsel import SUPERVISION
 from mlearn.supervised import LFDA, LMNN, MLKR, NCA, RCA
-from mlearn.tuples import validate_tuples
+from mlearn.tuples import KINDS, validate_tuples
 from mlearn.weak import ITML, LSML, MMC
 
 from conftest import NON_FINITE_ITML_CASES, labeled_pairs
@@ -361,12 +360,48 @@ class TestFitTransform:
         assert code == 2
         assert err.startswith(f"error: unknown option 'seed' for algorithm {algo}")
 
-    def test_calibrate_flag_rejected_for_supervised(self, tmp_path, capsys):
-        data, pairs, _ = write_dataset(tmp_path)
-        code, _, err = run_cli(capsys, "fit", "--algo", "nca", "--data",
-                               str(data), "--label-col", "y", "--calibrate",
-                               "f1", "--out", str(tmp_path / "m.json"))
+    @pytest.mark.parametrize("algo", ["nca", "lmnn", "mlkr", "lfda", "rca",
+                                      "lsml"])
+    def test_calibrate_flag_rejected_for_supervised(self, algo, tmp_path,
+                                                    capsys, monkeypatch):
+        # refused before any data is read or any fit runs
+        data, _, quads = write_dataset(tmp_path)
+        inputs = {"rca": ["--chunk-col", "y"],
+                  "lsml": ["--quads", str(quads)]}.get(algo, [])
+        fit = mock.Mock()
+        monkeypatch.setattr(estimator_class(algo), "fit", fit)
+        loader = mock.Mock(wraps=load_features)
+        monkeypatch.setattr(cli, "load_features", loader)
+        out = tmp_path / "m.json"
+        code, _, err = run_cli(capsys, "fit", "--algo", algo, "--data",
+                               str(data), "--label-col", "y",
+                               *inputs, "--calibrate", "f1", "--out", str(out))
         assert code == 2
+        assert err == "error: --calibrate only applies to pair learners\n"
+        assert not fit.called and not loader.called
+        assert not out.exists()
+
+    # the flag each learner's kind of supervision is loaded from
+    @pytest.mark.parametrize("algo, flag", [
+        ("nca", "--label-col"), ("lmnn", "--label-col"),
+        ("mlkr", "--label-col"), ("lfda", "--label-col"),
+        ("rca", "--chunk-col"), ("mmc", "--pairs"), ("itml", "--pairs"),
+        ("lsml", "--quads")])
+    @pytest.mark.parametrize("command", ["fit", "cv"])
+    def test_input_flag_of_the_kind_is_required(self, command, algo, flag,
+                                                tmp_path, capsys):
+        data, _, _ = write_dataset(tmp_path)
+        out = tmp_path / "m.json"
+        argv = [command, "--algo", algo, "--data", str(data)]
+        # a label column alone is not the input of the other kinds
+        if flag != "--label-col":
+            argv += ["--label-col", "y"]
+        if command == "fit":
+            argv += ["--out", str(out)]
+        code, stdout, err = run_cli(capsys, *argv)
+        assert (code, stdout) == (2, "")
+        assert err == f"error: {flag} is required for {algo}\n"
+        assert not out.exists()
 
 
 class TestScoreAndPredict:
@@ -557,7 +592,7 @@ class TestCv:
 
 def test_every_algorithm_declares_a_supervision_kind():
     for name in ALGORITHMS:
-        assert vars(estimator_class(name)).get("supervision") in SUPERVISION, name
+        assert vars(estimator_class(name)).get("supervision") in KINDS, name
 
 
 def test_algorithm_table_names_the_eight_learners():
@@ -586,7 +621,9 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
         "serve": [["transform", "--model", str(model), *inputs,
                    "--out", str(tmp_path / "z.csv")],
                   ["score-pairs", "--model", str(model), *inputs,
-                   "--pairs", str(pairs), "--out", str(tmp_path / "d.txt")]],
+                   "--pairs", str(pairs), "--out", str(tmp_path / "d.txt")],
+                  ["calibrate", "--model", str(model), *inputs,
+                   "--pairs", str(pairs), "--out", str(tmp_path / "c.json")]],
         "fit-mmc": [["fit", "--algo", "mmc", *inputs, "--pairs", str(pairs),
                      "--max-iter", "5", "--out", str(tmp_path / "mmc.json")]],
         "cv-lmnn": [["cv", "--algo", "lmnn", *inputs, "--max-iter", "5"]],

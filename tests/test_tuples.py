@@ -14,7 +14,7 @@ from mlearn import (
 )
 from mlearn.exceptions import DimensionError, ValidationError
 from mlearn.rng import SplitMix64, below
-from mlearn.tuples import _pool_positions, class_blocks
+from mlearn.tuples import _pool_positions, class_blocks, validate_supervision
 
 
 # -- reference samplers -----------------------------------------------------
@@ -99,10 +99,6 @@ def _outputs(kind, out):
 
 
 class TestValidateTuples:
-    def test_valid_pairs(self, rng):
-        pairs = rng.standard_normal((3, 2, 4))
-        validate_tuples(pairs, 2, 4, labels=[1, -1, 1])
-
     def test_arity_mismatch(self, rng):
         with pytest.raises(ValidationError, match="arity"):
             validate_tuples(rng.standard_normal((3, 3, 4)), 2)
@@ -128,17 +124,26 @@ class TestValidateTuples:
                     validate_tuples(u, 2)
         validate_tuples(np.zeros((0, 2, 3)), 2)
 
+
+class TestValidateSupervision:
+    """The rules on y: pair labels are +1 or -1, one per pair, and no other
+    tuple kind takes labels."""
+
+    def test_valid_pairs(self, rng):
+        pairs = rng.standard_normal((3, 2, 4))
+        validate_supervision("pairs", pairs, [1, -1, 1], 4)
+
     def test_zero_label_rejected(self, rng):
         with pytest.raises(ValidationError, match=r"\{\+1, -1\}"):
-            validate_tuples(rng.standard_normal((2, 2, 3)), 2, labels=[1, 0])
+            validate_supervision("pairs", rng.standard_normal((2, 2, 3)), [1, 0])
 
-    def test_labels_on_triplets_rejected(self, rng):
+    def test_labels_on_quadruplets_rejected(self, rng):
         with pytest.raises(ValidationError, match="pairs"):
-            validate_tuples(rng.standard_normal((2, 3, 3)), 3, labels=[1, -1])
+            validate_supervision("quads", rng.standard_normal((2, 4, 3)), [1, -1])
 
     def test_label_length_mismatch(self, rng):
         with pytest.raises(ValidationError, match="length"):
-            validate_tuples(rng.standard_normal((3, 2, 3)), 2, labels=[1, -1])
+            validate_supervision("pairs", rng.standard_normal((3, 2, 3)), [1, -1])
 
 
 def small_dataset():
