@@ -7,8 +7,10 @@ with the grid-search harness without any external framework. Every ``fit``
 starts with one gate, :meth:`MahalanobisEstimator._check_fit`: each
 parameter, from the constructor or ``set_params`` (which checks at once),
 must have the type of its ``__init__`` default, one with a float default
-must be a finite float, and ``max_iter`` and ``tol`` must be >= 0; the data
-is checked by the learner's ``supervision`` kind. Every ``fit`` ends with
+must be a finite float, and one named in ``_PARAM_RULES``, the table of
+every rule that reads no data, must meet its rule there. The data is checked
+by the learner's ``supervision`` kind; a rule that reads it
+(``n_components`` <= d) stays in the fit. Every ``fit`` ends with
 :meth:`MahalanobisEstimator._set_model`, which stores the learned map as a
 :class:`~mlearn.model.MahalanobisModel` in ``model_``, named after the class
 (``NCA`` -> ``"nca"``, also its CLI name), and mirrors it in ``components_``.
@@ -23,8 +25,8 @@ import numbers
 import numpy as np
 
 from .calibration import calibrate_threshold
-from .exceptions import ValidationError, check_at_least
-from .model import FitReport, MahalanobisModel, _valid_threshold
+from .exceptions import ValidationError
+from .model import FitReport, MahalanobisModel, _real_type, _valid_threshold
 from .tuples import validate_supervision
 
 
@@ -39,9 +41,28 @@ _PARAM_KINDS = (
 )
 
 
+def _one_of(*choices):
+    return lambda v: v in choices, " or ".join(map(repr, choices))
+
+
+# parameter name -> (test, text) of the rule its value meets once its type
+# is checked, whichever learner has it; none reads the data
+_PARAM_RULES = {
+    "max_iter": (lambda v: v >= 0, ">= 0"), "tol": (lambda v: v >= 0, ">= 0"),
+    "k": (lambda v: v >= 1, ">= 1"), "knn": (lambda v: v >= 1, ">= 1"),
+    "reg": (lambda v: v >= 0, ">= 0"), "gamma": (lambda v: v > 0, "> 0"),
+    "push_weight": (lambda v: 0 < v < 1, "strictly in (0, 1)"),
+    "init": _one_of("identity", "random"), "embedding": _one_of("weighted", "plain"),
+    "prior": _one_of("identity", "covariance-inverse"),
+    "percentiles": (lambda v: len(v) == 2 and all(_real_type(type(p)) for p in v)
+                    and 0 <= v[0] < v[1] <= 100,
+                    "two numbers (low, high) with 0 <= low < high <= 100"),
+}
+
+
 def _check_param(name: str, value, default):
     """value, of the type of its __init__ default; where that is a float, a
-    finite float; and max_iter and tol are >= 0."""
+    finite float; and within its rule in _PARAM_RULES, if it has one."""
     kind = next((k for k in _PARAM_KINDS if isinstance(default, k[0])), None)
     if kind and (not isinstance(value, kind[1])
                  or isinstance(value, bool) != (kind[0] is bool)):
@@ -53,8 +74,9 @@ def _check_param(name: str, value, default):
             finite = False
         if not finite:
             raise ValidationError(f"{name} must be a finite number, got {value!r}")
-    if name in ("max_iter", "tol"):
-        check_at_least(name, value, 0, kind[1])
+    test, rule = _PARAM_RULES.get(name, (None, None))
+    if test is not None and not test(value):
+        raise ValidationError(f"{name} must be {rule}, got {value!r}")
     return value
 
 
@@ -70,7 +92,7 @@ class BaseEstimator:
         return {name: getattr(self, name) for name in self._param_defaults()}
 
     def set_params(self, **params) -> "BaseEstimator":
-        """Set parameters, each checked as the gate of ``fit`` checks it."""
+        """Set parameters, each checked at once by type and ``_PARAM_RULES``."""
         defaults = self._param_defaults()
         for name, value in params.items():
             if name not in defaults:

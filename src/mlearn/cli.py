@@ -14,12 +14,13 @@ for the serving commands. ``fit`` and ``cv`` load what a learner fits on
 through the flag its supervision kind names in :data:`~mlearn.tuples.KINDS`:
 class labels from --label-col (nca, lmnn, mlkr, lfda), chunklet ids from
 --chunk-col (rca), labeled pairs from --pairs (mmc, itml) or quadruplets
-from --quads (lsml); ``fit --calibrate`` applies to pair learners only and
-is refused before any data is read. The serving commands load the model,
-the features and their one tuple file in one place and call only the
-model's public methods, which do the remaining checks. Models persist as
-JSON. Exit codes: 0 success, 2 validation or format error, 3 numerical
-failure.
+from --quads (lsml). The flag of another kind, and ``fit --calibrate`` for
+a learner that is not a pair learner, are refused before any data is read;
+--label-col is taken by every learner, as it also names a column to drop.
+The serving commands load the model, the features and their one tuple file
+in one place and call only the model's public methods, which do the
+remaining checks. Models persist as JSON. Exit codes: 0 success, 2
+validation or format error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -294,9 +295,14 @@ def build_estimator(args):
 
 def _fit_inputs(est, args) -> tuple:
     """(x, y) for ``est.fit``, loaded through its kind's flag: the column of
-    y for points, the tuple file for tuples."""
+    y for points, the tuple file for tuples. The flag of another kind is
+    refused, but for --label-col, which also names a column to drop."""
     arity, flag = KINDS[est.supervision]
-    source = getattr(args, flag[2:].replace("-", "_"))
+    given = {f: getattr(args, f[2:].replace("-", "_")) for _, f in KINDS.values()}
+    for other, value in given.items():
+        if value is not None and other not in (flag, "--label-col"):
+            raise ValidationError(f"{other} does not apply to {args.algo}")
+    source = given[flag]
     if source is None:
         raise ValidationError(f"{flag} is required for {args.algo}")
     chunk_col = source if flag == "--chunk-col" else None

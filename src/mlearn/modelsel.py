@@ -313,20 +313,18 @@ def grid_search(task, grid: dict, k: int, seed: int, metric_name: str = "accurac
     """
     if not grid or any(len(v) == 0 for v in grid.values()):
         raise ValidationError("grid must map names to non-empty value lists")
-    names = list(grid.keys())
-    table = []
-    best = None
-    for values in itertools.product(*(grid[name] for name in names)):
-        params = dict(zip(names, values))
-        try:
-            result = cross_validate(_apply_candidate(task, params), k, seed,
-                                    metric_name)
-        except ValidationError as exc:
-            raise ValidationError(f"candidate {params}: {exc}") from exc
-        row = {"params": params, "test_scores": result.test_scores,
-               "train_scores": result.train_scores, "mean": result.mean,
-               "std": result.std}
-        table.append(row)
-        if best is None or row["mean"] > best["mean"]:
-            best = row
-    return best, table
+    tasks, table = [], []
+    try:
+        # every candidate is applied, so a bad one is refused, before any fold
+        for values in itertools.product(*grid.values()):
+            params = dict(zip(grid, values))
+            tasks.append((params, _apply_candidate(task, params)))
+        for params, candidate in tasks:
+            result = cross_validate(candidate, k, seed, metric_name)
+            table.append({"params": params, "test_scores": result.test_scores,
+                          "train_scores": result.train_scores,
+                          "mean": result.mean, "std": result.std})
+    except ValidationError as exc:
+        raise ValidationError(f"candidate {params}: {exc}") from exc
+    # max keeps the first of equal means: a tie goes to the earliest candidate
+    return max(table, key=lambda row: row["mean"]), table

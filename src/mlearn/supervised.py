@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 
 from .base import MahalanobisEstimator
-from .exceptions import ValidationError, check_at_least
+from .exceptions import ValidationError
 from .linalg import gen_sym_eig, psd_sqrt
 from .model import _BLOCK, FitReport
 from .modelsel import _k_nearest
@@ -25,12 +25,10 @@ from .tuples import class_blocks
 def _init_transform(init: str, n_components: int, n_features: int, seed: int):
     if init == "identity":
         return np.eye(n_features)[:n_components].copy()
-    if init == "random":
-        # uniform in [-1, 1) from the top 53 bits of each SplitMix64 draw
-        bits = SplitMix64(seed).draws(n_components * n_features) >> np.uint64(11)
-        u = bits.astype(float) * 2.0 ** -52 - 1.0
-        return u.reshape(n_components, n_features) / np.sqrt(n_features)
-    raise ValidationError(f"unknown init {init!r}; expected 'identity' or 'random'")
+    # "random": uniform in [-1, 1) from the top 53 bits of each SplitMix64 draw
+    bits = SplitMix64(seed).draws(n_components * n_features) >> np.uint64(11)
+    u = bits.astype(float) * 2.0 ** -52 - 1.0
+    return u.reshape(n_components, n_features) / np.sqrt(n_features)
 
 
 def _resolve_components(n_components, n_features: int) -> int:
@@ -315,11 +313,8 @@ class LMNN(MahalanobisEstimator):
 
     def fit(self, x, y):
         x, y = self._check_fit(x, y)
-        k = check_at_least("k", self.k, 1)
         x, y, blocks = _class_sorted(x, y)
-        if not 0.0 < self.push_weight < 1.0:
-            raise ValidationError("push_weight must lie strictly in (0, 1)")
-        targets = lmnn_targets(x, y, k)
+        targets = lmnn_targets(x, y, self.k)
         m = _resolve_components(self.n_components, x.shape[1])
         l0 = _init_transform(self.init, m, x.shape[1], self.seed)
         l, report = backtracking_solve(
@@ -473,12 +468,9 @@ class LFDA(MahalanobisEstimator):
 
     def fit(self, x, y):
         x, y = self._check_fit(x, y)
-        knn = check_at_least("knn", self.knn, 1)
-        if self.embedding not in ("weighted", "plain"):
-            raise ValidationError("embedding must be 'weighted' or 'plain'")
         d = x.shape[1]
         m = _resolve_components(self.n_components, d)
-        s_between, s_within = _lfda_scatters(x, y, knn)
+        s_between, s_within = _lfda_scatters(x, y, self.knn)
         eps = 1e-9 * np.trace(s_within) / d
         res = gen_sym_eig(s_between, s_within + eps * np.eye(d), m)
         l = res.eigenvectors.T

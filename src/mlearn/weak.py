@@ -9,7 +9,6 @@ symmetric square-root factor at the end.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
@@ -38,15 +37,11 @@ def _prior_matrix(prior: str, points: np.ndarray, d: int) -> np.ndarray:
     """Identity, or the regularized inverse covariance of the tuple points."""
     if prior == "identity":
         return np.eye(d)
-    if prior == "covariance-inverse":
-        centered = points - points.mean(axis=0)
-        cov = centered.T @ centered / max(len(points), 1)
-        reg = 1e-8 * np.trace(cov) / d if np.trace(cov) > 0 else 1e-8
-        b = psd_sqrt(cov + reg * np.eye(d), invert=True)
-        return b.T @ b
-    raise ValidationError(
-        f"unknown prior {prior!r}; expected 'identity' or 'covariance-inverse'"
-    )
+    centered = points - points.mean(axis=0)
+    cov = centered.T @ centered / max(len(points), 1)
+    reg = 1e-8 * np.trace(cov) / d if np.trace(cov) > 0 else 1e-8
+    b = psd_sqrt(cov + reg * np.eye(d), invert=True)
+    return b.T @ b
 
 
 def _weighted_gram(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -170,21 +165,11 @@ class MMC(MahalanobisEstimator, PairClassifierMixin):
 # -- ITML --------------------------------------------------------------------
 
 def itml_bounds(pairs, percentiles) -> tuple[float, float]:
-    """Similarity/dissimilarity bounds on squared Euclidean pair distances."""
-    try:
-        low, high = percentiles
-    except (TypeError, ValueError):
-        low = high = None
-    if not all(isinstance(p, numbers.Real) and not isinstance(p, bool)
-               for p in (low, high)):
-        raise ValidationError(
-            f"percentiles must be two numbers (low, high), got {percentiles!r}")
-    if not 0 <= low < high <= 100:
-        raise ValidationError("percentiles must satisfy 0 <= low < high <= 100")
+    """Bounds on squared Euclidean pair distances at checked percentiles."""
     pairs = np.asarray(pairs, dtype=float)
     d2 = np.sum((pairs[:, 0] - pairs[:, 1]) ** 2, axis=1)
     # np.percentile is monotone in q, so low < high gives u <= l
-    u, l = np.percentile(d2, (low, high))
+    u, l = np.percentile(d2, percentiles)
     # zero bounds would break the multiplicative updates
     return max(float(u), 1e-9), max(float(l), 1e-9)
 
@@ -257,8 +242,6 @@ class ITML(MahalanobisEstimator, PairClassifierMixin):
         u, l = itml_bounds(pairs, self.percentiles)
         self.bounds_ = (u, l)
         gamma = self.gamma
-        if gamma <= 0:
-            raise ValidationError("gamma must be > 0")
         gamma_proj = gamma / (gamma + 1.0)
         # + 0.0 copies the prior and turns any -0.0 into +0.0 (np.eye and
         # numpy's b^T b hold none). The rank-one updates and the
@@ -361,8 +344,6 @@ class LSML(MahalanobisEstimator, QuadrupletClassifierMixin):
         quads, _ = self._check_fit(quads, y)
         if len(quads) == 0:
             raise ValidationError("need at least one quadruplet")
-        if self.reg < 0:
-            raise ValidationError("reg must be >= 0")
         d = quads.shape[2]
         m0 = _prior_matrix(self.prior, quads.reshape(-1, d), d)
         if not np.all(np.isfinite(m0)):

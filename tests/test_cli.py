@@ -403,6 +403,47 @@ class TestFitTransform:
         assert err == f"error: {flag} is required for {algo}\n"
         assert not out.exists()
 
+    # a flag of another kind than the learner's, refused before any data is
+    # read; --label-col is taken by every learner
+    @pytest.mark.parametrize("algo, extra, flag", [
+        ("lfda", ["--chunk-col", "y"], "--chunk-col"),
+        ("nca", ["--pairs", "{pairs}"], "--pairs"),
+        ("mmc", ["--pairs", "{pairs}", "--quads", "{quads}"], "--quads"),
+        ("rca", ["--chunk-col", "y", "--pairs", "{pairs}"], "--pairs"),
+        ("lsml", ["--quads", "{quads}", "--chunk-col", "y"], "--chunk-col")])
+    @pytest.mark.parametrize("command", ["fit", "cv"])
+    def test_input_flag_of_another_kind_is_refused(
+            self, command, algo, extra, flag, tmp_path, capsys, monkeypatch):
+        data, pairs, quads = write_dataset(tmp_path)
+        fit = mock.Mock()
+        monkeypatch.setattr(estimator_class(algo), "fit", fit)
+        loader = mock.Mock(wraps=load_features)
+        monkeypatch.setattr(cli, "load_features", loader)
+        out = tmp_path / "m.json"
+        argv = [command, "--algo", algo, "--data", str(data), "--label-col", "y"]
+        argv += [a.format(pairs=pairs, quads=quads) for a in extra]
+        if command == "fit":
+            argv += ["--out", str(out)]
+        code, stdout, err = run_cli(capsys, *argv)
+        assert (code, stdout) == (2, "")
+        assert err == f"error: {flag} does not apply to {algo}\n"
+        assert not fit.called and not loader.called
+        assert not out.exists()
+
+    def test_bad_grid_candidate_refused_before_any_fit(self, tmp_path, capsys,
+                                                       monkeypatch):
+        data, _, _ = write_dataset(tmp_path)
+        grid = tmp_path / "grid.json"
+        grid.write_text('{"k": [2, 0]}')
+        fit = mock.Mock()
+        monkeypatch.setattr(LMNN, "fit", fit)
+        code, stdout, err = run_cli(capsys, "cv", "--algo", "lmnn", "--data",
+                                    str(data), "--label-col", "y", "--grid",
+                                    str(grid))
+        assert (code, stdout) == (2, "")
+        assert err == "error: candidate {'k': 0}: k must be >= 1, got 0\n"
+        assert not fit.called
+
 
 class TestScoreAndPredict:
     @pytest.fixture

@@ -666,6 +666,15 @@ class TestGridSearch:
         with pytest.raises(ValidationError):
             grid_search(task, {"max_iter": []}, 3, seed=0)
 
+    def test_bad_candidate_refused_before_any_fit(self):
+        # every candidate passes the parameter gate before the first fold
+        x, y = supervised_data()
+        task = SupervisedTask(x, y, _counting_fits(LMNN)(max_iter=2), knn_k=1)
+        with pytest.raises(ValidationError,
+                           match=r"^candidate \{'k': 0\}: k must be"):
+            grid_search(task, {"k": [2, 0]}, 3, seed=0)
+        assert type(task.estimator).fits == 0
+
     def test_candidate_annotated_error(self):
         x, y = supervised_data()
         task = SupervisedTask(x, y, NCA(), knn_k=1)

@@ -57,6 +57,14 @@ def clustered_data(seed=0, n_per=8, d=3, sep=4.0):
     return x, y
 
 
+def _fit_args(cls):
+    """The arguments of cls.fit on clustered_data, by its supervision kind."""
+    x, y = clustered_data()
+    return {"labels": (x, y), "chunks": (x, y),
+            "pairs": pairs_from_labels(x, y, 2, seed=0),
+            "quads": (quadruplets_from_labels(x, y, 2, seed=0),)}[cls.supervision]
+
+
 class TestNCA:
     def test_objective_improves_over_init(self):
         x, y = clustered_data()
@@ -1034,11 +1042,38 @@ class TestCommonEstimatorBehaviour:
         # unchecked, each of these fits without complaint: knn=0 scales by
         # the farthest same-class point, k=0 returns the identity as
         # converged, max_iter=-1 runs no iteration, tol=-1 never converges
-        x, y = clustered_data()
-        inputs = {"labels": (x, y), "pairs": pairs_from_labels(x, y, 2, seed=0),
-                  "quads": (quadruplets_from_labels(x, y, 2, seed=0),)}
         with pytest.raises(ValidationError, match=f"^{name} must be"):
-            cls(**{name: value}).fit(*inputs[cls.supervision])
+            cls(**{name: value}).fit(*_fit_args(cls))
+
+    # one case per rule of base._PARAM_RULES
+    @pytest.mark.parametrize("cls,name,value", [
+        (LMNN, "k", 0), (LFDA, "knn", 0), (LMNN, "push_weight", 0.0),
+        (LMNN, "push_weight", 1.0), (ITML, "gamma", 0.0), (LSML, "reg", -1.0),
+        (RCA, "reg", -1.0), (NCA, "init", "bogus"), (LSML, "prior", "bogus"),
+        (LFDA, "embedding", "bogus"), (ITML, "percentiles", (95, 5)),
+        (ITML, "percentiles", (5, "abc")), (MLKR, "max_iter", -1),
+        (MMC, "tol", -1.0),
+    ])
+    def test_set_params_refuses_each_rule_at_once(self, cls, name, value):
+        with pytest.raises(ValidationError) as at_once:
+            cls().set_params(**{name: value})
+        assert re.fullmatch(f"{name} must be .+, got {re.escape(repr(value))}",
+                            str(at_once.value))
+        # the gate of fit gives the same error
+        with pytest.raises(ValidationError) as at_fit:
+            cls(**{name: value}).fit(*_fit_args(cls))
+        assert str(at_fit.value) == str(at_once.value)
+
+    @pytest.mark.parametrize("cls,name,value", [
+        (LMNN, "k", 1), (LSML, "reg", 0.0), (RCA, "reg", 0.0),
+        (ITML, "percentiles", (0, 100))])
+    def test_set_params_accepts_the_rules_boundaries(self, cls, name, value):
+        est = cls(max_iter=5) if "max_iter" in cls._param_defaults() else cls()
+        assert est.set_params(**{name: value}).get_params()[name] is value
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", mlearn.ConvergenceWarning)
+            est.fit(*_fit_args(cls))
+        assert np.all(np.isfinite(est.components_))
 
     def test_clone_is_unfitted_copy(self):
         x, y = clustered_data()

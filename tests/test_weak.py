@@ -357,9 +357,12 @@ class TestITML:
         assert abs(l - np.percentile(d2, 95)) <= 1e-12 * max(l, 1.0)
 
     def test_bad_percentiles_rejected(self):
-        pairs, _ = labeled_pairs()
-        with pytest.raises(ValidationError):
-            itml_bounds(pairs, (95, 5))
+        # ITML's gate checks percentiles; itml_bounds takes checked ones
+        pairs, y = labeled_pairs()
+        with pytest.raises(ValidationError, match="two numbers"):
+            ITML().set_params(percentiles=(95, 5))
+        with pytest.raises(ValidationError, match="two numbers"):
+            ITML(percentiles=(95, 5)).fit(pairs, y)
 
     def test_prior_covariance_inverse(self):
         pairs, y = labeled_pairs(seed=6)
@@ -489,7 +492,7 @@ class TestITML:
     def test_malformed_percentiles_rejected(self, percentiles):
         pairs, y = labeled_pairs()
         with pytest.raises(ValidationError, match="two numbers"):
-            itml_bounds(pairs, percentiles)
+            ITML().set_params(percentiles=percentiles)
         with pytest.raises(ValidationError, match="two numbers"):
             ITML(percentiles=percentiles).fit(pairs, y)
 
