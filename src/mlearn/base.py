@@ -1,19 +1,20 @@
-"""Estimator base classes: parameter handling, the input gate of every fit,
-and Mahalanobis semantics.
+"""Estimator base classes: parameter handling, the one ``fit`` of every
+learner, and Mahalanobis semantics.
 
 The estimators follow the familiar fit/transform/predict shape with
 ``get_params``/``set_params`` introspected from ``__init__``, so they compose
-with the grid-search harness without any external framework. Every ``fit``
-starts with one gate, :meth:`MahalanobisEstimator._check_fit`: each
-parameter, from the constructor or ``set_params`` (which checks at once),
-must have the type of its ``__init__`` default, one with a float default
-must be a finite float, and one named in ``_PARAM_RULES``, the table of
-every rule that reads no data, must meet its rule there. The data is checked
-by the learner's ``supervision`` kind; a rule that reads it
-(``n_components`` <= d) stays in the fit. Every ``fit`` ends with
-:meth:`MahalanobisEstimator._set_model`, which stores the learned map as a
+with the grid-search harness without any external framework. Every learner
+is fitted by :meth:`MahalanobisEstimator.fit` (``fit(x, y=None)``). It
+gates each parameter, from the constructor or ``set_params`` (which checks
+at once): it must have the type of its ``__init__`` default, one with a
+float default must be a finite float, and one named in ``_PARAM_RULES``,
+the table of every rule that reads no data, must meet its rule there. It
+gates the data by the learner's ``supervision`` kind, then calls the
+learner's ``_fit(x, y) -> (l, report)``, which keeps every rule that reads
+the data (``n_components`` <= d). It stores l as a
 :class:`~mlearn.model.MahalanobisModel` in ``model_``, named after the class
-(``NCA`` -> ``"nca"``, also its CLI name), and mirrors it in ``components_``.
+(``NCA`` -> ``"nca"``, also its CLI name), mirrors it in ``components_`` and
+``fit_report_``, and returns the learner.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .calibration import calibrate_threshold
 from .exceptions import ValidationError
-from .model import FitReport, MahalanobisModel, _real_type, _valid_threshold
+from .model import MahalanobisModel, _real_type, _valid_threshold
 from .tuples import validate_supervision
 
 
@@ -113,18 +114,16 @@ class MahalanobisEstimator(BaseEstimator):
     model_: MahalanobisModel
     supervision: str  # a key of mlearn.tuples.KINDS
 
-    def _check_fit(self, x, y):
-        """(x, y) as arrays once every parameter and the data pass the gate."""
+    def fit(self, x, y=None) -> "MahalanobisEstimator":
+        """Gate the parameters and data, learn the map by ``_fit``, store it."""
         for name, default in self._param_defaults().items():
             _check_param(name, getattr(self, name), default)
-        return validate_supervision(self.supervision, x, y)
-
-    def _set_model(self, l: np.ndarray, report: FitReport = FitReport()) -> None:
-        """Store the learned map l as this learner's model."""
+        l, report = self._fit(*validate_supervision(self.supervision, x, y))
         self.model_ = model = MahalanobisModel(
             l, algorithm=type(self).__name__.lower(), fit_report=report)
         self.components_ = model.components
         self.fit_report_ = model.fit_report
+        return self
 
     def _check_fitted(self) -> MahalanobisModel:
         if not hasattr(self, "model_"):

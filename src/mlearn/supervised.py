@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 
 from .base import MahalanobisEstimator
-from .exceptions import ValidationError
+from .exceptions import ValidationError, check_at_least
 from .linalg import gen_sym_eig, psd_sqrt
 from .model import _BLOCK, FitReport
 from .modelsel import _k_nearest
@@ -187,7 +187,8 @@ def nca_objective(l: np.ndarray, x: np.ndarray, blocks: list):
 
 
 class NCA(MahalanobisEstimator):
-    """Gradient-ascent learner maximizing stochastic same-class neighbor mass."""
+    """Gradient-ascent learner maximizing stochastic same-class neighbor mass;
+    ``fit(x, y)`` takes points x (n, d) and one class label per point in y."""
 
     supervision = "labels"
 
@@ -199,17 +200,14 @@ class NCA(MahalanobisEstimator):
         self.tol = tol
         self.seed = seed
 
-    def fit(self, x, y):
-        x, y = self._check_fit(x, y)
+    def _fit(self, x, y):
         x, _, blocks = _class_sorted(x, y)
         m = _resolve_components(self.n_components, x.shape[1])
         l0 = _init_transform(self.init, m, x.shape[1], self.seed)
-        l, report = backtracking_solve(
+        return backtracking_solve(
             lambda l_: nca_objective(l_, x, blocks), l0,
             max_iter=self.max_iter, tol=self.tol, maximize=True,
         )
-        self._set_model(l, report)
-        return self
 
 
 # -- large margin nearest neighbors (LMNN) ----------------------------------
@@ -221,9 +219,10 @@ def lmnn_targets(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
     point its k + 1 nearest class members in (distance, index) order, so
     distance ties go to the lower sample index. The point itself is
     dropped, or the last of them when more than k coinciding members
-    precede it. No n x n array is formed, and k is checked against the
-    smallest class before anything is allocated.
+    precede it. No n x n array is formed, and k is checked, as an integer
+    >= 1 and then against the smallest class, before anything is allocated.
     """
+    check_at_least("k", k, 1)
     classes, codes, order, blocks = class_blocks(y)
     counts = np.bincount(codes)
     if counts.min() < k + 1:
@@ -296,7 +295,8 @@ def lmnn_objective(l: np.ndarray, x: np.ndarray, targets: np.ndarray,
 
 
 class LMNN(MahalanobisEstimator):
-    """Margin-based learner pulling target neighbors and pushing impostors."""
+    """Margin-based learner pulling target neighbors and pushing impostors;
+    ``fit(x, y)`` takes points x (n, d) and one class label per point in y."""
 
     supervision = "labels"
 
@@ -311,19 +311,16 @@ class LMNN(MahalanobisEstimator):
         self.tol = tol
         self.seed = seed
 
-    def fit(self, x, y):
-        x, y = self._check_fit(x, y)
+    def _fit(self, x, y):
         x, y, blocks = _class_sorted(x, y)
         targets = lmnn_targets(x, y, self.k)
         m = _resolve_components(self.n_components, x.shape[1])
         l0 = _init_transform(self.init, m, x.shape[1], self.seed)
-        l, report = backtracking_solve(
+        return backtracking_solve(
             lambda l_: lmnn_objective(l_, x, targets, self.push_weight,
                                       self.margin, blocks),
             l0, max_iter=self.max_iter, tol=self.tol,
         )
-        self._set_model(l, report)
-        return self
 
 
 # -- kernel-regression loss (MLKR) ------------------------------------------
@@ -347,7 +344,8 @@ def mlkr_objective(l: np.ndarray, x: np.ndarray, y: np.ndarray):
 
 
 class MLKR(MahalanobisEstimator):
-    """Metric learner minimizing leave-one-out kernel-regression error."""
+    """Metric learner minimizing leave-one-out kernel-regression error;
+    ``fit(x, y)`` takes points x (n, d) and one numeric target per point in y."""
 
     supervision = "labels"
 
@@ -359,8 +357,7 @@ class MLKR(MahalanobisEstimator):
         self.tol = tol
         self.seed = seed
 
-    def fit(self, x, y):
-        x, y = self._check_fit(x, y)
+    def _fit(self, x, y):
         if y.dtype.kind not in "biuf":
             raise ValidationError("MLKR targets must be numbers")
         y = np.asarray(y, dtype=float)
@@ -374,14 +371,11 @@ class MLKR(MahalanobisEstimator):
                 "any transform; returning the initial transform",
                 UserWarning,
             )
-            self._set_model(l0)
-            return self
-        l, report = backtracking_solve(
+            return l0, FitReport()
+        return backtracking_solve(
             lambda l_: mlkr_objective(l_, x, y), l0,
             max_iter=self.max_iter, tol=self.tol,
         )
-        self._set_model(l, report)
-        return self
 
 
 # -- local Fisher discriminant analysis (LFDA) ------------------------------
@@ -457,7 +451,8 @@ def _lfda_scatters(x: np.ndarray, y: np.ndarray, knn: int):
 
 
 class LFDA(MahalanobisEstimator):
-    """Closed-form learner via the local Fisher generalized eigenproblem."""
+    """Closed-form learner via the local Fisher generalized eigenproblem;
+    ``fit(x, y)`` takes points x (n, d) and one class label per point in y."""
 
     supervision = "labels"
 
@@ -466,8 +461,7 @@ class LFDA(MahalanobisEstimator):
         self.knn = knn
         self.embedding = embedding
 
-    def fit(self, x, y):
-        x, y = self._check_fit(x, y)
+    def _fit(self, x, y):
         d = x.shape[1]
         m = _resolve_components(self.n_components, d)
         s_between, s_within = _lfda_scatters(x, y, self.knn)
@@ -477,8 +471,7 @@ class LFDA(MahalanobisEstimator):
         if self.embedding == "weighted":
             l = l * np.sqrt(np.clip(res.eigenvalues, 0.0, None))[:, None]
         obj = float(np.sum(res.eigenvalues))
-        self._set_model(l, FitReport(True, 1, obj, (obj,)))
-        return self
+        return l, FitReport(True, 1, obj, (obj,))
 
 
 # -- chunklet whitening (RCA) ------------------------------------------------
@@ -486,9 +479,10 @@ class LFDA(MahalanobisEstimator):
 class RCA(MahalanobisEstimator):
     """Whitens the pooled within-chunklet covariance (closed form).
 
-    Chunklets are groups of points known to share a class; the assignment
-    vector uses -1 for unassigned points. Chunklets with fewer than 2 members
-    carry no constraint and are ignored.
+    ``fit(x, y)``: x holds the points (n, d), y one numeric chunklet id per
+    point. Chunklets are groups of points known to share a class; -1 marks
+    an unassigned point. Chunklets with fewer than 2 members carry no
+    constraint and are ignored.
     """
 
     supervision = "chunks"
@@ -496,8 +490,7 @@ class RCA(MahalanobisEstimator):
     def __init__(self, reg=1e-8):
         self.reg = reg
 
-    def fit(self, x, chunks):
-        x, chunks = self._check_fit(x, chunks)
+    def _fit(self, x, chunks):
         if chunks.dtype.kind not in "biuf":
             raise ValidationError(
                 "chunklet ids must be numbers: -1 marks an unassigned point"
@@ -518,6 +511,4 @@ class RCA(MahalanobisEstimator):
                 "no constraints: need at least one chunklet with 2 or more members"
             )
         cov /= count
-        l = psd_sqrt(cov + self.reg * np.eye(d), invert=True)
-        self._set_model(l)
-        return self
+        return psd_sqrt(cov + self.reg * np.eye(d), invert=True), FitReport()

@@ -38,6 +38,10 @@ from .rng import SplitMix64, below
 # points; the CLI flag that names the column of y or the tuple file)
 KINDS = {"labels": (None, "--label-col"), "chunks": (None, "--chunk-col"),
          "pairs": (2, "--pairs"), "quads": (4, "--quads")}
+# what y holds for each kind that needs one
+_Y_NEEDED = {"labels": "points need labels: one class label per row",
+             "chunks": "points need chunklet ids: one per row, -1 for none",
+             "pairs": "pairs need labels: one +1 or -1 per pair"}
 
 
 def validate_supervision(kind: str, x, y, n_features: int | None = None,
@@ -47,6 +51,8 @@ def validate_supervision(kind: str, x, y, n_features: int | None = None,
     pairs with one +1 or -1 label each, or quadruplets without y.
     ``check_finite`` is passed on to the data's check (see
     :func:`validate_tuples`)."""
+    if y is None and kind in _Y_NEEDED:
+        raise ValidationError(_Y_NEEDED[kind])
     arity = KINDS[kind][0]
     if arity is None:
         x = _as_features(x, n_features, check_finite)
@@ -63,8 +69,6 @@ def validate_supervision(kind: str, x, y, n_features: int | None = None,
             except TypeError as e:
                 raise ValidationError(f"labels cannot be ordered: {e}") from None
         return x, y
-    if arity == 2 and y is None:
-        raise ValidationError("pairs need labels: one +1 or -1 per pair")
     x = validate_tuples(x, arity, n_features, check_finite=check_finite)
     if y is None:
         return x, None

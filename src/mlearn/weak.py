@@ -105,6 +105,9 @@ class MMC(MahalanobisEstimator, PairClassifierMixin):
     the ascent direction sum_i (0.5 / d_i) v_i v_i^T is PSD (and exactly
     symmetric), and a rescale stays in the cone. The diagonal variant runs
     projected descent on the log-barrier form over nonnegative weights.
+
+    ``fit(x, y)``: x holds the pairs (n, 2, d), y one label per pair, +1
+    for similar and -1 for dissimilar.
     """
 
     supervision = "pairs"
@@ -114,8 +117,8 @@ class MMC(MahalanobisEstimator, PairClassifierMixin):
         self.max_iter = max_iter
         self.tol = tol
 
-    def fit(self, pairs, y):
-        pos, neg = _split_pairs(*self._check_fit(pairs, y))
+    def _fit(self, pairs, y):
+        pos, neg = _split_pairs(pairs, y)
         # the similar pairs' total is the full variant's starting budget
         with np.errstate(over="ignore"):
             total_pos, neg_sq = np.sum(pos * pos), np.sum(neg * neg, axis=1)
@@ -127,11 +130,8 @@ class MMC(MahalanobisEstimator, PairClassifierMixin):
             raise NumericalError(
                 "all dissimilar pairs coincide: log of zero distance"
             )
-        if self.diagonal:
-            self._set_model(*self._fit_diagonal(pos, neg))
-        else:
-            self._set_model(*self._fit_full(pos, neg, total_pos))
-        return self
+        return (self._fit_diagonal(pos, neg) if self.diagonal
+                else self._fit_full(pos, neg, total_pos))
 
     def _fit_diagonal(self, pos, neg):
         d = pos.shape[1]
@@ -205,6 +205,9 @@ class ITML(MahalanobisEstimator, PairClassifierMixin):
     with the bits of an elementwise one. If the updates overflow (a huge
     gamma, or a pair distance whose square or reciprocal is not finite), M
     turns non-finite and ``fit`` raises :class:`NumericalError`.
+
+    ``fit(x, y)``: x holds the pairs (n, 2, d), y one label per pair, +1
+    for similar and -1 for dissimilar.
     """
 
     supervision = "pairs"
@@ -217,9 +220,9 @@ class ITML(MahalanobisEstimator, PairClassifierMixin):
         self.max_iter = max_iter
         self.tol = tol
 
-    def fit(self, pairs, y):
+    def _fit(self, pairs, y):
         deltas = []
-        for a, delta in self._cycles(*self._check_fit(pairs, y)):
+        for a, delta in self._cycles(pairs, y):
             if delta is not None:
                 deltas.append(delta)
         if not np.all(np.isfinite(a)):
@@ -230,9 +233,8 @@ class ITML(MahalanobisEstimator, PairClassifierMixin):
         converged = bool(deltas) and deltas[-1] <= self.tol
         trace = tuple(deltas) if deltas else (0.0,)
         # the updates keep M positive definite only in exact arithmetic
-        self._set_model(psd_sqrt(psd_project(a)),
-                        FitReport(converged, len(trace), trace[-1], trace))
-        return self
+        return (psd_sqrt(psd_project(a)),
+                FitReport(converged, len(trace), trace[-1], trace))
 
     def _cycles(self, pairs, y):
         """Yield (M, multiplier change) for gated pairs: first the prior with
@@ -330,7 +332,9 @@ def lsml_objective(m: np.ndarray, diffs_close: np.ndarray, diffs_far: np.ndarray
 
 
 class LSML(MahalanobisEstimator, QuadrupletClassifierMixin):
-    """Quadruplet learner minimizing squared residuals of ordering violations."""
+    """Quadruplet learner minimizing squared residuals of ordering violations;
+    ``fit(x)`` takes quadruplets x (n, 4, d), whose first pair should end up
+    closer than the second, and no y."""
 
     supervision = "quads"
 
@@ -340,8 +344,7 @@ class LSML(MahalanobisEstimator, QuadrupletClassifierMixin):
         self.max_iter = max_iter
         self.tol = tol
 
-    def fit(self, quads, y=None):
-        quads, _ = self._check_fit(quads, y)
+    def _fit(self, quads, y):
         if len(quads) == 0:
             raise ValidationError("need at least one quadruplet")
         d = quads.shape[2]
@@ -364,5 +367,4 @@ class LSML(MahalanobisEstimator, QuadrupletClassifierMixin):
             m0, max_iter=self.max_iter, tol=self.tol,
             project=lambda m_: floor + psd_project(m_ - floor),
         )
-        self._set_model(psd_sqrt(m), report)
-        return self
+        return psd_sqrt(m), report

@@ -16,6 +16,7 @@ import mlearn.tuples
 from mlearn import cli
 from mlearn.cli import (ALGORITHMS, estimator_class, load_features,
                         load_tuples, main)
+from mlearn.base import MahalanobisEstimator
 from mlearn.exceptions import ValidationError
 from mlearn.model import MahalanobisModel
 from mlearn.supervised import LFDA, LMNN, MLKR, NCA, RCA
@@ -634,6 +635,14 @@ class TestCv:
 def test_every_algorithm_declares_a_supervision_kind():
     for name in ALGORITHMS:
         assert vars(estimator_class(name)).get("supervision") in KINDS, name
+
+
+def test_every_algorithm_is_fitted_by_the_base_template():
+    # the base class's fit gates, fits and stores; a learner supplies _fit
+    for name in ALGORITHMS:
+        cls = estimator_class(name)
+        assert "_fit" in vars(cls) and "fit" not in vars(cls), name
+        assert cls.fit is MahalanobisEstimator.fit, name
 
 
 def test_algorithm_table_names_the_eight_learners():

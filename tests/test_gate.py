@@ -32,11 +32,13 @@ KINDS = {
 
 
 def _bad_y(kind, y):
-    """A 2-D y, a y of the wrong length and a y with a NaN for the kind."""
+    """A 2-D y, a y of the wrong length and a y with a NaN for the kind, and
+    no y for a kind that needs one."""
+    no_y = {} if y is None else {"no y": None}
     y = np.ones(len(KINDS[kind][1])) if y is None else y
     nan_y = y.astype(float)
     nan_y[0] = math.nan
-    return {"2-D y": y[:, None], "short y": y[:-1], "NaN y": nan_y}
+    return {"2-D y": y[:, None], "short y": y[:-1], "NaN y": nan_y, **no_y}
 
 
 FIT = ["fit", "--data", "{data}", "--label-col", "y", "--out", "{out}"]
@@ -91,6 +93,7 @@ CASES = {
     "MMC pairs without labels": (
         lambda: ml.MMC().fit(PAIRS, None),
         FIT + ["--algo", "mmc", "--pairs", "{unlabeled}"]),
+    "ITML pairs without labels": (lambda: ml.ITML().fit(PAIRS), None),
     "unknown init": (lambda: ml.NCA(init="bogus").fit(X, Y),
                      FIT + ["--algo", "nca", "--opt", "init=bogus"]),
     "n_components out of range": (lambda: ml.NCA(n_components=5).fit(X, Y),
@@ -258,8 +261,10 @@ CASES.update({
 })
 for _kind, (_est, _x, _y) in KINDS.items():
     for _what, _bad in _bad_y(_kind, _y).items():
+        # "no y" passes no y, so that fit's default reaches the gate
         CASES[f"{_kind} fit {_what}"] = (
-            lambda e=_est, x=_x, y=_bad: e.clone().fit(x, y), None)
+            lambda e=_est, x=_x, y=_bad:
+                e.clone().fit(x) if y is None else e.clone().fit(x, y), None)
         CASES[f"{_kind} cross_validate {_what}"] = (
             lambda e=_est, x=_x, y=_bad: ml.cross_validate(
                 ml.SupervisedTask(x, y, e), 3, 0), None)
@@ -269,6 +274,15 @@ for _kind, (_est, _x, _y) in KINDS.items():
 def test_bad_input_raises_validation_error(case):
     with pytest.raises(ValidationError):
         CASES[case][0]()
+
+
+@pytest.mark.parametrize("kind, need", [
+    ("labels", "points need labels"), ("chunks", "points need chunklet ids"),
+    ("pairs", "pairs need labels")])
+def test_a_missing_y_is_named_by_the_gate(kind, need):
+    est, x, _ = KINDS[kind]
+    with pytest.raises(ValidationError, match=f"^{need}: one "):
+        est.clone().fit(x)
 
 
 @pytest.fixture

@@ -30,6 +30,7 @@ from mlearn import (
 )
 from mlearn import modelsel
 from mlearn.exceptions import ValidationError
+from mlearn.model import FitReport
 
 
 def supervised_data(seed=0, n_per=12, d=2, sep=4.0):
@@ -470,9 +471,8 @@ def test_knn_peak_memory_with_a_far_outlier():
 class _IdentityPairEstimator(MMC):
     """Dummy pair learner that always returns the identity metric."""
 
-    def fit(self, pairs, y):
-        self._set_model(np.eye(pairs.shape[2]))
-        return self
+    def _fit(self, pairs, y):
+        return np.eye(pairs.shape[2]), FitReport()
 
 
 class TestCrossValidate:

@@ -146,6 +146,14 @@ class TestLMNN:
         with pytest.raises(ValidationError, match="7"):
             lmnn_targets(x, y, 1)
 
+    @pytest.mark.parametrize("k", [0, -1, 2.5, True])
+    def test_targets_refuse_a_k_that_is_not_a_positive_integer(self, k):
+        x = np.random.default_rng(0).standard_normal((10, 2))
+        y = np.repeat([0, 1], 5)
+        with pytest.raises(ValidationError) as err:
+            lmnn_targets(x, y, k)
+        assert str(err.value) == f"k must be an integer >= 1, got {k!r}"
+
     def test_zero_push_at_separated_identity(self):
         x, y = clustered_data(sep=50.0)
         targets = lmnn_targets(x, y, 2)
